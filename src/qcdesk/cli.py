@@ -4,10 +4,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import CapacityError, ParseError, QcdeskError
 from . import dd, dense, tn, zx
 from .ir import Circuit, parse_circuit
-from .verify import BackendId, EquivalenceStatus, check_equivalence
+from .verify import BackendId, EquivalenceStatus, backend_state, check_equivalence
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -61,21 +63,10 @@ def _load(path: str) -> Circuit:
         return parse_circuit(fh.read())
 
 
-def _state(c: Circuit, backend: str) -> dense.StateVector:
-    if backend == "dense":
-        return dense.simulate(c)
-    if backend == "dd":
-        b = dd.DDBackend()
-        return b.dd_to_vector(b.simulate(c))
-    return tn.full_state_tn(c)
-
-
 def _cmd_simulate(args) -> int:
-    c = _load(args.file)
-    s = _state(c, args.backend)
-    for line in dense.format_amplitude_dump(s).splitlines():
-        if args.full or abs(complex(*map(float, line.split()[1:]))) > _COMPACT_EPS:
-            print(line)
+    s = backend_state(_load(args.file), BackendId(args.backend))
+    keep = None if args.full else np.flatnonzero(np.abs(s.amps) > _COMPACT_EPS)
+    sys.stdout.write(dense.format_amplitude_dump(s, keep))
     return EXIT_OK
 
 

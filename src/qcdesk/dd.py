@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dense
-from .ir import Circuit, Gate, adjoint_circuit, basis_index, gate_matrix
+from .ir import Circuit, Gate, adjoint_circuit, gate_matrix
 
 # Weights are rounded to this many decimals for unique-table keys and
 # zero detection, so floating-point drift cannot break node sharing.
@@ -423,7 +423,3 @@ def dd_stats(d: Union[VectorDD, MatrixDD]) -> str:
 def amplitude_from_circuit(c: Circuit, bits: str) -> complex:
     backend = DDBackend()
     return backend.get_amplitude(backend.simulate(c), bits)
-
-
-def basis_amplitude_index(bits: str) -> int:
-    return basis_index(bits)

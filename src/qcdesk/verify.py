@@ -89,7 +89,10 @@ def _dense_equivalence(
         phase = phase / abs(phase)
     else:
         phase = 1.0 + 0j
-    diff = np.abs(u2 - phase * u1)
+    # align in place: no 2^n x 2^n temporaries beyond diff
+    u1 *= phase
+    u2 -= u1
+    diff = np.abs(u2)
     if float(diff.max()) <= tolerance:
         return EquivalenceVerdict(
             EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=complex(phase)
@@ -115,8 +118,8 @@ def _find_witness(c1: Circuit, c2: Circuit, tolerance: float) -> str | None:
     fallback = None
     for b in range(2**n):
         bits = index_bits(b, n)
-        s1 = _simulate_from_basis(c1, b).amps
-        s2 = _simulate_from_basis(c2, b).amps
+        s1 = dense.simulate(c1, b).amps
+        s2 = dense.simulate(c2, b).amps
         overlap = np.vdot(s2, s1)
         if abs(overlap) < 1e-6:
             return bits  # columns not even parallel
@@ -128,15 +131,6 @@ def _find_witness(c1: Circuit, c2: Circuit, tolerance: float) -> str | None:
         elif abs(phase - ref_phase) > tolerance and fallback is None:
             fallback = bits
     return fallback
-
-
-def _simulate_from_basis(c: Circuit, index: int) -> dense.StateVector:
-    s = dense.initial_state(c.num_qubits)
-    s.amps[0] = 0.0
-    s.amps[index] = 1.0
-    for g in c.gates:
-        s = dense.apply_gate(s, g)
-    return s
 
 
 def check_equivalence(

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from qcdesk import cli
+from qcdesk import cli, dense
 
 BELL = "qubits 2\nh 1\ncx 1 0\n"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -44,6 +45,45 @@ class TestSimulate:
         assert amps[0] == pytest.approx(INV_SQRT2, abs=1e-10)
         assert amps[1] == pytest.approx(0, abs=1e-10)
         assert amps[3] == pytest.approx(INV_SQRT2, abs=1e-10)
+
+
+def format_then_filter(amps: np.ndarray, n: int, full: bool) -> str:
+    """The dump as first formatted in full and then filtered on its own text."""
+    lines = [f"{format(i, f'0{n}b')} {a.real:.17g} {a.imag:.17g}" for i, a in enumerate(amps)]
+    return "".join(
+        ln + "\n"
+        for ln in lines
+        if full or abs(complex(*map(float, ln.split()[1:]))) > cli._COMPACT_EPS
+    )
+
+
+class TestAmplitudeDump:
+    N = 6
+
+    def amplitudes(self, seed: int) -> np.ndarray:
+        """Magnitudes from 1e-16 to 1, exact zeros of both signs, and
+        components on and just around the compact threshold."""
+        rng = np.random.default_rng(seed)
+        size = 2**self.N
+        amps = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-16, 0, size)
+        eps = cli._COMPACT_EPS
+        edge = [eps, np.nextafter(eps, 0), np.nextafter(eps, 1), -eps, 0.6 * eps, 0.8 * eps]
+        for i in rng.choice(size, 24, replace=False):
+            amps[i] = complex(rng.choice(edge + [0.0, -0.0]), rng.choice(edge + [0.0, -0.0]))
+        return amps
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_format_then_filter(self, tmp_path, capsys, monkeypatch, full, seed):
+        amps = self.amplitudes(seed)
+        monkeypatch.setattr(cli, "backend_state", lambda c, b: dense.StateVector(self.N, amps))
+        path = write(tmp_path, "wide.qcf", f"qubits {self.N}\n")
+        assert cli.run(["simulate", "--backend", "dense", path] + ["--full"] * full) == 0
+        out = capsys.readouterr().out
+        assert "-0" not in out.split()
+        assert out == format_then_filter(amps + 0.0, self.N, full)
+        # the input holds -0.0 components, which the old format printed as -0
+        assert any(np.signbit(amps.real[amps.real == 0]))
 
 
 class TestAmplitude:

@@ -1,13 +1,15 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
 from qcdesk.errors import CapacityError
 from qcdesk import dense
-from qcdesk.ir import Angle, Circuit, Gate, GateKind
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -165,3 +167,68 @@ class TestProperties:
             via_kernel = dense.apply_gate(s, g).amps
             via_matrix = dense.circuit_unitary(Circuit(n, (g,))) @ amps
             np.testing.assert_allclose(via_kernel, via_matrix, atol=1e-12)
+
+
+def kron_embedding(g: Gate, n: int) -> np.ndarray:
+    """g on n qubits as a sum of np.kron chains, one per nonzero of its matrix:
+    entry (row, col) puts |row bit><col bit| on each gate qubit, I elsewhere."""
+    m = gate_matrix(g)
+    k = len(g.qubits)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for row, col in zip(*np.nonzero(m)):
+        ops = [_I2] * n  # ops[j] acts on qubit n-1-j
+        for j, q in enumerate(g.qubits):
+            e = np.zeros((2, 2))
+            e[(row >> (k - 1 - j)) & 1, (col >> (k - 1 - j)) & 1] = 1
+            ops[n - 1 - q] = e
+        out += m[row, col] * functools.reduce(np.kron, ops)
+    return out
+
+
+@st.composite
+def gates_on(draw, kind, n_max=6):
+    """(gate, n): a gate of this kind, qubits in either order, rational angles."""
+    n = draw(st.integers(gate_arity(kind), n_max))
+    qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
+    angle = None
+    if kind in (GateKind.RX, GateKind.RZ):
+        angle = Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 8, 16])))
+    return Gate(kind, qubits, angle), n
+
+
+class TestInPlaceKernel:
+    """The in-place kernel against the kron embedding, which shares no code with it."""
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), cols=st.sampled_from([1, 2, 8]),
+           slice_amps=st.sampled_from([4, 8, 32, 1 << 15]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_kron_embedding(self, kind, data, cols, slice_amps, seed):
+        g, n = data.draw(gates_on(kind))
+        np_rng = np.random.default_rng(seed)
+        buf = np_rng.normal(size=(2**n, cols)) + 1j * np_rng.normal(size=(2**n, cols))
+        want = kron_embedding(g, n) @ buf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_SLICE", slice_amps)  # small values cross slice boundaries
+            dense._apply_in_place(buf, g, n)
+        np.testing.assert_allclose(buf, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
+    @pytest.mark.parametrize("qubits", [(0, 2), (2, 0), (1, 3), (3, 1)])
+    def test_two_qubit_orders(self, kind, qubits):
+        n = 4
+        g = Gate(kind, qubits)
+        u = dense.circuit_unitary(Circuit(n, (g,)))
+        np.testing.assert_array_equal(u, kron_embedding(g, n))
+
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_gate_leaves_input_unmodified(self, kind, data, seed):
+        g, n = data.draw(gates_on(kind))
+        np_rng = np.random.default_rng(seed)
+        amps = np_rng.normal(size=2**n) + 1j * np_rng.normal(size=2**n)
+        before = amps.copy()
+        out = dense.apply_gate(dense.StateVector(n, amps), g)
+        np.testing.assert_array_equal(amps, before)
+        np.testing.assert_allclose(out.amps, kron_embedding(g, n) @ before, rtol=0, atol=1e-12)
