@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import CapacityError, ParseError, QcdeskError
 from . import dd, dense, tn, zx
-from .ir import Circuit, parse_circuit
+from .ir import Circuit, check_basis, parse_circuit
 from .verify import BackendId, EquivalenceStatus, backend_state, check_equivalence
 
 EXIT_OK = 0
@@ -73,7 +73,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_amplitude(args) -> int:
     c = _load(args.file)
     bits = args.basis
-    if len(bits) != c.num_qubits or set(bits) - {"0", "1"}:
+    try:
+        check_basis(bits, c.num_qubits)
+    except ValueError:
         print(f"error: bad basis state {bits!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.backend == "tn":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dense
-from .ir import Circuit, Gate, adjoint_circuit, gate_matrix
+from .ir import Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
 
 # Weights are rounded to this many decimals for unique-table keys and
 # zero detection, so floating-point drift cannot break node sharing.
@@ -153,8 +153,7 @@ class DDBackend:
         return dense.StateVector(d.n, amps)
 
     def get_amplitude(self, d: VectorDD, bits: str) -> complex:
-        if len(bits) != d.n:
-            raise ValueError("basis state length != qubit count")
+        check_basis(bits, d.n)
         w = d.root.w
         node = d.root.node
         while node is not None:

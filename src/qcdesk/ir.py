@@ -119,9 +119,12 @@ class Circuit:
                 )
 
 
-def basis_index(bits: str) -> int:
-    """Amplitude index of a basis-state string (leftmost char = q_{n-1})."""
-    return int(bits, 2)
+def check_basis(bits: str, n: int) -> None:
+    """Raise ValueError unless bits is an n-qubit basis-state string of 0s and 1s."""
+    if len(bits) != n:
+        raise ValueError("basis state length != qubit count")
+    if not set(bits) <= {"0", "1"}:
+        raise ValueError(f"basis state {bits!r} has a character other than 0 and 1")
 
 
 def index_bits(i: int, n: int) -> str:

@@ -6,6 +6,7 @@ listed qubit most significant.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import prod
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, PlanError
 from . import dense
-from .ir import Circuit, gate_matrix
+from .ir import Circuit, check_basis, gate_matrix
 
 MAX_FULL_STATE_QUBITS = 20
 MAX_EXHAUSTIVE_TENSORS = 8
@@ -98,61 +99,73 @@ def circuit_to_network(c: Circuit) -> TensorNetwork:
     return TensorNetwork(tensors, open_indices)
 
 
-def _result_labels(la: frozenset, lb: frozenset) -> frozenset:
-    return la ^ lb
+class _LabelSim:
+    """Label-set cost simulator: each live tensor's label set under pairwise
+    contraction, with every step checked. All planners and execute_plan use it."""
+
+    def __init__(self, net: TensorNetwork):
+        self.dims = {ix.label: ix.dim for t in net.tensors for ix in t.indices}
+        self.live = {i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)}
+        self.next_id = len(net.tensors)
+
+    def size(self, labels: frozenset) -> int:
+        return prod(self.dims[l] for l in labels) if labels else 1
+
+    def contract(self, i: int, j: int) -> tuple[int, frozenset]:
+        """Replace live tensors i and j by their contraction; (new id, shared labels)."""
+        if i == j or i not in self.live or j not in self.live:
+            raise PlanError(f"step ({i}, {j}) names a missing, consumed or repeated tensor")
+        a, b = self.live.pop(i), self.live.pop(j)
+        k, self.next_id = self.next_id, self.next_id + 1
+        self.live[k] = a ^ b
+        return k, a & b
 
 
 def greedy_plan(net: TensorNetwork) -> ContractionPlan:
     """Pick the pair giving the smallest output, ties by smaller combined input
-    then by creation order; disconnected remainders are outer-producted last."""
-    live: dict[int, frozenset[str]] = {
-        i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)
-    }
-    dims: dict[str, int] = {
-        ix.label: ix.dim for t in net.tensors for ix in t.indices
-    }
-    next_id = len(net.tensors)
+    then by creation order; disconnected remainders are outer-producted last.
+
+    Index-sharing pairs wait in a heap under that key. A pair's key is fixed
+    while both tensors live, so each step pushes only the new tensor's pairs,
+    and entries naming a consumed tensor are dropped when they surface."""
+    sim = _LabelSim(net)
+    live, size = sim.live, sim.size
+    holders: dict[str, set[int]] = {}
+    for i, labels in live.items():
+        for l in labels:
+            holders.setdefault(l, set()).add(i)
+
+    def key(i: int, j: int) -> tuple:
+        return size(live[i] ^ live[j]), size(live[i]) + size(live[j]), (i, j)
+
+    heap = [key(i, j) for i, j in {(i, j) for h in holders.values() for i in h for j in h if i < j}]
+    heapq.heapify(heap)
     steps: list[tuple[int, int]] = []
-
-    def size(labels: frozenset) -> int:
-        return prod(dims[l] for l in labels) if labels else 1
-
     while len(live) > 1:
-        ids = sorted(live)
-        candidates = [
-            (i, j) for pos, i in enumerate(ids) for j in ids[pos + 1 :]
-            if live[i] & live[j]
-        ]
-        if not candidates:
-            candidates = [
-                (i, j) for pos, i in enumerate(ids) for j in ids[pos + 1 :]
-            ]
-        best = min(
-            candidates,
-            key=lambda p: (
-                size(_result_labels(live[p[0]], live[p[1]])),
-                size(live[p[0]]) + size(live[p[1]]),
-                p,
-            ),
-        )
-        i, j = best
-        live[next_id] = _result_labels(live[i], live[j])
-        del live[i], live[j]
+        while heap and not (heap[0][2][0] in live and heap[0][2][1] in live):
+            heapq.heappop(heap)
+        if heap:
+            i, j = heapq.heappop(heap)[2]
+        else:  # nothing shares an index now, nor will any outer product
+            i, j = min(itertools.combinations(sorted(live), 2), key=lambda p: key(*p))
+        for l in live[i] | live[j]:
+            holders[l] -= {i, j}
+        k, _ = sim.contract(i, j)
         steps.append((i, j))
-        next_id += 1
+        for l in live[k]:
+            holders[l].add(k)
+        for x in {x for l in live[k] for x in holders[l]} - {k}:
+            heapq.heappush(heap, key(x, k))
     return ContractionPlan(steps)
 
 
 def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     """Run the plan; the final tensor's indices follow net.open_indices order."""
+    sim = _LabelSim(net)
     live: dict[int, Tensor] = dict(enumerate(net.tensors))
-    next_id = len(net.tensors)
     for i, j in plan.steps:
-        if i not in live or j not in live:
-            raise PlanError(f"step ({i}, {j}) names a missing or consumed tensor")
-        live[next_id] = contract_pair(live[i], live[j])
-        del live[i], live[j]
-        next_id += 1
+        k, _ = sim.contract(i, j)
+        live[k] = contract_pair(live.pop(i), live.pop(j))
     if len(live) != 1:
         raise PlanError(f"plan leaves {len(live)} tensors instead of one")
     result = live.popitem()[1]
@@ -166,81 +179,55 @@ def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
 
 def plan_cost(net: TensorNetwork, plan: ContractionPlan) -> tuple[int, int]:
     """(flops, max_intermediate_size); flops per step = output size x contracted dim."""
-    live: dict[int, frozenset[str]] = {
-        i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)
-    }
-    dims: dict[str, int] = {
-        ix.label: ix.dim for t in net.tensors for ix in t.indices
-    }
-    next_id = len(net.tensors)
-
-    def size(labels: frozenset) -> int:
-        return prod(dims[l] for l in labels) if labels else 1
-
+    sim = _LabelSim(net)
     flops = 0
-    max_size = max((size(l) for l in live.values()), default=1)
+    max_size = max((sim.size(l) for l in sim.live.values()), default=1)
     for i, j in plan.steps:
-        if i not in live or j not in live:
-            raise PlanError(f"step ({i}, {j}) names a missing or consumed tensor")
-        shared = live[i] & live[j]
-        out = _result_labels(live[i], live[j])
-        flops += size(out) * size(shared)
-        max_size = max(max_size, size(out))
-        live[next_id] = out
-        del live[i], live[j]
-        next_id += 1
+        k, shared = sim.contract(i, j)
+        out = sim.size(sim.live[k])
+        flops += out * sim.size(shared)
+        max_size = max(max_size, out)
     return flops, max_size
 
 
 def exhaustive_optimal_plan(net: TensorNetwork) -> ContractionPlan:
-    """Minimum-flops plan by full enumeration; test oracle, <= 8 tensors only."""
+    """Minimum-flops plan; test oracle, <= 8 tensors only. A DP over tensor
+    subsets: a subset's cost is its cheapest split into two contracted halves
+    plus the step joining them; a subset's labels do not depend on the order."""
     m = len(net.tensors)
     if m > MAX_EXHAUSTIVE_TENSORS:
         raise ValueError(f"exhaustive search limited to {MAX_EXHAUSTIVE_TENSORS} tensors")
-    dims: dict[str, int] = {
-        ix.label: ix.dim for t in net.tensors for ix in t.indices
-    }
+    sim = _LabelSim(net)
+    labels = {1 << i: l for i, l in sim.live.items()}  # subset bitmask -> labels
+    cost = dict.fromkeys(labels, 0)
+    split: dict[int, int] = {}
+    for s in range(1, 1 << m):
+        low = s & -s
+        if s == low:
+            continue
+        labels[s] = labels[low] ^ labels[s ^ low]
+        out = sim.size(labels[s])
+        cost[s], split[s] = min(
+            (cost[a] + cost[s ^ a] + out * sim.size(labels[a] & labels[s ^ a]), a)
+            for a in range(low, s, low) if a & s == a and a & low
+        )
+    steps: list[tuple[int, int]] = []
 
-    def size(labels: frozenset) -> int:
-        return prod(dims[l] for l in labels) if labels else 1
+    def emit(s: int) -> int:
+        if s not in split:
+            return s.bit_length() - 1
+        i, j = emit(split[s]), emit(s ^ split[s])
+        steps.append((i, j))
+        return sim.contract(i, j)[0]
 
-    memo: dict = {}
-
-    def best(state: tuple[tuple[int, frozenset], ...], next_id: int):
-        if len(state) == 1:
-            return 0, []
-        key = frozenset(i for i, _ in state)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best_cost, best_steps = None, None
-        for x in range(len(state)):
-            for y in range(x + 1, len(state)):
-                (i, li), (j, lj) = state[x], state[y]
-                out = li ^ lj
-                step_cost = size(out) * size(li & lj)
-                rest = tuple(
-                    s for pos, s in enumerate(state) if pos not in (x, y)
-                ) + ((next_id, out),)
-                sub_cost, sub_steps = best(rest, next_id + 1)
-                total = step_cost + sub_cost
-                if best_cost is None or total < best_cost:
-                    best_cost = total
-                    best_steps = [(i, j)] + sub_steps
-        memo[key] = (best_cost, best_steps)
-        return best_cost, best_steps
-
-    state = tuple(
-        (i, frozenset(ix.label for ix in t.indices)) for i, t in enumerate(net.tensors)
-    )
-    _, steps = best(state, m)
+    if m:
+        emit((1 << m) - 1)
     return ContractionPlan(steps)
 
 
 def amplitude_tn(c: Circuit, bits: str) -> complex:
     """Single amplitude by plugging effect bubbles onto every open index."""
-    if len(bits) != c.num_qubits:
-        raise ValueError("basis state length != qubit count")
+    check_basis(bits, c.num_qubits)
     net = circuit_to_network(c)
     tensors = list(net.tensors)
     for ix, bit in zip(net.open_indices, bits):

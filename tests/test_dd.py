@@ -106,6 +106,12 @@ class TestAmplitude:
         assert dd.get_amplitude(v, "10") == 0
         assert dd.get_amplitude(v, "11") == pytest.approx(INV_SQRT2)
 
+    @pytest.mark.parametrize("bits", ["22", "0a", "1 ", "0"])
+    def test_rejects_bad_basis(self, bits):
+        v = dd.vector_to_dd(dense.simulate(bell_circuit()))
+        with pytest.raises(ValueError):
+            dd.get_amplitude(v, bits)
+
     def test_zero_stub_exact_zero(self):
         v = dd.vector_to_dd(dense.simulate(ghz_circuit(4)))
         for bits in ("0001", "0110", "1110"):

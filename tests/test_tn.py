@@ -8,7 +8,7 @@ import pytest
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import DimensionMismatchError, PlanError
 from qcdesk import dense, tn
-from qcdesk.ir import Circuit
+from qcdesk.ir import Angle, Circuit, Gate, GateKind
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -42,6 +42,68 @@ def all_plans(num_tensors: int):
                 yield [(x, y)] + tail
 
     yield from rec(set(range(num_tensors)), num_tensors)
+
+
+def rescan_greedy_steps(net: tn.TensorNetwork) -> list[tuple[int, int]]:
+    """The greedy rule by rescanning every live pair at every step, O(T^3)."""
+    live = {i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)}
+    dims = {ix.label: ix.dim for t in net.tensors for ix in t.indices}
+
+    def size(labels):
+        return math.prod(dims[l] for l in labels)
+
+    def key(p):
+        a, b = live[p[0]], live[p[1]]
+        return size(a ^ b), size(a) + size(b), p
+
+    steps = []
+    while len(live) > 1:
+        pairs = list(itertools.combinations(sorted(live), 2))
+        i, j = min([p for p in pairs if live[p[0]] & live[p[1]]] or pairs, key=key)
+        live[len(net.tensors) + len(steps)] = live.pop(i) ^ live.pop(j)
+        steps.append((i, j))
+    return steps
+
+
+def closed_network(c: Circuit, bits: str) -> tn.TensorNetwork:
+    """The circuit's network with an effect <bits| on its open indices."""
+    net = tn.circuit_to_network(c)
+    effects = [
+        tn.Tensor([ix], np.eye(2, dtype=complex)[int(b)])
+        for ix, b in zip(net.open_indices, bits)
+    ]
+    return tn.TensorNetwork(net.tensors + effects, [])
+
+
+def banded_qft(n: int, band: int) -> Circuit:
+    """h per qubit, then controlled phases pi/2^d from the band qubits below it."""
+    gates = []
+    for q in range(n - 1, -1, -1):
+        gates.append(Gate(GateKind.H, (q,)))
+        for c in range(q - 1, max(q - band, 0) - 1, -1):
+            den = 2 ** (q - c + 1)  # half of the phase pi/2^(q-c)
+            gates += [
+                Gate(GateKind.RZ, (c,), Angle(1, den)),
+                Gate(GateKind.RZ, (q,), Angle(1, den)),
+                Gate(GateKind.CX, (c, q)),
+                Gate(GateKind.RZ, (q,), Angle(-1, den)),
+                Gate(GateKind.CX, (c, q)),
+            ]
+    return Circuit(n, tuple(gates))
+
+
+def random_networks(seed: int, count: int, max_qubits: int, max_gates: int):
+    """Open and closed networks of random circuits; some have idle qubits."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randrange(1, max_qubits + 1)
+        c = random_circuit(rng, n, rng.randrange(0, max_gates + 1))
+        if k % 3 == 2:
+            c = Circuit(n + 2, c.gates)  # two idle qubits: disconnected parts
+        if k % 2:
+            yield closed_network(c, "".join(rng.choice("01") for _ in range(c.num_qubits)))
+        else:
+            yield tn.circuit_to_network(c)
 
 
 class TestContractPair:
@@ -172,6 +234,36 @@ class TestPlanning:
         )
         assert tn.plan_cost(net, optimal)[0] == best
 
+    def test_greedy_matches_rescan_on_random_networks(self):
+        for net in random_networks(17, 300, 6, 30):
+            assert tn.greedy_plan(net).steps == rescan_greedy_steps(net)
+
+    def test_greedy_matches_rescan_on_banded_qft(self):
+        c = banded_qft(12, 3)
+        net = closed_network(c, "011010011101")
+        assert len(net.tensors) > 150
+        assert tn.greedy_plan(net).steps == rescan_greedy_steps(net)
+
+    def test_greedy_on_empty_and_single_tensor_networks(self):
+        single = tn.TensorNetwork(
+            [tn.Tensor([tn.Index("a")], np.array([1, 0], dtype=complex))], [tn.Index("a")]
+        )
+        for net in (tn.TensorNetwork([], []), single):
+            assert tn.greedy_plan(net).steps == rescan_greedy_steps(net) == []
+
+    def test_exhaustive_is_minimal_over_all_plans(self):
+        nets = [tn.circuit_to_network(Circuit(3, (
+            Gate(GateKind.X, (1,)), Gate(GateKind.H, (2,)), Gate(GateKind.CX, (0, 1)),
+        )))]
+        nets += [net for net in random_networks(19, 60, 3, 4) if len(net.tensors) <= 6]
+        assert any(not net.open_indices for net in nets)
+        for net in nets:
+            best = min(
+                tn.plan_cost(net, tn.ContractionPlan(steps))[0]
+                for steps in all_plans(len(net.tensors))
+            )
+            assert tn.plan_cost(net, tn.exhaustive_optimal_plan(net))[0] == best
+
 
 class TestExecutePlan:
     def test_bell_contracts_to_state(self):
@@ -197,6 +289,12 @@ class TestExecutePlan:
         with pytest.raises(PlanError):
             tn.execute_plan(net, tn.ContractionPlan([(0, 1), (0, 2)]))
 
+    def test_self_pair_step_raises(self):
+        net = tn.circuit_to_network(bell_circuit())
+        for run in (tn.execute_plan, tn.plan_cost):
+            with pytest.raises(PlanError):
+                run(net, tn.ContractionPlan([(1, 1)]))
+
     def test_matches_dense(self):
         rng = random.Random(7)
         for _ in range(5):
@@ -210,6 +308,11 @@ class TestAmplitude:
     def test_bell_amplitudes(self):
         assert tn.amplitude_tn(bell_circuit(), "00") == pytest.approx(INV_SQRT2)
         assert tn.amplitude_tn(bell_circuit(), "10") == pytest.approx(0, abs=1e-12)
+
+    @pytest.mark.parametrize("bits", ["22", "0a", "1 ", "0"])
+    def test_rejects_bad_basis(self, bits):
+        with pytest.raises(ValueError):
+            tn.amplitude_tn(bell_circuit(), bits)
 
     def test_random_against_dense(self):
         rng = random.Random(11)
