@@ -28,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="qcdesk", description="Quantum circuit toolkit (QCF input files)")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -43,8 +54,8 @@ def _build_parser() -> _Parser:
     amp.add_argument("file")
 
     smp = sub.add_parser("sample", help="seeded measurement sampling (dense backend)")
-    smp.add_argument("--shots", type=int, required=True)
-    smp.add_argument("--seed", type=int, required=True)
+    smp.add_argument("--shots", type=_at_least(1), required=True)
+    smp.add_argument("--seed", type=_at_least(0), required=True)
     smp.add_argument("file")
 
     ver = sub.add_parser("verify", help="equivalence-check two circuits")
@@ -139,13 +150,13 @@ def run(argv: list[str]) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QcdeskError as exc:

@@ -1,10 +1,12 @@
 """Decision-diagram backend: canonical edge-weighted DDs for vectors and matrices.
 
-A vector DD halves the amplitude vector level by level (q_{n-1} at the top),
-a matrix DD quarters it; equal sub-blocks are shared through a unique table and
-common factors live on edge weights. Diagrams here are quasi-reduced: every
-nonzero edge below level v points to a node at exactly level v-1, zero edges
-jump straight to the terminal (0-stubs).
+A matrix DD quarters its matrix level by level (q_{n-1} at the top) into 2 x 2
+sub-blocks, row-major; a vector DD is a one-column matrix DD, halving the
+amplitude vector into 2 x 1 sub-blocks. One multiply, one adder and one
+expander serve both, reading the column count off the node. Equal sub-blocks
+are shared through a unique table and common factors live on edge weights.
+Diagrams here are quasi-reduced: every nonzero edge below level v points to a
+node at exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ class _Node:
 
     def __init__(self, var: int, edges: tuple):
         self.var = var
-        self.edges = edges  # 2 DDEdges (vector) or 4 in row-major order (matrix)
+        self.edges = edges  # 2 x cols DDEdges, row-major: cols 1 (vector) or 2 (matrix)
 
 
 class DDEdge(NamedTuple):
@@ -123,34 +125,7 @@ class DDBackend:
     def dd_to_vector(self, d: VectorDD) -> dense.StateVector:
         if d.n > dense.MAX_STATE_QUBITS:
             raise CapacityError(f"{d.n} qubits exceeds {dense.MAX_STATE_QUBITS}")
-        memo: dict[int, np.ndarray] = {}
-
-        def expand(node: _Node) -> np.ndarray:
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
-            size = 2**node.var
-            parts = []
-            for e in node.edges:
-                if e.node is None:
-                    col = np.zeros(size, dtype=complex)
-                    col[0] = e.w  # size is 1 when var == 0; zero edges stay zero
-                    if e.w != 0 and size != 1:
-                        raise AssertionError("nonzero terminal edge above level 0")
-                    parts.append(col if size == 1 else np.zeros(size, dtype=complex))
-                else:
-                    parts.append(e.w * expand(e.node))
-            out = np.concatenate(parts)
-            memo[id(node)] = out
-            return out
-
-        if d.root.node is None:
-            amps = np.zeros(2**d.n, dtype=complex)
-            if d.n == 0:
-                amps[0] = d.root.w
-        else:
-            amps = d.root.w * expand(d.root.node)
-        return dense.StateVector(d.n, amps)
+        return dense.StateVector(d.n, _expand(d.root, d.n, 1).reshape(-1))
 
     def get_amplitude(self, d: VectorDD, bits: str) -> complex:
         check_basis(bits, d.n)
@@ -216,35 +191,11 @@ class DDBackend:
     def mdd_to_matrix(self, m: MatrixDD) -> np.ndarray:
         if m.n > dense.MAX_UNITARY_QUBITS:
             raise CapacityError(f"{m.n} qubits exceeds {dense.MAX_UNITARY_QUBITS}")
-        memo: dict[int, np.ndarray] = {}
-
-        def expand(node: _Node) -> np.ndarray:
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
-            size = 2**node.var
-            blocks = []
-            for e in node.edges:
-                if e.node is None:
-                    blk = np.zeros((size, size), dtype=complex)
-                    if e.w != 0:
-                        blk[0, 0] = e.w
-                else:
-                    blk = e.w * expand(e.node)
-                blocks.append(blk)
-            out = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-            memo[id(node)] = out
-            return out
-
-        if m.root.node is None:
-            out = np.zeros((2**m.n, 2**m.n), dtype=complex)
-        else:
-            out = m.root.w * expand(m.root.node)
-        return out
+        return _expand(m.root, m.n, 2)
 
     # ---- arithmetic --------------------------------------------------------
 
-    def add(self, a: DDEdge, b: DDEdge, level: int, width: int = 2) -> DDEdge:
+    def add(self, a: DDEdge, b: DDEdge, level: int) -> DDEdge:
         if _is_zero(a.w):
             return b
         if _is_zero(b.w):
@@ -252,16 +203,13 @@ class DDBackend:
         if level < 0:
             w = a.w + b.w
             return ZERO_EDGE if _is_zero(w) else DDEdge(w, None)
-        key = (id(a.node), _key_weight(a.w), id(b.node), _key_weight(b.w), width)
+        key = (id(a.node), _key_weight(a.w), id(b.node), _key_weight(b.w))
         cached = self._memo_add.get(key)
         if cached is not None:
             return cached
         sums = [
             self.add(
-                DDEdge(a.w * ea.w, ea.node),
-                DDEdge(b.w * eb.w, eb.node),
-                level - 1,
-                width,
+                DDEdge(a.w * ea.w, ea.node), DDEdge(b.w * eb.w, eb.node), level - 1
             )
             for ea, eb in zip(a.node.edges, b.node.edges)
         ]
@@ -269,56 +217,39 @@ class DDBackend:
         self._memo_add[key] = out
         return out
 
-    def _mult_mv_rec(self, m: DDEdge, v: DDEdge, level: int) -> DDEdge:
-        if _is_zero(m.w) or _is_zero(v.w):
+    def _mult(self, a: DDEdge, b: DDEdge, level: int) -> DDEdge:
+        """Product of a square matrix DD and a 2^n x cols^n DD (cols 1 or 2)."""
+        if _is_zero(a.w) or _is_zero(b.w):
             return ZERO_EDGE
         if level < 0:
-            return DDEdge(m.w * v.w, None)
-        key = ("mv", id(m.node), id(v.node))
+            return DDEdge(a.w * b.w, None)
+        key = (id(a.node), id(b.node))
         cached = self._memo_mult.get(key)
         if cached is None:
-            rows = []
+            cols = len(b.node.edges) // 2
+            blocks = []
             for r in (0, 1):
-                p0 = self._mult_mv_rec(m.node.edges[2 * r], v.node.edges[0], level - 1)
-                p1 = self._mult_mv_rec(m.node.edges[2 * r + 1], v.node.edges[1], level - 1)
-                rows.append(self.add(p0, p1, level - 1))
-            cached = self._make_node(level, rows)
+                for c in range(cols):
+                    p0 = self._mult(a.node.edges[2 * r], b.node.edges[c], level - 1)
+                    p1 = self._mult(
+                        a.node.edges[2 * r + 1], b.node.edges[cols + c], level - 1
+                    )
+                    blocks.append(self.add(p0, p1, level - 1))
+            cached = self._make_node(level, blocks)
             self._memo_mult[key] = cached
-        return DDEdge(m.w * v.w * cached.w, cached.node)
+        return DDEdge(a.w * b.w * cached.w, cached.node)
 
     def mult_mv(self, m: MatrixDD, v: VectorDD) -> VectorDD:
         if m.n != v.n:
             raise WidthMismatchError("matrix and vector widths differ")
         self.clear_memo()
-        return VectorDD(v.n, self._mult_mv_rec(m.root, v.root, v.n - 1))
-
-    def _mult_mm_rec(self, a: DDEdge, b: DDEdge, level: int) -> DDEdge:
-        if _is_zero(a.w) or _is_zero(b.w):
-            return ZERO_EDGE
-        if level < 0:
-            return DDEdge(a.w * b.w, None)
-        key = ("mm", id(a.node), id(b.node))
-        cached = self._memo_mult.get(key)
-        if cached is None:
-            quarters = []
-            for r in (0, 1):
-                for c in (0, 1):
-                    p0 = self._mult_mm_rec(
-                        a.node.edges[2 * r], b.node.edges[c], level - 1
-                    )
-                    p1 = self._mult_mm_rec(
-                        a.node.edges[2 * r + 1], b.node.edges[2 + c], level - 1
-                    )
-                    quarters.append(self.add(p0, p1, level - 1, width=4))
-            cached = self._make_node(level, quarters)
-            self._memo_mult[key] = cached
-        return DDEdge(a.w * b.w * cached.w, cached.node)
+        return VectorDD(v.n, self._mult(m.root, v.root, v.n - 1))
 
     def mult_mm(self, a: MatrixDD, b: MatrixDD) -> MatrixDD:
         if a.n != b.n:
             raise WidthMismatchError("matrix widths differ")
         self.clear_memo()
-        return MatrixDD(a.n, self._mult_mm_rec(a.root, b.root, a.n - 1))
+        return MatrixDD(a.n, self._mult(a.root, b.root, a.n - 1))
 
     # ---- circuit-level operations -----------------------------------------
 
@@ -365,6 +296,29 @@ def node_count(d: Union[VectorDD, MatrixDD]) -> int:
 
     walk(d.root.node)
     return len(seen)
+
+
+def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
+    """Dense 2^n x cols^n array of a DD whose nodes have 2 x cols successors."""
+    memo: dict[int, np.ndarray] = {}
+
+    def expand(node: _Node) -> np.ndarray:
+        out = memo.get(id(node))
+        if out is None:
+            h, w = 2**node.var, cols**node.var
+            out = np.empty((2 * h, cols * w), dtype=complex)
+            for k, e in enumerate(node.edges):
+                r, c = divmod(k, cols)
+                # a terminal edge is a 0-stub (its 0 fills the block) or a level-0 entry
+                out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
+                    e.w if e.node is None else e.w * expand(e.node)
+                )
+            memo[id(node)] = out
+        return out
+
+    if root.node is None:  # the zero DD, or a scalar when n == 0
+        return np.full((2**n, cols**n), root.w if n == 0 else 0j)
+    return root.w * expand(root.node)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ class ZXDiagram:
         self.phase: dict[int, Angle] = {}
         self.boundary_in: list[int] = []
         self.boundary_out: list[int] = []
-        self._boundary: set[int] = set()
         self.edges: dict[int, tuple[int, int, str]] = {}
         self._incident: dict[int, list[int]] = {}
 
@@ -76,7 +75,6 @@ class ZXDiagram:
 
     def add_boundary(self, which: str) -> int:
         v = next(self._next_vertex)
-        self._boundary.add(v)
         self._incident[v] = []
         (self.boundary_in if which == "in" else self.boundary_out).append(v)
         return v
@@ -99,9 +97,6 @@ class ZXDiagram:
         for e in list(self._incident[v]):
             self.remove_edge(e)
         del self.color[v], self.phase[v], self._incident[v]
-
-    def is_boundary(self, v: int) -> bool:
-        return v in self._boundary
 
     def is_spider(self, v: int) -> bool:
         return v in self.color
@@ -141,7 +136,6 @@ class ZXDiagram:
         d.phase = dict(self.phase)
         d.boundary_in = list(self.boundary_in)
         d.boundary_out = list(self.boundary_out)
-        d._boundary = set(self._boundary)
         d.edges = dict(self.edges)
         d._incident = {v: list(es) for v, es in self._incident.items()}
         return d
@@ -225,7 +219,6 @@ def plug_basis_states(d: ZXDiagram, bits: str) -> ZXDiagram:
         raise ValueError("basis state length != number of inputs")
     out = d.copy()
     for b, bit in zip(list(out.boundary_in), bits):
-        out._boundary.discard(b)
         out.color[b] = SpiderColor.X
         out.phase[b] = Angle(0) if bit == "0" else _PI
     out.boundary_in = []
@@ -233,9 +226,18 @@ def plug_basis_states(d: ZXDiagram, bits: str) -> ZXDiagram:
 
 
 # ---- rewriting -------------------------------------------------------------
+# Each rule rewrites its first match in place and returns the step, or None.
 
 
-def _find_hadamard_cancel(d: ZXDiagram):
+def _join_through(d: ZXDiagram, v: int, es: list[int], kind: str):
+    """Replace the arity-2 spider v and its two edges by one edge of `kind`."""
+    a = d.other_end(es[0], v)
+    b = d.other_end(es[1], v)
+    d.remove_spider(v)
+    d.add_edge(a, b, kind)
+
+
+def _cancel_hadamard_wire(d: ZXDiagram) -> RewriteStep | None:
     # degree-2 phase-0 spider between two hadamard edges -> plain wire
     for v in d.spiders():
         if not d.phase[v].is_zero():
@@ -244,7 +246,12 @@ def _find_hadamard_cancel(d: ZXDiagram):
         if len(es) != 2 or any(d._is_loop(e) for e in es):
             continue
         if all(d.edge_kind(e) == HADAMARD for e in es):
-            return ("unary", v, es)
+            _join_through(d, v, es, PLAIN)
+            return RewriteStep(RewriteRule.HADAMARD_CANCEL, (v,))
+    return None
+
+
+def _cancel_parallel_hadamards(d: ZXDiagram) -> RewriteStep | None:
     # parallel pair of hadamard edges between the same two spiders cancels mod 2
     seen: dict[tuple[int, int], int] = {}
     for e in sorted(d.edges):
@@ -257,12 +264,14 @@ def _find_hadamard_cancel(d: ZXDiagram):
             continue
         key = (min(u, v), max(u, v))
         if key in seen:
-            return ("parallel", key, (seen[key], e))
+            d.remove_edge(seen[key])
+            d.remove_edge(e)
+            return RewriteStep(RewriteRule.HADAMARD_CANCEL, key)
         seen[key] = e
     return None
 
 
-def _find_identity(d: ZXDiagram):
+def _remove_identity(d: ZXDiagram) -> RewriteStep | None:
     for v in d.spiders():
         if not d.phase[v].is_zero():
             continue
@@ -272,29 +281,42 @@ def _find_identity(d: ZXDiagram):
         kinds = [d.edge_kind(e) for e in es]
         if kinds.count(HADAMARD) == 2:
             continue  # handled by hadamard cancellation
-        return (v, es, kinds)
+        _join_through(d, v, es, PLAIN if kinds[0] == kinds[1] else HADAMARD)
+        return RewriteStep(RewriteRule.IDENTITY_REMOVAL, (v,))
     return None
 
 
-def _find_self_loop(d: ZXDiagram):
+def _remove_self_loop(d: ZXDiagram) -> RewriteStep | None:
+    # a plain self-loop vanishes, a hadamard one adds pi to the phase
     for e in sorted(d.edges):
-        u, v, _ = d.edges[e]
+        u, v, kind = d.edges[e]
         if u == v:
-            return (u, e)
+            d.remove_edge(e)
+            if kind == HADAMARD:
+                d.phase[u] = d.phase[u] + _PI
+            return RewriteStep(RewriteRule.SELF_LOOP_REMOVAL, (u,))
     return None
 
 
-def _find_fusion(d: ZXDiagram):
+def _fuse(d: ZXDiagram) -> RewriteStep | None:
     for e in sorted(d.edges):
         u, v, kind = d.edges[e]
         if kind != PLAIN or u == v:
             continue
         if d.is_spider(u) and d.is_spider(v) and d.color[u] == d.color[v]:
-            return (u, v, e)
+            d.remove_edge(e)
+            d.phase[u] = d.phase[u] + d.phase[v]
+            for ev in d.incident(v):
+                a, b, k = d.edges[ev]
+                d.remove_edge(ev)
+                other = b if a == v else a
+                d.add_edge(u, u if other == v else other, k)
+            d.remove_spider(v)
+            return RewriteStep(RewriteRule.FUSION, (u, v))
     return None
 
 
-def _find_color_change(d: ZXDiagram):
+def _change_color(d: ZXDiagram) -> RewriteStep | None:
     # flip an X spider only when it unlocks a fusion and strictly lowers the
     # hadamard-edge count, which keeps the rewrite measure decreasing
     for v in d.spiders():
@@ -312,7 +334,8 @@ def _find_color_change(d: ZXDiagram):
             for e in es
         )
         if enables:
-            return v
+            _apply_color_flip(d, v)
+            return RewriteStep(RewriteRule.COLOR_CHANGE, (v,))
     return None
 
 
@@ -324,65 +347,27 @@ def _apply_color_flip(d: ZXDiagram, v: int):
             d.edges[e] = (u, w, _toggle(kind))
 
 
+# priority order: each pass applies the first rule that matches
+_RULES = (
+    _cancel_hadamard_wire,
+    _cancel_parallel_hadamards,
+    _remove_identity,
+    _remove_self_loop,
+    _fuse,
+    _change_color,
+)
+
+
 def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
-    """Exhaustive sound rewriting in fixed priority order; input left untouched."""
+    """Exhaustive sound rewriting in `_RULES` order; input left untouched."""
     g = d.copy()
     steps: list[RewriteStep] = []
     limit = 4 * (g.spider_count() + len(g.edges)) + 16
     while len(steps) <= limit:
-        m = _find_hadamard_cancel(g)
-        if m is not None:
-            if m[0] == "unary":
-                _, v, es = m
-                a = g.other_end(es[0], v)
-                b = g.other_end(es[1], v)
-                g.remove_spider(v)
-                g.add_edge(a, b, PLAIN)
-                steps.append(RewriteStep(RewriteRule.HADAMARD_CANCEL, (v,)))
-            else:
-                _, (u, v), (e1, e2) = m
-                g.remove_edge(e1)
-                g.remove_edge(e2)
-                steps.append(RewriteStep(RewriteRule.HADAMARD_CANCEL, (u, v)))
-            continue
-        m = _find_identity(g)
-        if m is not None:
-            v, es, kinds = m
-            a = g.other_end(es[0], v)
-            b = g.other_end(es[1], v)
-            joined = PLAIN if kinds[0] == kinds[1] else HADAMARD
-            g.remove_spider(v)
-            g.add_edge(a, b, joined)
-            steps.append(RewriteStep(RewriteRule.IDENTITY_REMOVAL, (v,)))
-            continue
-        m = _find_self_loop(g)
-        if m is not None:
-            v, e = m
-            kind = g.edge_kind(e)
-            g.remove_edge(e)
-            if kind == HADAMARD:
-                g.phase[v] = g.phase[v] + _PI
-            steps.append(RewriteStep(RewriteRule.SELF_LOOP_REMOVAL, (v,)))
-            continue
-        m = _find_fusion(g)
-        if m is not None:
-            u, v, e = m
-            g.remove_edge(e)
-            g.phase[u] = g.phase[u] + g.phase[v]
-            for ev in g.incident(v):
-                a, b, kind = g.edges[ev]
-                g.remove_edge(ev)
-                other = b if a == v else a
-                g.add_edge(u, u if other == v else other, kind)
-            g.remove_spider(v)
-            steps.append(RewriteStep(RewriteRule.FUSION, (u, v)))
-            continue
-        v = _find_color_change(g)
-        if v is not None:
-            _apply_color_flip(g, v)
-            steps.append(RewriteStep(RewriteRule.COLOR_CHANGE, (v,)))
-            continue
-        break
+        step = next(filter(None, (rule(g) for rule in _RULES)), None)
+        if step is None:
+            break
+        steps.append(step)
     return g, steps
 
 
@@ -392,23 +377,10 @@ def to_graph_like(d: ZXDiagram) -> ZXDiagram:
     for v in g.spiders():
         if g.color[v] == SpiderColor.X:
             _apply_color_flip(g, v)
-    # self-loops: plain ones vanish, hadamard ones add pi to the phase
-    for e in sorted(g.edges):
-        u, v, kind = g.edges[e]
-        if u == v:
-            g.remove_edge(e)
-            if kind == HADAMARD:
-                g.phase[u] = g.phase[u] + _PI
-    # parallel hadamard edges cancel in pairs
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in sorted(g.edges):
-        u, v, kind = g.edges[e]
-        if kind == HADAMARD and g.is_spider(u) and g.is_spider(v):
-            by_pair.setdefault((min(u, v), max(u, v)), []).append(e)
-    for es in by_pair.values():
-        for k in range(0, len(es) - len(es) % 2, 2):
-            g.remove_edge(es[k])
-            g.remove_edge(es[k + 1])
+    # the engine's own rules, unrecorded: all spiders are Z now, so every
+    # parallel hadamard pair between spiders matches
+    while _remove_self_loop(g) or _cancel_parallel_hadamards(g):
+        pass
     return g
 
 

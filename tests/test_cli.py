@@ -113,6 +113,15 @@ class TestSample:
         cli.run(["sample", "--shots", "500", "--seed", "3", bell_file])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "shots, seed", [("0", "1"), ("-5", "1"), ("10", "-1"), ("ten", "1")]
+    )
+    def test_out_of_range_is_usage_error(self, bell_file, capsys, shots, seed):
+        assert cli.run(["sample", "--shots", shots, "--seed", seed, bell_file]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestVerify:
     @pytest.mark.parametrize("method", ["dense", "dd", "zx"])
@@ -164,6 +173,16 @@ class TestErrorPaths:
 
     def test_missing_file(self, capsys):
         assert cli.run(["simulate", "--backend", "dense", "/nope/missing.qcf"]) == 64
+
+    def test_directory_is_usage_error(self, tmp_path, capsys, bell_file):
+        assert cli.run(["verify", "--method", "dd", str(tmp_path), bell_file]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qcf"
+        bad.write_bytes(b"\xff\xfe")
+        assert cli.run(["simulate", "--backend", "dense", str(bad)]) == 65
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_parse_error(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.qcf", "qubits 1\nfoo 0\n")

@@ -221,6 +221,18 @@ class TestArithmetic:
                 backend.mdd_to_matrix(got), expected, atol=1e-10
             )
 
+    def test_circuit_mdd_random_vs_dense(self):
+        # multi-gate products through mult_mm, expanded by mdd_to_matrix
+        rng = random.Random(53)
+        for _ in range(12):
+            c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 31))
+            backend = dd.DDBackend()
+            np.testing.assert_allclose(
+                backend.mdd_to_matrix(backend.circuit_mdd(c)),
+                dense.circuit_unitary(c),
+                atol=1e-10,
+            )
+
     def test_add_zero_is_identity(self):
         backend = dd.DDBackend()
         v = backend.vector_to_dd(dense.simulate(bell_circuit()))

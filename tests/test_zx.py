@@ -213,6 +213,25 @@ class TestGraphLike:
         g = zx.to_graph_like(d)
         assert g.hadamard_edge_count() == 1
 
+    def test_self_loops_and_parallel_hadamards_on_x_spiders(self):
+        d, i, o = wire_diagram()
+        a = d.add_spider(zx.SpiderColor.X, Angle(1, 4))
+        b = d.add_spider(zx.SpiderColor.X, Angle(0))
+        d.add_edge(i, a)
+        d.add_edge(b, o)
+        d.add_edge(a, a)
+        d.add_edge(a, a, zx.HADAMARD)
+        for _ in range(3):
+            d.add_edge(a, b, zx.HADAMARD)
+        g = zx.to_graph_like(d)
+        assert g.phase[a] == Angle(1, 4) + Angle(1)  # pi added exactly once
+        assert g.phase[b] == Angle(0)
+        assert not any(u == v for u, v, _ in g.edges.values())
+        assert [k for u, v, k in g.edges.values() if {u, v} == {a, b}] == [zx.HADAMARD]
+        assert_proportional(zx.zx_to_tensor(g).data, zx.zx_to_tensor(d).data)
+        _, steps = zx.apply_rewrites(g)
+        assert zx.RewriteRule.SELF_LOOP_REMOVAL not in {s.rule for s in steps}
+
     def test_preserves_semantics_up_to_scalar(self):
         rng = random.Random(23)
         for _ in range(10):
