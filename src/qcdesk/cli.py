@@ -69,9 +69,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+class _BadInput(QcdeskError):
+    """An input file that is not UTF-8 QCF; the message names the file."""
+
+
 def _load(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_circuit(fh.read())
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise _BadInput(f"{path}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -128,10 +135,9 @@ def _cmd_stats(args) -> int:
         net = tn.circuit_to_network(c)
         print(tn.contraction_stats(net, tn.greedy_plan(net)))
     else:
-        diagram = zx.to_graph_like(zx.circuit_to_zx(c))
-        before = diagram.spider_count()
-        reduced, steps = zx.apply_rewrites(diagram)
-        print(zx.reduction_stats(before, reduced.spider_count(), len(steps)))
+        # c composed with the inverse of the empty circuit is c itself
+        r = zx.equivalent_zx(c, Circuit(c.num_qubits))
+        print(zx.reduction_stats(r.spiders_before, r.spiders_after, r.steps))
     return EXIT_OK
 
 
@@ -150,7 +156,7 @@ def run(argv: list[str]) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (ParseError, UnicodeDecodeError) as exc:
+    except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:

@@ -282,6 +282,25 @@ class DDBackend:
 
         return m.root.w * rec(m.root.node)
 
+    def least_diagonal(self, m: MatrixDD) -> str:
+        """Basis string j with the smallest |m[j, j]|, by one walk over edges 0 and 3.
+
+        A 0-stub is a zero block, so the bits below it are 0; ties take the 0 edge.
+        """
+        memo: dict[int, tuple[float, str]] = {}
+
+        def rec(node: _Node) -> tuple[float, str]:
+            best = memo.get(id(node))
+            if best is None:
+                for bit, e in (("0", node.edges[0]), ("1", node.edges[3])):
+                    mag, bits = (1.0, "0" * node.var) if e.node is None else rec(e.node)
+                    if best is None or abs(e.w) * mag < best[0]:
+                        best = (abs(e.w) * mag, bit + bits)
+                memo[id(node)] = best
+            return best
+
+        return "0" * m.n if m.root.node is None else rec(m.root.node)[1]
+
 
 def node_count(d: Union[VectorDD, MatrixDD]) -> int:
     """Distinct decision nodes reachable from the root, terminal excluded."""
@@ -325,6 +344,7 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
 class DDEquivalence:
     equivalent: bool
     phase: complex | None = None  # global phase with which the circuits agree
+    witness: str | None = None  # basis input whose two outputs overlap least
 
 
 def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquivalence:
@@ -333,6 +353,8 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     For a unitary U of dimension 2^n, |tr U| = 2^n exactly when U is a unit
     scalar times the identity; the composed DD is unitary by construction,
     so the trace test decides identity-up-to-phase without full expansion.
+    When it fails, the witness is the input j with the smallest |U[j, j]|:
+    that is the overlap of the two circuits' outputs on |j>.
     """
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
@@ -346,7 +368,7 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     dim = 2**n
     if abs(abs(tr) / dim - 1.0) <= tolerance:
         return DDEquivalence(True, tr / abs(tr))
-    return DDEquivalence(False)
+    return DDEquivalence(False, witness=backend.least_diagonal(u))
 
 
 # ---- module-level conveniences (fresh backend per call) --------------------

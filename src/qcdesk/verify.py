@@ -1,7 +1,7 @@
 """Cross-backend differential checks and unified equivalence verdicts."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,9 @@ class EquivalenceStatus(Enum):
 class EquivalenceVerdict:
     status: EquivalenceStatus
     method: BackendId
-    witness: str | None = None  # basis state with mismatching amplitudes
+    # basis input showing a difference: for dd, the one whose two outputs
+    # overlap least, read off the composed DD
+    witness: str | None = None
     phase: complex | None = None
     fallback_used: bool = False
 
@@ -107,32 +109,6 @@ def _dense_equivalence(
     )
 
 
-def _find_witness(c1: Circuit, c2: Circuit, tolerance: float) -> str | None:
-    """Basis input on which dense simulations disagree beyond tolerance."""
-    if c1.num_qubits <= dense.MAX_UNITARY_QUBITS:
-        verdict = _dense_equivalence(c1, c2, tolerance)
-        return verdict.witness
-    n = c1.num_qubits
-    # align with the phase the circuits exhibit on the first nonzero column
-    ref_phase = None
-    fallback = None
-    for b in range(2**n):
-        bits = index_bits(b, n)
-        s1 = dense.simulate(c1, b).amps
-        s2 = dense.simulate(c2, b).amps
-        overlap = np.vdot(s2, s1)
-        if abs(overlap) < 1e-6:
-            return bits  # columns not even parallel
-        phase = overlap / abs(overlap)
-        if float(np.max(np.abs(s1 - phase * s2))) > tolerance:
-            return bits
-        if ref_phase is None:
-            ref_phase = phase
-        elif abs(phase - ref_phase) > tolerance and fallback is None:
-            fallback = bits
-    return fallback
-
-
 def check_equivalence(
     c1: Circuit, c2: Circuit, method: BackendId, tolerance: float = DEFAULT_TOLERANCE
 ) -> EquivalenceVerdict:
@@ -142,27 +118,19 @@ def check_equivalence(
         return _dense_equivalence(c1, c2, tolerance)
     if method == BackendId.DD:
         result = dd.equivalent_dd(c1, c2, tolerance)
-        if result.equivalent:
-            return EquivalenceVerdict(
-                EquivalenceStatus.EQUIVALENT, BackendId.DD, phase=result.phase
-            )
+        status = (
+            EquivalenceStatus.EQUIVALENT
+            if result.equivalent
+            else EquivalenceStatus.NOT_EQUIVALENT
+        )
         return EquivalenceVerdict(
-            EquivalenceStatus.NOT_EQUIVALENT,
-            BackendId.DD,
-            witness=_find_witness(c1, c2, tolerance),
+            status, BackendId.DD, witness=result.witness, phase=result.phase
         )
     if method == BackendId.ZX:
-        result = zx.equivalent_zx(c1, c2)
-        if result.verdict == zx.ZXVerdict.EQUIVALENT:
+        if zx.equivalent_zx(c1, c2).verdict == zx.ZXVerdict.EQUIVALENT:
             return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.ZX)
-        if c1.num_qubits <= dense.MAX_UNITARY_QUBITS:
-            fallback = _dense_equivalence(c1, c2, tolerance)
-            return EquivalenceVerdict(
-                fallback.status,
-                BackendId.ZX,
-                witness=fallback.witness,
-                phase=fallback.phase,
-                fallback_used=True,
-            )
-        return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, BackendId.ZX)
+        if c1.num_qubits > dense.MAX_UNITARY_QUBITS:
+            return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, BackendId.ZX)
+        fallback = _dense_equivalence(c1, c2, tolerance)
+        return replace(fallback, method=BackendId.ZX, fallback_used=True)
     raise ValueError(f"unsupported equivalence method {method}")

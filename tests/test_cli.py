@@ -189,6 +189,15 @@ class TestErrorPaths:
         assert cli.run(["simulate", "--backend", "dense", bad]) == 65
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"qubits 2\nfoo 0\n"])
+    def test_bad_second_input_is_named(self, tmp_path, capsys, bell_file, content):
+        bad = tmp_path / "second.qcf"
+        bad.write_bytes(content)
+        assert cli.run(["verify", "--method", "dd", bell_file, str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(bad) in err
+
     def test_capacity_error(self, tmp_path, capsys):
         big = write(tmp_path, "big.qcf", "qubits 30\n")
         assert cli.run(["simulate", "--backend", "dense", big]) == 70

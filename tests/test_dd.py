@@ -373,6 +373,33 @@ class TestEquivalence:
         with pytest.raises(WidthMismatchError):
             dd.equivalent_dd(Circuit(2), Circuit(3))
 
+    def test_least_diagonal_matches_dense(self):
+        rng = random.Random(71)
+        backend = dd.DDBackend()
+        for _ in range(20):
+            n = rng.randrange(1, 5)
+            m = backend.circuit_mdd(random_circuit(rng, n, rng.randrange(0, 16)))
+            diag = np.abs(np.diag(backend.mdd_to_matrix(m)))
+            j = int(backend.least_diagonal(m), 2)
+            assert diag[j] == pytest.approx(diag.min(), abs=1e-12)
+
+    def test_least_diagonal_pads_zero_stubs_and_prefers_zero(self):
+        backend = dd.DDBackend()
+        # x on the top qubit: both diagonal edges of the root are 0-stubs
+        flip = backend.circuit_mdd(Circuit(3, (Gate(GateKind.X, (2,)),)))
+        assert backend.least_diagonal(flip) == "000"
+        # every diagonal entry of z on qubit 0 has magnitude 1: a tie
+        z = backend.circuit_mdd(Circuit(2, (Gate(GateKind.Z, (0,)),)))
+        assert backend.least_diagonal(z) == "00"
+
+    def test_not_equivalent_carries_witness(self):
+        bell = bell_circuit()
+        extra = Circuit(2, bell.gates + (Gate(GateKind.X, (0,)),))
+        result = dd.equivalent_dd(bell, extra)
+        assert not result.equivalent
+        assert result.phase is None
+        assert result.witness == "00"  # x on qubit 0 empties the whole diagonal
+
 
 class TestStats:
     def test_format(self):

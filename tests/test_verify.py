@@ -10,6 +10,21 @@ from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate
 from qcdesk.verify import BackendId, EquivalenceStatus
 
 
+def _mutate_or_insert(rng: random.Random, c: Circuit) -> Circuit:
+    """c with one gate replaced, or with one z, s or cz inserted."""
+    n = c.num_qubits
+    if rng.random() < 0.5:
+        i = rng.randrange(len(c.gates))
+        g = c.gates[i]
+        kind = GateKind.X if g.kind == GateKind.H else GateKind.H
+        return Circuit(n, c.gates[:i] + (Gate(kind, (g.qubits[0],)),) + c.gates[i + 1 :])
+    kinds = [GateKind.Z, GateKind.S] + ([GateKind.CZ] if n >= 2 else [])
+    kind = rng.choice(kinds)
+    qubits = tuple(rng.sample(range(n), 2 if kind == GateKind.CZ else 1))
+    pos = rng.randrange(len(c.gates) + 1)
+    return Circuit(n, c.gates[:pos] + (Gate(kind, qubits),) + c.gates[pos:])
+
+
 class TestBackendState:
     @pytest.mark.parametrize("backend", [BackendId.DENSE, BackendId.DD, BackendId.TN])
     def test_bell_agrees(self, backend):
@@ -87,6 +102,46 @@ class TestDdEquivalence:
         v = verify.check_equivalence(c1, c2, BackendId.DD)
         assert v.status == EquivalenceStatus.NOT_EQUIVALENT
         assert v.witness is not None
+
+    def test_witness_has_least_output_fidelity(self):
+        # |(U2^dagger U1)[j, j]|^2 is the fidelity of the two outputs on |j>
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            c1 = random_circuit(rng, n, rng.randrange(4, 25))
+            c2 = _mutate_or_insert(rng, c1)
+            u = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
+            fidelity = np.abs(np.diag(u)) ** 2
+            v = verify.check_equivalence(c1, c2, BackendId.DD)
+            assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+            assert len(v.witness) == n
+            assert fidelity[int(v.witness, 2)] == pytest.approx(fidelity.min(), abs=1e-9)
+
+    def test_wide_witness_needs_no_dense_simulation(self, monkeypatch):
+        rng = random.Random(5)
+        c1 = random_circuit(rng, 11, 24)
+        c2 = Circuit(11, c1.gates[:9] + (Gate(GateKind.X, (4,)),) + c1.gates[10:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dd method must not run dense code")
+
+        monkeypatch.setattr(dense, "circuit_unitary", refuse)
+        monkeypatch.setattr(dense, "simulate", refuse)
+        v = verify.check_equivalence(c1, c2, BackendId.DD)
+        monkeypatch.undo()
+        assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+        basis = int(v.witness, 2)
+        s1 = dense.simulate(c1, basis).amps
+        s2 = dense.simulate(c2, basis).amps
+        assert abs(np.vdot(s1, s2)) ** 2 < 1 - 1e-9
+
+    def test_relative_phase_still_gets_a_basis_witness(self):
+        # cz and the empty circuit agree on every basis input up to phase, so
+        # no basis state tells them apart; the verdict still names one
+        cz = Circuit(2, (Gate(GateKind.CZ, (0, 1)),))
+        v = verify.check_equivalence(cz, Circuit(2), BackendId.DD)
+        assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+        assert len(v.witness) == 2 and set(v.witness) <= {"0", "1"}
 
     def test_agrees_with_dense_on_random_pairs(self):
         rng = random.Random(7)
