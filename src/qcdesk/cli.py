@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from .errors import CapacityError, ParseError, QcdeskError
-from . import dd, dense, tn, zx
+from . import dense, verify
 from .ir import Circuit, check_basis, parse_circuit
 from .verify import BackendId, EquivalenceStatus, backend_state, check_equivalence
 
@@ -44,12 +44,12 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     sim = sub.add_parser("simulate", help="print the amplitude dump of a circuit")
-    sim.add_argument("--backend", choices=["dense", "dd", "tn"], required=True)
+    sim.add_argument("--backend", choices=[b.value for b in verify.STATE], required=True)
     sim.add_argument("--full", action="store_true", help="print all 2^n lines")
     sim.add_argument("file")
 
     amp = sub.add_parser("amplitude", help="print one amplitude")
-    amp.add_argument("--backend", choices=["dense", "dd", "tn"], required=True)
+    amp.add_argument("--backend", choices=[b.value for b in verify.AMPLITUDE], required=True)
     amp.add_argument("--basis", required=True, metavar="BITS")
     amp.add_argument("file")
 
@@ -59,12 +59,12 @@ def _build_parser() -> _Parser:
     smp.add_argument("file")
 
     ver = sub.add_parser("verify", help="equivalence-check two circuits")
-    ver.add_argument("--method", choices=["dense", "dd", "zx"], required=True)
+    ver.add_argument("--method", choices=[b.value for b in verify.EQUIVALENCE], required=True)
     ver.add_argument("file1")
     ver.add_argument("file2")
 
     st = sub.add_parser("stats", help="backend statistics for a circuit")
-    st.add_argument("--backend", choices=["dd", "tn", "zx"], required=True)
+    st.add_argument("--backend", choices=[b.value for b in verify.STATS], required=True)
     st.add_argument("file")
     return p
 
@@ -96,13 +96,7 @@ def _cmd_amplitude(args) -> int:
     except ValueError:
         print(f"error: bad basis state {bits!r}", file=sys.stderr)
         return EXIT_USAGE
-    if args.backend == "tn":
-        a = tn.amplitude_tn(c, bits)
-    elif args.backend == "dd":
-        a = dd.amplitude_from_circuit(c, bits)
-    else:
-        s = dense.simulate(c)
-        a = complex(s.amps[int(bits, 2)])
+    a = verify.AMPLITUDE[BackendId(args.backend)](c, bits)
     print(f"{bits} {a.real:.17g} {a.imag:.17g}")
     return EXIT_OK
 
@@ -128,16 +122,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    c = _load(args.file)
-    if args.backend == "dd":
-        print(dd.dd_stats(dd.simulate_dd(c)))
-    elif args.backend == "tn":
-        net = tn.circuit_to_network(c)
-        print(tn.contraction_stats(net, tn.greedy_plan(net)))
-    else:
-        # c composed with the inverse of the empty circuit is c itself
-        r = zx.equivalent_zx(c, Circuit(c.num_qubits))
-        print(zx.reduction_stats(r.spiders_before, r.spiders_after, r.steps))
+    print(verify.STATS[BackendId(args.backend)](_load(args.file)))
     return EXIT_OK
 
 

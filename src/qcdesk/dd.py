@@ -371,30 +371,20 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     return DDEquivalence(False, witness=backend.least_diagonal(u))
 
 
-# ---- module-level conveniences (fresh backend per call) --------------------
+# ---- circuit-level entries of the verify backend tables (fresh backend per call)
 
 
-def vector_to_dd(s: dense.StateVector) -> VectorDD:
-    return DDBackend().vector_to_dd(s)
+def state(c: Circuit) -> dense.StateVector:
+    backend = DDBackend()
+    return backend.dd_to_vector(backend.simulate(c))
 
 
-def dd_to_vector(d: VectorDD) -> dense.StateVector:
-    return DDBackend().dd_to_vector(d)
-
-
-def get_amplitude(d: VectorDD, b: str) -> complex:
-    return DDBackend().get_amplitude(d, b)
-
-
-def simulate_dd(c: Circuit) -> VectorDD:
-    return DDBackend().simulate(c)
-
-
-def dd_stats(d: Union[VectorDD, MatrixDD]) -> str:
-    w = d.root.w
-    return f"nodes={node_count(d)} root_weight={w.real:.17g},{w.imag:.17g}"
-
-
-def amplitude_from_circuit(c: Circuit, bits: str) -> complex:
+def amplitude(c: Circuit, bits: str) -> complex:
     backend = DDBackend()
     return backend.get_amplitude(backend.simulate(c), bits)
+
+
+def stats(c: Circuit) -> str:
+    d = DDBackend().simulate(c)
+    w = d.root.w
+    return f"nodes={node_count(d)} root_weight={w.real:.17g},{w.imag:.17g}"

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits
+from .ir import check_basis
 
 MAX_STATE_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
@@ -156,6 +157,11 @@ def simulate(c: Circuit, basis: int = 0) -> StateVector:
     for g in c.gates:
         _apply_in_place(s.amps, g, s.n)
     return s
+
+
+def amplitude(c: Circuit, bits: str) -> complex:
+    check_basis(bits, c.num_qubits)
+    return complex(simulate(c).amps[int(bits, 2)])
 
 
 def measure_probabilities(s: StateVector) -> np.ndarray:

@@ -248,7 +248,9 @@ def full_state_tn(c: Circuit) -> dense.StateVector:
     return dense.StateVector(c.num_qubits, result.data.reshape(-1))
 
 
-def contraction_stats(net: TensorNetwork, plan: ContractionPlan) -> str:
+def stats(c: Circuit) -> str:
+    net = circuit_to_network(c)
+    plan = greedy_plan(net)
     flops, max_size = plan_cost(net, plan)
     return (
         f"tensors={len(net.tensors)} steps={len(plan.steps)} "

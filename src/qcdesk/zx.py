@@ -498,5 +498,7 @@ def equivalent_zx(c1: Circuit, c2: Circuit) -> ZXEquivalence:
     return ZXEquivalence(verdict, before, reduced.spider_count(), len(steps))
 
 
-def reduction_stats(before: int, after: int, steps: int) -> str:
-    return f"spiders_before={before} spiders_after={after} steps={steps}"
+def stats(c: Circuit) -> str:
+    # c composed with the inverse of the empty circuit is c itself
+    r = equivalent_zx(c, Circuit(c.num_qubits))
+    return f"spiders_before={r.spiders_before} spiders_after={r.spiders_after} steps={r.steps}"

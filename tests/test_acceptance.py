@@ -106,13 +106,13 @@ def test_criterion_2_measurement():
 
 @_report("3 decision diagram structure: bell shape and ghz node-count oracle")
 def test_criterion_3_dd_structure():
-    bell_dd = dd.simulate_dd(bell_circuit())
+    bell_dd = dd.DDBackend().simulate(bell_circuit())
     assert dd.node_count(bell_dd) == 3
     assert bell_dd.root.w == pytest.approx(INV_SQRT2, abs=1e-10)
     # the all-zeros amplitude is the bare product of edge weights on its path
-    assert dd.get_amplitude(bell_dd, "00") == pytest.approx(INV_SQRT2, abs=1e-10)
+    assert dd.DDBackend().get_amplitude(bell_dd, "00") == pytest.approx(INV_SQRT2, abs=1e-10)
     for n in range(2, 9):
-        d = dd.simulate_dd(ghz_circuit(n))
+        d = dd.DDBackend().simulate(ghz_circuit(n))
         expected = reference_node_count(dense.simulate(ghz_circuit(n)).amps)
         assert dd.node_count(d) == expected
 

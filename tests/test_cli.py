@@ -205,3 +205,25 @@ class TestErrorPaths:
     def test_width_mismatch_is_usage(self, tmp_path, capsys, bell_file):
         one = write(tmp_path, "one.qcf", "qubits 1\nx 0\n")
         assert cli.run(["verify", "--method", "dense", bell_file, one]) == 64
+
+
+class TestBackendChoices:
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            (["simulate", "--backend"], "'dense', 'dd', 'tn'"),
+            (["amplitude", "--basis", "0", "--backend"], "'dense', 'dd', 'tn'"),
+            (["verify", "--method"], "'dense', 'dd', 'zx'"),
+            (["stats", "--backend"], "'dd', 'tn', 'zx'"),
+        ],
+    )
+    def test_choices_in_order(self, capsys, argv, choices):
+        assert cli.run(argv + ["bogus", "a.qcf", "b.qcf"]) == 64
+        err = capsys.readouterr().err
+        assert err == f"error: argument {argv[-1]}: invalid choice: 'bogus' (choose from {choices})\n"
+
+    def test_amplitude_rejects_zx(self, bell_file, capsys):
+        assert cli.run(["amplitude", "--backend", "zx", "--basis", "00", bell_file]) == 64
+        assert capsys.readouterr().err == (
+            "error: argument --backend: invalid choice: 'zx' (choose from 'dense', 'dd', 'tn')\n"
+        )

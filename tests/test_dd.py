@@ -69,53 +69,53 @@ class TestVectorDD:
 
     def test_ghz3_node_count_matches_oracle(self):
         s = dense.simulate(ghz_circuit(3))
-        v = dd.vector_to_dd(s)
+        v = dd.DDBackend().vector_to_dd(s)
         assert dd.node_count(v) == reference_node_count(s.amps) == 5
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ghz_counts(self, n):
         s = dense.simulate(ghz_circuit(n))
-        assert dd.node_count(dd.vector_to_dd(s)) == reference_node_count(s.amps)
-        assert dd.node_count(dd.vector_to_dd(s)) == 2 * n - 1
+        assert dd.node_count(dd.DDBackend().vector_to_dd(s)) == reference_node_count(s.amps)
+        assert dd.node_count(dd.DDBackend().vector_to_dd(s)) == 2 * n - 1
 
     def test_round_trip_bell(self):
-        v = dd.vector_to_dd(dense.simulate(bell_circuit()))
-        out = dd.dd_to_vector(v)
+        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
+        out = dd.DDBackend().dd_to_vector(v)
         np.testing.assert_allclose(
             out.amps, np.array([1, 0, 0, 1]) * INV_SQRT2, atol=1e-12
         )
 
     def test_round_trip_single_qubit(self):
-        v = dd.vector_to_dd(dense.StateVector(1, np.array([1, 0], dtype=complex)))
-        np.testing.assert_array_equal(dd.dd_to_vector(v).amps, [1, 0])
+        v = dd.DDBackend().vector_to_dd(dense.StateVector(1, np.array([1, 0], dtype=complex)))
+        np.testing.assert_array_equal(dd.DDBackend().dd_to_vector(v).amps, [1, 0])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             amps = rng.normal(size=16) + 1j * rng.normal(size=16)
             amps /= np.linalg.norm(amps)
-            v = dd.vector_to_dd(dense.StateVector(4, amps))
-            np.testing.assert_allclose(dd.dd_to_vector(v).amps, amps, atol=1e-12)
+            v = dd.DDBackend().vector_to_dd(dense.StateVector(4, amps))
+            np.testing.assert_allclose(dd.DDBackend().dd_to_vector(v).amps, amps, atol=1e-12)
 
 
 class TestAmplitude:
     def test_bell_paths(self):
-        v = dd.vector_to_dd(dense.simulate(bell_circuit()))
-        assert dd.get_amplitude(v, "00") == pytest.approx(INV_SQRT2)
-        assert dd.get_amplitude(v, "01") == 0
-        assert dd.get_amplitude(v, "10") == 0
-        assert dd.get_amplitude(v, "11") == pytest.approx(INV_SQRT2)
+        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
+        assert dd.DDBackend().get_amplitude(v, "00") == pytest.approx(INV_SQRT2)
+        assert dd.DDBackend().get_amplitude(v, "01") == 0
+        assert dd.DDBackend().get_amplitude(v, "10") == 0
+        assert dd.DDBackend().get_amplitude(v, "11") == pytest.approx(INV_SQRT2)
 
     @pytest.mark.parametrize("bits", ["22", "0a", "1 ", "0"])
     def test_rejects_bad_basis(self, bits):
-        v = dd.vector_to_dd(dense.simulate(bell_circuit()))
+        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
         with pytest.raises(ValueError):
-            dd.get_amplitude(v, bits)
+            dd.DDBackend().get_amplitude(v, bits)
 
     def test_zero_stub_exact_zero(self):
-        v = dd.vector_to_dd(dense.simulate(ghz_circuit(4)))
+        v = dd.DDBackend().vector_to_dd(dense.simulate(ghz_circuit(4)))
         for bits in ("0001", "0110", "1110"):
-            assert dd.get_amplitude(v, bits) == 0
+            assert dd.DDBackend().get_amplitude(v, bits) == 0
 
 
 class TestMatrixDD:
@@ -403,6 +403,5 @@ class TestEquivalence:
 
 class TestStats:
     def test_format(self):
-        v = dd.simulate_dd(bell_circuit())
-        out = dd.dd_stats(v)
+        out = dd.stats(bell_circuit())
         assert out.startswith("nodes=3 root_weight=0.70710678118654")

@@ -361,8 +361,7 @@ class TestPlanCost:
         assert tn.plan_cost(net, tn.ContractionPlan([])) == (0, 4)
 
     def test_stats_format(self):
-        net = tn.circuit_to_network(bell_circuit())
-        out = tn.contraction_stats(net, tn.greedy_plan(net))
+        out = tn.stats(bell_circuit())
         assert out.startswith("tensors=4 steps=3 flops=")
         assert "max_intermediate=" in out
 

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import CapacityError, WidthMismatchError
-from qcdesk import dense, verify
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate
+from qcdesk import cli, dense, verify
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate, index_bits, render_circuit
 from qcdesk.verify import BackendId, EquivalenceStatus
 
 
@@ -36,6 +36,53 @@ class TestBackendState:
     def test_zx_rejected(self):
         with pytest.raises(ValueError):
             verify.backend_state(bell_circuit(), BackendId.ZX)
+
+
+# |amplitude of 1> = sin(pi / 2^37), about 2.3e-11: above simulate's compact
+# threshold, below the dd weight grid (ROADMAP item 1)
+TINY_RX = "qubits 1\nrx 1/68719476736 0\n"
+DD_GRID = "dd zeroes weights below 5e-11 (ROADMAP item 1)"
+
+
+def _table_circuits() -> list[Circuit]:
+    rng = random.Random(41)
+    return [random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 25)) for _ in range(30)]
+
+
+def _compact_dump(tmp_path, capsys, text: str, backend: str) -> dict[str, complex]:
+    """The lines `simulate --backend <backend>` prints for text, by basis string."""
+    path = tmp_path / "c.qcf"
+    path.write_text(text)
+    assert cli.run(["simulate", "--backend", backend, str(path)]) == 0
+    rows = (line.split() for line in capsys.readouterr().out.splitlines())
+    return {bits: complex(float(re), float(im)) for bits, re, im in rows}
+
+
+class TestBackendTables:
+    @pytest.mark.parametrize("backend", [b.value for b in verify.STATE])
+    def test_simulate_prints_the_dense_line_set(self, tmp_path, capsys, backend):
+        for c in _table_circuits():
+            want = _compact_dump(tmp_path, capsys, render_circuit(c), "dense")
+            got = _compact_dump(tmp_path, capsys, render_circuit(c), backend)
+            assert got.keys() == want.keys()
+            for bits, a in want.items():
+                assert abs(got[bits] - a) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "backend",
+        [b.value for b in verify.STATE if b != BackendId.DD]
+        + [pytest.param("dd", marks=pytest.mark.xfail(strict=True, reason=DD_GRID))],
+    )
+    def test_tiny_amplitude_is_printed(self, tmp_path, capsys, backend):
+        assert _compact_dump(tmp_path, capsys, TINY_RX, backend).keys() == {"0", "1"}
+
+    @pytest.mark.parametrize("backend", list(verify.AMPLITUDE), ids=lambda b: b.value)
+    def test_amplitude_matches_state(self, backend):
+        for c in _table_circuits():
+            amps = verify.STATE[backend](c).amps
+            for i, a in enumerate(amps):
+                bits = index_bits(i, c.num_qubits)
+                assert abs(verify.AMPLITUDE[backend](c, bits) - a) <= 1e-9
 
 
 class TestCrossCheck:
@@ -104,7 +151,8 @@ class TestDdEquivalence:
         assert v.witness is not None
 
     def test_witness_has_least_output_fidelity(self):
-        # |(U2^dagger U1)[j, j]|^2 is the fidelity of the two outputs on |j>
+        # |(U2^dagger U1)[j, j]|^2 is the fidelity of the two outputs on |j>;
+        # dd reads the witness off the composed DD, dense off the two unitaries
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randrange(1, 6)
@@ -112,10 +160,11 @@ class TestDdEquivalence:
             c2 = _mutate_or_insert(rng, c1)
             u = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
             fidelity = np.abs(np.diag(u)) ** 2
-            v = verify.check_equivalence(c1, c2, BackendId.DD)
-            assert v.status == EquivalenceStatus.NOT_EQUIVALENT
-            assert len(v.witness) == n
-            assert fidelity[int(v.witness, 2)] == pytest.approx(fidelity.min(), abs=1e-9)
+            for method in (BackendId.DD, BackendId.DENSE):
+                v = verify.check_equivalence(c1, c2, method)
+                assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+                assert len(v.witness) == n
+                assert fidelity[int(v.witness, 2)] == pytest.approx(fidelity.min(), abs=1e-9)
 
     def test_wide_witness_needs_no_dense_simulation(self, monkeypatch):
         rng = random.Random(5)
