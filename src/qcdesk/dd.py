@@ -7,6 +7,11 @@ expander serve both, reading the column count off the node. Equal sub-blocks
 are shared through a unique table and common factors live on edge weights.
 Diagrams here are quasi-reduced: every nonzero edge below level v points to a
 node at exactly level v-1, zero edges jump straight to the terminal (0-stubs).
+
+Equivalence checking builds the composed matrix U2^dagger U1 from the middle
+outward, alternating gates of the two circuits from their last gates, so a
+pair that agrees keeps the product near the identity while it is built
+(Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits").
 """
 from __future__ import annotations
 
@@ -19,9 +24,12 @@ from .errors import CapacityError, WidthMismatchError
 from . import dense
 from .ir import Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
 
-# Weights are rounded to this many decimals for unique-table keys and
-# zero detection, so floating-point drift cannot break node sharing.
+# Weights are rounded to this many decimals for unique-table keys, so
+# floating-point drift cannot break node sharing.
 _GRID_DECIMALS = 10
+# The smallest double that round(x, _GRID_DECIMALS) sends away from 0: a part
+# below it in magnitude is exactly a part the grid rounds to 0.
+_ZERO_BELOW = 5e-11
 
 MAX_EQUIV_QUBITS = 12
 
@@ -62,16 +70,37 @@ def _key_weight(w: complex) -> tuple[float, float]:
 
 
 def _is_zero(w: complex) -> bool:
-    return _key_weight(w) == (0.0, 0.0)
+    """True iff both parts of w round to 0 on the weight grid."""
+    return abs(w.real) < _ZERO_BELOW and abs(w.imag) < _ZERO_BELOW
+
+
+def _local_index(sel: tuple) -> int:
+    """Row or column of a gate matrix from one bit per gate qubit, first most significant."""
+    idx = 0
+    for bit in sel:
+        idx = (idx << 1) | bit
+    return idx
 
 
 class DDBackend:
-    """One unique table plus memoization tables; confine to one thread."""
+    """One unique table plus compute tables and a gate cache; confine to one thread.
+
+    The unique table keeps every node it ever made alive for the backend's
+    lifetime, so an id(node) never names two nodes. That is why the compute
+    tables, keyed by id(node), may outlive one product: `mult_mm` keeps them
+    across gates. `mult_mv` still clears them per gate, which keeps the peak
+    memory of long simulations down. Gate DDs are cached per (gate, width).
+    Recursions that build nodes are methods, not closures over self: a closure
+    that calls itself is a reference cycle, which would keep a finished
+    backend and all its tables alive until the cycle collector runs.
+    """
 
     def __init__(self):
         self._unique: dict = {}
         self._memo_mult: dict = {}
         self._memo_add: dict = {}
+        self._gates: dict[tuple[Gate, int], MatrixDD] = {}
+        self._identity: list[DDEdge] = [DDEdge(1.0 + 0j, None)]  # by qubit count
 
     # ---- node construction -------------------------------------------------
 
@@ -103,17 +132,16 @@ class DDBackend:
 
     def vector_to_dd(self, s: dense.StateVector) -> VectorDD:
         amps = np.asarray(s.amps, dtype=complex)
+        return VectorDD(s.n, self._vector_edge(amps, 0, len(amps), s.n - 1))
 
-        def rec(lo: int, hi: int, level: int) -> DDEdge:
-            if level < 0:
-                w = amps[lo]
-                return ZERO_EDGE if _is_zero(w) else DDEdge(complex(w), None)
-            mid = (lo + hi) // 2
-            e0 = rec(lo, mid, level - 1)
-            e1 = rec(mid, hi, level - 1)
-            return self._make_node(level, [e0, e1])
-
-        return VectorDD(s.n, rec(0, len(amps), s.n - 1))
+    def _vector_edge(self, amps: np.ndarray, lo: int, hi: int, level: int) -> DDEdge:
+        if level < 0:
+            w = amps[lo]
+            return ZERO_EDGE if _is_zero(w) else DDEdge(complex(w), None)
+        mid = (lo + hi) // 2
+        e0 = self._vector_edge(amps, lo, mid, level - 1)
+        e1 = self._vector_edge(amps, mid, hi, level - 1)
+        return self._make_node(level, [e0, e1])
 
     def zero_state_dd(self, n: int) -> VectorDD:
         """|0...0> built structurally: one node per level, one-successor 0-stub."""
@@ -143,50 +171,48 @@ class DDBackend:
     # ---- matrix DDs --------------------------------------------------------
 
     def gate_to_mdd(self, g: Gate, n: int) -> MatrixDD:
+        cached = self._gates.get((g, n))
+        if cached is not None:
+            return cached
         if any(q >= n for q in g.qubits):
             raise ValueError("gate qubit outside register")
-        mat = gate_matrix(g)
-        gq = list(g.qubits)  # first listed qubit = most significant local bit
-        k = len(gq)
-        memo: dict = {}
+        k = len(g.qubits)
+        root = self._gate_edge(gate_matrix(g), g.qubits, n - 1, (0,) * k, (0,) * k)
+        out = self._gates[g, n] = MatrixDD(n, root)
+        return out
 
-        def local_index(sel: tuple) -> int:
-            idx = 0
-            for p in range(k):
-                idx = (idx << 1) | sel[p]
-            return idx
+    def _gate_edge(self, mat: np.ndarray, gq: tuple, level: int, rsel: tuple, csel: tuple) -> DDEdge:
+        """Edge to a gate DD's block at `level`; rsel/csel hold the row/column
+        bit chosen at each gate qubit gq[p] above it (first listed qubit = most
+        significant local bit). Every call has its own (rsel, csel), so none
+        repeats another."""
+        if level < min(gq):  # every gate qubit is fixed: an entry times the identity
+            w = mat[_local_index(rsel), _local_index(csel)]
+            if _is_zero(w):
+                return ZERO_EDGE
+            return DDEdge(complex(w), self._identity_edge(level + 1).node)
+        if level in gq:
+            p = gq.index(level)
+            quarters = []
+            for r in (0, 1):
+                for c in (0, 1):
+                    rs = rsel[:p] + (r,) + rsel[p + 1 :]
+                    cs = csel[:p] + (c,) + csel[p + 1 :]
+                    quarters.append(self._gate_edge(mat, gq, level - 1, rs, cs))
+            return self._make_node(level, quarters)
+        sub = self._gate_edge(mat, gq, level - 1, rsel, csel)
+        return self._make_node(level, [sub, ZERO_EDGE, ZERO_EDGE, sub])
 
-        def rec(level: int, rsel: tuple, csel: tuple) -> DDEdge:
-            key = (level, rsel, csel)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            if level < 0:
-                w = mat[local_index(rsel), local_index(csel)]
-                out = ZERO_EDGE if _is_zero(w) else DDEdge(complex(w), None)
-            elif level in gq:
-                p = gq.index(level)
-                quarters = []
-                for r in (0, 1):
-                    for c in (0, 1):
-                        rs = rsel[:p] + (r,) + rsel[p + 1 :]
-                        cs = csel[:p] + (c,) + csel[p + 1 :]
-                        quarters.append(rec(level - 1, rs, cs))
-                out = self._make_node(level, quarters)
-            else:
-                sub = rec(level - 1, rsel, csel)
-                out = self._make_node(level, [sub, ZERO_EDGE, ZERO_EDGE, sub])
-            memo[key] = out
-            return out
-
-        root = rec(n - 1, (0,) * k, (0,) * k)
-        return MatrixDD(n, root)
+    def _identity_edge(self, n: int) -> DDEdge:
+        """The identity on n qubits; its chain of nodes is built once per backend."""
+        while len(self._identity) <= n:
+            below = self._identity[-1]
+            level = len(self._identity) - 1
+            self._identity.append(self._make_node(level, [below, ZERO_EDGE, ZERO_EDGE, below]))
+        return self._identity[n]
 
     def identity_mdd(self, n: int) -> MatrixDD:
-        edge = DDEdge(1.0 + 0j, None)
-        for level in range(n):
-            edge = self._make_node(level, [edge, ZERO_EDGE, ZERO_EDGE, edge])
-        return MatrixDD(n, edge)
+        return MatrixDD(n, self._identity_edge(n))
 
     def mdd_to_matrix(self, m: MatrixDD) -> np.ndarray:
         if m.n > dense.MAX_UNITARY_QUBITS:
@@ -246,9 +272,9 @@ class DDBackend:
         return VectorDD(v.n, self._mult(m.root, v.root, v.n - 1))
 
     def mult_mm(self, a: MatrixDD, b: MatrixDD) -> MatrixDD:
+        """a @ b; the compute tables persist across calls (see the class docstring)."""
         if a.n != b.n:
             raise WidthMismatchError("matrix widths differ")
-        self.clear_memo()
         return MatrixDD(a.n, self._mult(a.root, b.root, a.n - 1))
 
     # ---- circuit-level operations -----------------------------------------
@@ -260,11 +286,31 @@ class DDBackend:
             v = self.mult_mv(m, v)
         return v
 
-    def circuit_mdd(self, c: Circuit) -> MatrixDD:
-        u = self.identity_mdd(c.num_qubits)
-        for g in c.gates:
-            u = self.mult_mm(self.gate_to_mdd(g, c.num_qubits), u)
+    def composed_mdd(self, c1: Circuit, c2: Circuit) -> MatrixDD:
+        """U2^dagger U1 of two equally wide circuits, built from the middle outward.
+
+        Starting from the identity, left steps multiply c2's adjoint gates onto
+        the left (g2_m^dagger first) and right steps c1's gates onto the right
+        (g1_k first). The two kinds interleave in proportion to the gate counts,
+        so the tails of two circuits that agree cancel as soon as both are in.
+        """
+        n = c1.num_qubits
+        left = adjoint_circuit(c2).gates
+        right = c1.gates[::-1]
+        u = self.identity_mdd(n)
+        i = j = 0
+        while i < len(left) or j < len(right):
+            # the side that has done the smaller share of its steps goes next
+            if j == len(right) or (i < len(left) and i * len(right) <= j * len(left)):
+                u = self.mult_mm(self.gate_to_mdd(left[i], n), u)
+                i += 1
+            else:
+                u = self.mult_mm(u, self.gate_to_mdd(right[j], n))
+                j += 1
         return u
+
+    def circuit_mdd(self, c: Circuit) -> MatrixDD:
+        return self.composed_mdd(c, Circuit(c.num_qubits))
 
     def trace(self, m: MatrixDD) -> complex:
         memo: dict[int, complex] = {}
@@ -317,12 +363,36 @@ def node_count(d: Union[VectorDD, MatrixDD]) -> int:
     return len(seen)
 
 
+def _shared_uses(root: _Node) -> dict[_Node, int]:
+    """In-degree of every node below root that more than one edge reaches.
+
+    Walks level by level, which the quasi-reduced shape allows: the nodes a
+    level points to make up the whole next level down.
+    """
+    shared: dict[_Node, int] = {}
+    level = [root]
+    while level:
+        uses: dict[_Node, int] = {}
+        for node in level:
+            for e in node.edges:
+                if e.node is not None:
+                    uses[e.node] = uses.get(e.node, 0) + 1
+        shared.update((node, k) for node, k in uses.items() if k > 1)
+        level = list(uses)
+    return shared
+
+
 def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
-    """Dense 2^n x cols^n array of a DD whose nodes have 2 x cols successors."""
-    memo: dict[int, np.ndarray] = {}
+    """Dense 2^n x cols^n array of a DD whose nodes have 2 x cols successors.
+
+    Only the blocks of shared nodes are kept, each until its last use, so the
+    peak stays near two result-sized arrays instead of one per level.
+    """
+    uses_left = {} if root.node is None else _shared_uses(root.node)
+    memo: dict[_Node, np.ndarray] = {}
 
     def expand(node: _Node) -> np.ndarray:
-        out = memo.get(id(node))
+        out = memo.get(node)
         if out is None:
             h, w = 2**node.var, cols**node.var
             out = np.empty((2 * h, cols * w), dtype=complex)
@@ -332,7 +402,12 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
                 out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
                     e.w if e.node is None else e.w * expand(e.node)
                 )
-            memo[id(node)] = out
+        if node in uses_left:
+            uses_left[node] -= 1
+            if uses_left[node]:
+                memo[node] = out
+            else:
+                del memo[node]
         return out
 
     if root.node is None:  # the zero DD, or a scalar when n == 0
@@ -343,13 +418,15 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
 @dataclass(frozen=True)
 class DDEquivalence:
     equivalent: bool
-    phase: complex | None = None  # global phase with which the circuits agree
+    phase: complex | None = None  # global phase p with U2 = p * U1
     witness: str | None = None  # basis input whose two outputs overlap least
 
 
 def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquivalence:
-    """Equivalence up to global phase via the composed-with-inverse matrix DD.
+    """Equivalence up to global phase via the composed matrix DD U = U2^dagger U1.
 
+    U is built alternately from both circuits' last gates (`composed_mdd`), so
+    it stays near the identity while it is built when the circuits agree.
     For a unitary U of dimension 2^n, |tr U| = 2^n exactly when U is a unit
     scalar times the identity; the composed DD is unitary by construction,
     so the trace test decides identity-up-to-phase without full expansion.
@@ -362,12 +439,12 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     if n > MAX_EQUIV_QUBITS:
         raise CapacityError(f"{n} qubits exceeds equivalence ceiling {MAX_EQUIV_QUBITS}")
     backend = DDBackend()
-    composed = Circuit(n, c1.gates + adjoint_circuit(c2).gates)
-    u = backend.circuit_mdd(composed)
+    u = backend.composed_mdd(c1, c2)
     tr = backend.trace(u)
     dim = 2**n
     if abs(abs(tr) / dim - 1.0) <= tolerance:
-        return DDEquivalence(True, tr / abs(tr))
+        # U2 = phase * U1 makes tr U = conj(phase) * 2^n
+        return DDEquivalence(True, tr.conjugate() / abs(tr))
     return DDEquivalence(False, witness=backend.least_diagonal(u))
 
 

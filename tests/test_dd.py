@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +99,93 @@ class TestVectorDD:
             amps /= np.linalg.norm(amps)
             v = dd.DDBackend().vector_to_dd(dense.StateVector(4, amps))
             np.testing.assert_allclose(dd.DDBackend().dd_to_vector(v).amps, amps, atol=1e-12)
+
+
+def plain_expand(edge: dd.DDEdge, n: int, cols: int) -> np.ndarray:
+    """Oracle: the same products as dd._expand, by plain recursion without sharing."""
+    if edge.node is None:
+        return np.full((2**n, cols**n), edge.w if n == 0 else 0j)
+
+    def rec(node) -> np.ndarray:
+        h, w = 2**node.var, cols**node.var
+        out = np.empty((2 * h, cols * w), dtype=complex)
+        for k, e in enumerate(node.edges):
+            r, c = divmod(k, cols)
+            out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
+                e.w if e.node is None else e.w * rec(e.node)
+            )
+        return out
+
+    return edge.w * rec(edge.node)
+
+
+class TestExpand:
+    def test_unshared_state_peaks_near_its_result(self):
+        # random amplitudes share no sub-vector: a full tree of 2^16 - 1 nodes,
+        # whose blocks summed over all levels would be 16 result-sized arrays
+        rng = np.random.default_rng(23)
+        amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+        backend = dd.DDBackend()
+        v = backend.vector_to_dd(dense.StateVector(16, amps))
+        assert dd.node_count(v) == 65535
+        tracemalloc.start()
+        try:
+            out = backend.dd_to_vector(v).amps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2**20
+        assert peak < 4 * 2**20
+        assert np.array_equal(out, plain_expand(v.root, 16, 1).reshape(-1))
+
+    def test_shared_nodes_in_a_matrix(self):
+        # the GHZ unitary reuses its lower nodes along several edges
+        backend = dd.DDBackend()
+        m = backend.circuit_mdd(ghz_circuit(5))
+        assert dd._shared_uses(m.root.node)
+        got = backend.mdd_to_matrix(m)
+        assert np.array_equal(got, plain_expand(m.root, 5, 2))
+        np.testing.assert_allclose(got, dense.circuit_unitary(ghz_circuit(5)), atol=1e-12)
+
+
+class TestZeroTest:
+    """`_is_zero` is the old grid test, both parts rounding to 0 at 10 decimals."""
+
+    @staticmethod
+    def grid_zero(w: complex) -> bool:
+        return (round(w.real, 10) + 0.0, round(w.imag, 10) + 0.0) == (0.0, 0.0)
+
+    def assert_same(self, xs):
+        for x in xs:
+            for w in (complex(x, 0.0), complex(0.0, x), complex(x, x)):
+                assert dd._is_zero(w) == self.grid_zero(w), w
+
+    def test_neighbours_of_the_threshold(self):
+        xs = []
+        for t in (5e-11, -5e-11):
+            below, above = math.nextafter(t, 0.0), math.nextafter(t, 2 * t)
+            xs += [math.nextafter(below, 0.0), below, t, above, math.nextafter(above, 2 * t)]
+        self.assert_same(xs)
+        assert dd._is_zero(complex(math.nextafter(5e-11, 0.0), 0.0))
+        assert not dd._is_zero(complex(0.0, -5e-11))
+
+    def test_special_values(self):
+        tiny = math.ulp(0.0)
+        xs = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, math.inf, -math.inf, math.nan]
+        self.assert_same(xs)
+        assert dd._is_zero(complex(-0.0, tiny))
+        assert not dd._is_zero(complex(math.nan, 0.0))
+        assert not dd._is_zero(complex(0.0, math.inf))
+
+    def test_seeded_magnitudes_around_the_grid(self):
+        rng = random.Random(97)
+        xs = [
+            rng.choice((1, -1)) * 10 ** rng.uniform(-12, -9) for _ in range(10_000)
+        ]
+        self.assert_same(xs)
+        for _ in range(1000):  # independent parts
+            w = complex(rng.choice(xs), rng.choice(xs))
+            assert dd._is_zero(w) == self.grid_zero(w), w
 
 
 class TestAmplitude:
@@ -232,6 +322,26 @@ class TestArithmetic:
                 dense.circuit_unitary(c),
                 atol=1e-10,
             )
+
+    def test_composed_mdd_random_pairs_vs_dense(self):
+        # U2^dagger U1, built alternately from both ends; widths up to 5,
+        # unequal gate counts, and an empty circuit on either side
+        rng = random.Random(61)
+        for k in range(30):
+            n = rng.randrange(1, 6)
+            c1 = random_circuit(rng, n, 0 if k == 0 else rng.randrange(0, 25))
+            c2 = random_circuit(rng, n, 0 if k == 1 else rng.randrange(0, 25))
+            backend = dd.DDBackend()
+            expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
+            np.testing.assert_allclose(
+                backend.mdd_to_matrix(backend.composed_mdd(c1, c2)), expected, atol=1e-9
+            )
+
+    def test_gate_dds_are_cached_per_width(self):
+        backend = dd.DDBackend()
+        g = Gate(GateKind.CX, (2, 0))
+        assert backend.gate_to_mdd(g, 3) is backend.gate_to_mdd(g, 3)
+        assert backend.gate_to_mdd(g, 4).n == 4
 
     def test_add_zero_is_identity(self):
         backend = dd.DDBackend()
@@ -399,6 +509,29 @@ class TestEquivalence:
         assert not result.equivalent
         assert result.phase is None
         assert result.witness == "00"  # x on qubit 0 empties the whole diagonal
+
+
+class TestLifetime:
+    def test_backend_is_freed_without_the_cycle_collector(self):
+        # a reference cycle through the backend would keep its unique table,
+        # compute tables and gate cache alive after the job that used them
+        rng = random.Random(83)
+        c1, c2 = random_circuit(rng, 4, 20), random_circuit(rng, 4, 12)
+        gc.disable()
+        try:
+            backend = dd.DDBackend()
+            ref = weakref.ref(backend)
+            v = backend.simulate(c1)
+            backend.get_amplitude(v, "0101")
+            backend.dd_to_vector(backend.vector_to_dd(backend.dd_to_vector(v)))
+            u = backend.composed_mdd(c1, c2)
+            backend.trace(u)
+            backend.least_diagonal(u)
+            backend.mdd_to_matrix(u)
+            del backend, v, u
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestStats:

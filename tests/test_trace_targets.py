@@ -65,3 +65,33 @@ def test_table_calls_reach_the_wrapped_names(tmp_path, capsys):
     for decision in ("dd.equivalent_dd", "zx.equivalent_zx"):
         parents = {names.get(s.parent) for s in tracer.spans if s.name == decision}
         assert parents == {"verify.check_equivalence"}, decision
+
+
+def test_dd_verify_goes_through_the_wrapped_methods(tmp_path, capsys):
+    """The per-layer dd metrics of a verify job come from spans of DDBackend
+    methods; a builder that bypassed them would zero those metrics silently."""
+    from qcdesk import cli
+
+    a = tmp_path / "a.qcf"
+    a.write_text("qubits 3\nh 2\ncx 2 1\nt 0\ncx 1 0\n")
+    b = tmp_path / "b.qcf"
+    b.write_text("qubits 3\nh 2\ncx 2 1\nrz 1/4 0\ncx 1 0\nz 1\n")
+    mods = {m: importlib.import_module(f"qcdesk.{m}") for m, _, _ in spans._TARGETS}
+    tracer = spans.Tracer(mods)
+    tracer.install()
+    try:
+        assert cli.run(["verify", "--method", "dd", str(a), str(b)]) == 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    by_id = {s.id: s for s in tracer.spans}
+
+    def under_equivalent_dd(s) -> bool:
+        while s.parent is not None:
+            s = by_id[s.parent]
+            if s.name == "dd.equivalent_dd":
+                return True
+        return False
+
+    inside = {s.name for s in tracer.spans if under_equivalent_dd(s)}
+    assert {"dd.gate_to_mdd", "dd.mult_mm", "dd.trace"} <= inside

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import CapacityError, WidthMismatchError
@@ -23,6 +24,32 @@ def _mutate_or_insert(rng: random.Random, c: Circuit) -> Circuit:
     qubits = tuple(rng.sample(range(n), 2 if kind == GateKind.CZ else 1))
     pos = rng.randrange(len(c.gates) + 1)
     return Circuit(n, c.gates[:pos] + (Gate(kind, qubits),) + c.gates[pos:])
+
+
+def _rewritten(c: Circuit) -> Circuit:
+    """c with gates replaced by sequences equal to them up to global phase."""
+
+    def rewrite(g: Gate) -> tuple[Gate, ...]:
+        q = g.qubits
+        if g.kind == GateKind.SWAP:
+            a, b = q
+            return (Gate(GateKind.CX, (a, b)), Gate(GateKind.CX, (b, a)), Gate(GateKind.CX, (a, b)))
+        if g.kind == GateKind.CZ:
+            a, b = q
+            h = Gate(GateKind.H, (b,))
+            return (h, Gate(GateKind.CX, (a, b)), h)
+        if g.kind == GateKind.Y:  # Z X = i Y
+            return (Gate(GateKind.X, q), Gate(GateKind.Z, q))
+        if g.kind == GateKind.X:
+            h = Gate(GateKind.H, q)
+            return (h, Gate(GateKind.Z, q), h)
+        if g.kind == GateKind.S:
+            return (Gate(GateKind.T, q), Gate(GateKind.T, q))
+        if g.kind == GateKind.T:
+            return (Gate(GateKind.RZ, q, Angle(1, 4)),)
+        return (g,)
+
+    return Circuit(c.num_qubits, tuple(h for g in c.gates for h in rewrite(g)))
 
 
 class TestBackendState:
@@ -191,6 +218,25 @@ class TestDdEquivalence:
         v = verify.check_equivalence(cz, Circuit(2), BackendId.DD)
         assert v.status == EquivalenceStatus.NOT_EQUIVALENT
         assert len(v.witness) == 2 and set(v.witness) <= {"0", "1"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), rewrite=st.booleans())
+    def test_matches_dense_on_mutated_and_rewritten_pairs(self, seed, n, rewrite):
+        rng = random.Random(seed)
+        c1 = random_circuit(rng, n, rng.randrange(1, 25))
+        c2 = _rewritten(c1) if rewrite else _mutate_or_insert(rng, c1)
+        via_dd = verify.check_equivalence(c1, c2, BackendId.DD)
+        via_dense = verify._dense_equivalence(c1, c2, verify.DEFAULT_TOLERANCE)
+        assert via_dd.status == via_dense.status
+        if rewrite:
+            assert via_dd.status == EquivalenceStatus.EQUIVALENT
+        if via_dd.status == EquivalenceStatus.EQUIVALENT:
+            # both report p with U2 = p U1
+            assert abs(via_dd.phase - via_dense.phase) < 1e-9
+        else:
+            u = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
+            fidelity = np.abs(np.diag(u)) ** 2
+            assert fidelity[int(via_dd.witness, 2)] <= fidelity.min() + 1e-9
 
     def test_agrees_with_dense_on_random_pairs(self):
         rng = random.Random(7)
