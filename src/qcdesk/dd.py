@@ -35,11 +35,19 @@ MAX_EQUIV_QUBITS = 12
 
 
 class _Node:
-    __slots__ = ("var", "edges")
+    __slots__ = ("var", "edges", "lead")
 
     def __init__(self, var: int, edges: tuple):
         self.var = var
         self.edges = edges  # 2 x cols DDEdges, row-major: cols 1 (vector) or 2 (matrix)
+        # The weight product down the first nonzero edges, 1 up to rounding
+        # (w / w need not be exactly 1). A full walk of identity @ node
+        # renormalizes by it, so `_mult`'s identity cut-off multiplies it in
+        # to return what the walk would, bit for bit. The walk's unit factor
+        # comes first, as it can turn a -0.0 part into 0.0.
+        first = next(e for e in edges if e is not ZERO_EDGE)
+        lead = (1 + 0j) * first.w
+        self.lead = lead if first.node is None else lead * first.node.lead
 
 
 class DDEdge(NamedTuple):
@@ -69,6 +77,9 @@ def _key_weight(w: complex) -> tuple[float, float]:
     return (re + 0.0, im + 0.0)
 
 
+_ZERO_KEY = (_key_weight(0j), id(None))  # grid key of a 0-stub
+
+
 def _is_zero(w: complex) -> bool:
     """True iff both parts of w round to 0 on the weight grid."""
     return abs(w.real) < _ZERO_BELOW and abs(w.imag) < _ZERO_BELOW
@@ -90,9 +101,10 @@ class DDBackend:
     tables, keyed by id(node), may outlive one product: `mult_mm` keeps them
     across gates. `mult_mv` still clears them per gate, which keeps the peak
     memory of long simulations down. Gate DDs are cached per (gate, width).
-    Recursions that build nodes are methods, not closures over self: a closure
+    Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
-    backend and all its tables alive until the cycle collector runs.
+    backend and all its tables (or a walk's memo) alive until the cycle
+    collector runs.
     """
 
     def __init__(self):
@@ -105,22 +117,32 @@ class DDBackend:
     # ---- node construction -------------------------------------------------
 
     def _make_node(self, var: int, edges: list[DDEdge]) -> DDEdge:
-        """Normalize successors and hash-cons; returns the incoming edge."""
-        edges = [
-            ZERO_EDGE if _is_zero(e.w) else e for e in edges
-        ]
-        norm = next((e.w for e in edges if e.node is not None or e.w != 0), None)
+        """Normalize successors and hash-cons; returns the incoming edge.
+
+        One pass zeroes each edge `_is_zero` accepts, divides the rest by the
+        first nonzero weight and builds the grid key. Equal keys give the same
+        node, so the identity chain's node at a level is the only node of
+        identity shape there, which `_mult` relies on.
+        """
+        norm = None
+        scaled = []
+        key = [var]  # its length tells vector nodes from matrix nodes
+        for e in edges:
+            if e is ZERO_EDGE or _is_zero(e.w):
+                scaled.append(ZERO_EDGE)
+                key.append(_ZERO_KEY)
+                continue
+            if norm is None:
+                norm = e.w
+            e = DDEdge(e.w / norm, e.node)
+            scaled.append(e)
+            key.append((_key_weight(e.w), id(e.node)))
         if norm is None:
             return ZERO_EDGE
-        scaled = tuple(
-            ZERO_EDGE if e is ZERO_EDGE else DDEdge(e.w / norm, e.node) for e in edges
-        )
-        key = (var, len(scaled)) + tuple(
-            (_key_weight(e.w), id(e.node)) for e in scaled
-        )
+        key = tuple(key)
         node = self._unique.get(key)
         if node is None:
-            node = _Node(var, scaled)
+            node = _Node(var, tuple(scaled))
             self._unique[key] = node
         return DDEdge(norm, node)
 
@@ -244,23 +266,44 @@ class DDBackend:
         return out
 
     def _mult(self, a: DDEdge, b: DDEdge, level: int) -> DDEdge:
-        """Product of a square matrix DD and a 2^n x cols^n DD (cols 1 or 2)."""
+        """Product of a square matrix DD and a 2^n x cols^n DD (cols 1 or 2).
+
+        A factor whose node is the identity chain's node at this level is the
+        identity below it (hash-consing makes that node the only one of its
+        shape), so the product is the other factor's node without a walk; its
+        weight takes the node's `lead`, as a walk would. A 0-stub factor or
+        partial product is skipped rather than multiplied or added:
+        `_make_node` zeroes whatever `_is_zero` accepts either way.
+        """
         if _is_zero(a.w) or _is_zero(b.w):
             return ZERO_EDGE
         if level < 0:
             return DDEdge(a.w * b.w, None)
+        if level + 1 < len(self._identity):
+            ident = self._identity[level + 1].node
+            if a.node is ident:
+                return DDEdge(a.w * b.w * b.node.lead, b.node)
+            if b.node is ident:
+                return DDEdge(a.w * b.w * a.node.lead, a.node)
         key = (id(a.node), id(b.node))
         cached = self._memo_mult.get(key)
         if cached is None:
-            cols = len(b.node.edges) // 2
+            ae, be = a.node.edges, b.node.edges
+            cols = len(be) // 2
             blocks = []
             for r in (0, 1):
+                a0, a1 = ae[2 * r], ae[2 * r + 1]
                 for c in range(cols):
-                    p0 = self._mult(a.node.edges[2 * r], b.node.edges[c], level - 1)
-                    p1 = self._mult(
-                        a.node.edges[2 * r + 1], b.node.edges[cols + c], level - 1
-                    )
-                    blocks.append(self.add(p0, p1, level - 1))
+                    b0, b1 = be[c], be[cols + c]
+                    p0 = p1 = ZERO_EDGE
+                    if a0 is not ZERO_EDGE and b0 is not ZERO_EDGE:
+                        p0 = self._mult(a0, b0, level - 1)
+                    if a1 is not ZERO_EDGE and b1 is not ZERO_EDGE:
+                        p1 = self._mult(a1, b1, level - 1)
+                    if p0 is ZERO_EDGE or p1 is ZERO_EDGE:
+                        blocks.append(p1 if p0 is ZERO_EDGE else p0)
+                    else:
+                        blocks.append(self.add(p0, p1, level - 1))
             cached = self._make_node(level, blocks)
             self._memo_mult[key] = cached
         return DDEdge(a.w * b.w * cached.w, cached.node)
@@ -313,53 +356,48 @@ class DDBackend:
         return self.composed_mdd(c, Circuit(c.num_qubits))
 
     def trace(self, m: MatrixDD) -> complex:
-        memo: dict[int, complex] = {}
-
-        def rec(node: Optional[_Node]) -> complex:
-            if node is None:
-                return 1.0 + 0j
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
-            e0, e3 = node.edges[0], node.edges[3]
-            t = e0.w * rec(e0.node) + e3.w * rec(e3.node)
-            memo[id(node)] = t
-            return t
-
-        return m.root.w * rec(m.root.node)
+        return m.root.w * _trace(m.root.node, {})
 
     def least_diagonal(self, m: MatrixDD) -> str:
         """Basis string j with the smallest |m[j, j]|, by one walk over edges 0 and 3.
 
         A 0-stub is a zero block, so the bits below it are 0; ties take the 0 edge.
         """
-        memo: dict[int, tuple[float, str]] = {}
+        return "0" * m.n if m.root.node is None else _least_diagonal(m.root.node, {})[1]
 
-        def rec(node: _Node) -> tuple[float, str]:
-            best = memo.get(id(node))
-            if best is None:
-                for bit, e in (("0", node.edges[0]), ("1", node.edges[3])):
-                    mag, bits = (1.0, "0" * node.var) if e.node is None else rec(e.node)
-                    if best is None or abs(e.w) * mag < best[0]:
-                        best = (abs(e.w) * mag, bit + bits)
-                memo[id(node)] = best
-            return best
 
-        return "0" * m.n if m.root.node is None else rec(m.root.node)[1]
+def _trace(node: Optional[_Node], memo: dict[int, complex]) -> complex:
+    if node is None:
+        return 1.0 + 0j
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    e0, e3 = node.edges[0], node.edges[3]
+    t = e0.w * _trace(e0.node, memo) + e3.w * _trace(e3.node, memo)
+    memo[id(node)] = t
+    return t
+
+
+def _least_diagonal(node: _Node, memo: dict[int, tuple[float, str]]) -> tuple[float, str]:
+    best = memo.get(id(node))
+    if best is None:
+        for bit, e in (("0", node.edges[0]), ("1", node.edges[3])):
+            mag, bits = (1.0, "0" * node.var) if e.node is None else _least_diagonal(e.node, memo)
+            if best is None or abs(e.w) * mag < best[0]:
+                best = (abs(e.w) * mag, bit + bits)
+        memo[id(node)] = best
+    return best
 
 
 def node_count(d: Union[VectorDD, MatrixDD]) -> int:
     """Distinct decision nodes reachable from the root, terminal excluded."""
     seen: set[int] = set()
-
-    def walk(node: Optional[_Node]):
-        if node is None or id(node) in seen:
-            return
-        seen.add(id(node))
-        for e in node.edges:
-            walk(e.node)
-
-    walk(d.root.node)
+    stack = [d.root.node]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(e.node for e in node.edges)
     return len(seen)
 
 
@@ -388,31 +426,31 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
     Only the blocks of shared nodes are kept, each until its last use, so the
     peak stays near two result-sized arrays instead of one per level.
     """
-    uses_left = {} if root.node is None else _shared_uses(root.node)
-    memo: dict[_Node, np.ndarray] = {}
-
-    def expand(node: _Node) -> np.ndarray:
-        out = memo.get(node)
-        if out is None:
-            h, w = 2**node.var, cols**node.var
-            out = np.empty((2 * h, cols * w), dtype=complex)
-            for k, e in enumerate(node.edges):
-                r, c = divmod(k, cols)
-                # a terminal edge is a 0-stub (its 0 fills the block) or a level-0 entry
-                out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
-                    e.w if e.node is None else e.w * expand(e.node)
-                )
-        if node in uses_left:
-            uses_left[node] -= 1
-            if uses_left[node]:
-                memo[node] = out
-            else:
-                del memo[node]
-        return out
-
     if root.node is None:  # the zero DD, or a scalar when n == 0
         return np.full((2**n, cols**n), root.w if n == 0 else 0j)
-    return root.w * expand(root.node)
+    return root.w * _expand_node(root.node, cols, {}, _shared_uses(root.node))
+
+
+def _expand_node(
+    node: _Node, cols: int, memo: dict[_Node, np.ndarray], uses_left: dict[_Node, int]
+) -> np.ndarray:
+    out = memo.get(node)
+    if out is None:
+        h, w = 2**node.var, cols**node.var
+        out = np.empty((2 * h, cols * w), dtype=complex)
+        for k, e in enumerate(node.edges):
+            r, c = divmod(k, cols)
+            # a terminal edge is a 0-stub (its 0 fills the block) or a level-0 entry
+            out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
+                e.w if e.node is None else e.w * _expand_node(e.node, cols, memo, uses_left)
+            )
+    if node in uses_left:
+        uses_left[node] -= 1
+        if uses_left[node]:
+            memo[node] = out
+        else:
+            del memo[node]
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 import gc
 import math
 import random
+import struct
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
 from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit
+from qcdesk.ir import PARAMETRIC_KINDS, Angle, Circuit, Gate, GateKind, adjoint_circuit, gate_arity
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -373,6 +376,88 @@ class TestArithmetic:
             )
 
 
+@st.composite
+def circuits_on(draw, n, max_gates=25):
+    """Circuits on n qubits over every gate kind that fits, angles with odd denominators too."""
+    kinds = [k for k in GateKind if gate_arity(k) <= n]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
+        qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
+        angle = None
+        if kind in PARAMETRIC_KINDS:
+            angle = Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])))
+        gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, tuple(gates))
+
+
+def weight_bits(w: complex) -> bytes:
+    return struct.pack("<dd", w.real, w.imag)
+
+
+class TestFastPaths:
+    """The identity cut-off and the 0-stub skip in `_mult` are exact."""
+
+    def test_identity_cut_off_stops_the_walk(self):
+        # x on the top qubit: below it the gate DD is the identity chain, so
+        # the product stops one level down instead of walking 24 levels
+        n = 24
+        backend = dd.DDBackend()
+        v = backend.zero_state_dd(n)
+        m = backend.gate_to_mdd(Gate(GateKind.X, (n - 1,)), n)
+        with mock.patch.object(backend, "_mult", wraps=backend._mult) as spy:
+            out = backend.mult_mv(m, v)
+        assert spy.call_count < 10
+        assert backend.get_amplitude(out, "1" + "0" * (n - 1)) == 1
+        assert backend.get_amplitude(out, "0" * n) == 0
+
+    def test_identity_laws_match_the_walk_bit_for_bit(self):
+        # I @ m is m's node; its weight is m's times m's lead, which is what
+        # the full walk returns (and m's own weight when the lead is 1)
+        rng = random.Random(97)
+        leads_not_one = 0  # w / w is not always exactly 1: a few percent of these
+        for _ in range(150):
+            n = rng.randrange(1, 7)
+            backend = dd.DDBackend()
+            m = backend.circuit_mdd(random_circuit(rng, n, 30))
+            v = backend.simulate(random_circuit(rng, n, 30))
+            ident = backend.identity_mdd(n)
+            products = [
+                lambda: backend.mult_mm(ident, m),
+                lambda: backend.mult_mm(m, ident),
+                lambda: backend.mult_mv(ident, v),
+            ]
+            fast = [product() for product in products]
+            backend.clear_memo()
+            with mock.patch.object(backend, "_identity", backend._identity[:1]):  # no cut-off
+                walked = [product() for product in products]
+            for want, got, slow in zip((m, m, v), fast, walked):
+                assert got.root.node is want.root.node
+                assert slow.root.node is want.root.node
+                assert weight_bits(got.root.w) == weight_bits(slow.root.w)
+                if want.root.node.lead == 1:
+                    assert got.root.w == want.root.w
+                else:
+                    leads_not_one += 1
+        assert leads_not_one > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_simulate_and_composed_mdd_match_dense(self, data):
+        n = data.draw(st.integers(1, 6))
+        c1, c2 = data.draw(circuits_on(n)), data.draw(circuits_on(n))
+        backend = dd.DDBackend()
+        np.testing.assert_allclose(
+            backend.dd_to_vector(backend.simulate(c1)).amps,
+            dense.simulate(c1).amps,
+            rtol=0,
+            atol=1e-9,
+        )
+        expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
+        np.testing.assert_allclose(
+            backend.mdd_to_matrix(backend.composed_mdd(c1, c2)), expected, rtol=0, atol=1e-9
+        )
+
+
 class TestSimulateDD:
     def test_bell(self):
         backend = dd.DDBackend()
@@ -530,6 +615,30 @@ class TestLifetime:
             backend.mdd_to_matrix(u)
             del backend, v, u
             assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, c2: dd.state(c),
+            lambda c, c2: dd.stats(c),
+            lambda c, c2: dd.equivalent_dd(c, c),
+            lambda c, c2: dd.equivalent_dd(c, c2),
+        ],
+        ids=["state", "stats", "equivalent_dd-same", "equivalent_dd-differ"],
+    )
+    def test_calls_leave_no_cyclic_garbage(self, call):
+        # a walk written as a closure that calls itself leaves a cycle through
+        # its memo behind on every call
+        rng = random.Random(89)
+        c, c2 = random_circuit(rng, 3, 15), random_circuit(rng, 3, 15)
+        assert not dd.equivalent_dd(c, c2).equivalent  # takes the witness walk
+        gc.collect()
+        gc.disable()
+        try:
+            call(c, c2)
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
