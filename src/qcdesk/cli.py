@@ -97,7 +97,7 @@ def _cmd_amplitude(args) -> int:
         print(f"error: bad basis state {bits!r}", file=sys.stderr)
         return EXIT_USAGE
     a = verify.AMPLITUDE[BackendId(args.backend)](c, bits)
-    print(f"{bits} {a.real:.17g} {a.imag:.17g}")
+    print(f"{bits} {a.real + 0.0:.17g} {a.imag + 0.0:.17g}")  # zeros print as 0, never -0
     return EXIT_OK
 
 

@@ -8,6 +8,11 @@ are shared through a unique table and common factors live on edge weights.
 Diagrams here are quasi-reduced: every nonzero edge below level v points to a
 node at exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 
+Simulation applies each gate to the state DD directly (`DDBackend.apply_gate`):
+one walk rebuilds the nodes above the gate's qubits and splits the gate matrix
+into 2 x 2 blocks at each gate qubit, so no gate DD is built. The multiply
+serves matrix products and equivalence checking.
+
 Equivalence checking builds the composed matrix U2^dagger U1 from the middle
 outward, alternating gates of the two circuits from their last gates, so a
 pair that agrees keeps the product near the identity while it is built
@@ -85,12 +90,44 @@ def _is_zero(w: complex) -> bool:
     return abs(w.real) < _ZERO_BELOW and abs(w.imag) < _ZERO_BELOW
 
 
-def _local_index(sel: tuple) -> int:
-    """Row or column of a gate matrix from one bit per gate qubit, first most significant."""
-    idx = 0
-    for bit in sel:
-        idx = (idx << 1) | bit
-    return idx
+class _Block(NamedTuple):
+    """A block of a gate matrix over the gate qubits at or below `var`.
+
+    var >= 0: the four quarters over qubit var, row-major, each a `_Block`
+    over the next lower gate qubit or None for a zero block. var == -1: the
+    1 x 1 block w.
+    """
+
+    var: int
+    w: complex
+    quarters: tuple
+
+
+_IDENTITY_BLOCK = _Block(-1, 1 + 0j, ())  # the identity block of any size
+
+
+def _split_block(rows: list, qubits: tuple, order: list[int], r0: int, c0: int) -> Optional[_Block]:
+    """The block tree of the gate matrix `rows` over the positions in `order`,
+    at row and column bits r0 and c0 for the positions already split; None
+    if the block is zero."""
+    if not order:
+        w = rows[r0][c0]
+        if _is_zero(w):
+            return None
+        return _IDENTITY_BLOCK if w == 1 else _Block(-1, w, ())
+    bit = 1 << (len(qubits) - 1 - order[0])
+    rest = order[1:]
+    q = (
+        _split_block(rows, qubits, rest, r0, c0),
+        _split_block(rows, qubits, rest, r0, c0 | bit),
+        _split_block(rows, qubits, rest, r0 | bit, c0),
+        _split_block(rows, qubits, rest, r0 | bit, c0 | bit),
+    )
+    if q[0] is _IDENTITY_BLOCK and q[3] is _IDENTITY_BLOCK and q[1] is None and q[2] is None:
+        return _IDENTITY_BLOCK
+    if q == (None,) * 4:
+        return None
+    return _Block(qubits[order[0]], 0j, q)
 
 
 class DDBackend:
@@ -99,8 +136,9 @@ class DDBackend:
     The unique table keeps every node it ever made alive for the backend's
     lifetime, so an id(node) never names two nodes. That is why the compute
     tables, keyed by id(node), may outlive one product: `mult_mm` keeps them
-    across gates. `mult_mv` still clears them per gate, which keeps the peak
-    memory of long simulations down. Gate DDs are cached per (gate, width).
+    across gates. `apply_gate` and `mult_mv` clear them per gate, which keeps
+    the peak memory of long simulations down. Gate DDs are cached per
+    (gate, width) and their block trees per gate.
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -111,7 +149,9 @@ class DDBackend:
         self._unique: dict = {}
         self._memo_mult: dict = {}
         self._memo_add: dict = {}
+        self._memo_apply: dict = {}
         self._gates: dict[tuple[Gate, int], MatrixDD] = {}
+        self._blocks: dict[Gate, _Block] = {}
         self._identity: list[DDEdge] = [DDEdge(1.0 + 0j, None)]  # by qubit count
 
     # ---- node construction -------------------------------------------------
@@ -149,6 +189,7 @@ class DDBackend:
     def clear_memo(self):
         self._memo_mult.clear()
         self._memo_add.clear()
+        self._memo_apply.clear()
 
     # ---- vector DDs --------------------------------------------------------
 
@@ -198,31 +239,28 @@ class DDBackend:
             return cached
         if any(q >= n for q in g.qubits):
             raise ValueError("gate qubit outside register")
-        k = len(g.qubits)
-        root = self._gate_edge(gate_matrix(g), g.qubits, n - 1, (0,) * k, (0,) * k)
-        out = self._gates[g, n] = MatrixDD(n, root)
+        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(self._gate_blocks(g), n - 1))
         return out
 
-    def _gate_edge(self, mat: np.ndarray, gq: tuple, level: int, rsel: tuple, csel: tuple) -> DDEdge:
-        """Edge to a gate DD's block at `level`; rsel/csel hold the row/column
-        bit chosen at each gate qubit gq[p] above it (first listed qubit = most
-        significant local bit). Every call has its own (rsel, csel), so none
-        repeats another."""
-        if level < min(gq):  # every gate qubit is fixed: an entry times the identity
-            w = mat[_local_index(rsel), _local_index(csel)]
-            if _is_zero(w):
-                return ZERO_EDGE
-            return DDEdge(complex(w), self._identity_edge(level + 1).node)
-        if level in gq:
-            p = gq.index(level)
-            quarters = []
-            for r in (0, 1):
-                for c in (0, 1):
-                    rs = rsel[:p] + (r,) + rsel[p + 1 :]
-                    cs = csel[:p] + (c,) + csel[p + 1 :]
-                    quarters.append(self._gate_edge(mat, gq, level - 1, rs, cs))
-            return self._make_node(level, quarters)
-        sub = self._gate_edge(mat, gq, level - 1, rsel, csel)
+    def _gate_blocks(self, g: Gate) -> _Block:
+        """g's block tree, split at its qubits from the highest down."""
+        blocks = self._blocks.get(g)
+        if blocks is None:
+            # positions in g.qubits, highest qubit first; the first listed is the top bit of a row
+            order = sorted(range(len(g.qubits)), key=lambda p: -g.qubits[p])
+            blocks = self._blocks[g] = _split_block(gate_matrix(g).tolist(), g.qubits, order, 0, 0)
+        return blocks
+
+    def _gate_edge(self, b: Optional[_Block], level: int) -> DDEdge:
+        """Edge to the matrix DD of block b, times the identity on the other
+        qubits, at `level`."""
+        if b is None:
+            return ZERO_EDGE
+        if b.var < 0:
+            return DDEdge(b.w, self._identity_edge(level + 1).node)
+        if level == b.var:
+            return self._make_node(level, [self._gate_edge(q, level - 1) for q in b.quarters])
+        sub = self._gate_edge(b, level - 1)
         return self._make_node(level, [sub, ZERO_EDGE, ZERO_EDGE, sub])
 
     def _identity_edge(self, n: int) -> DDEdge:
@@ -255,12 +293,17 @@ class DDBackend:
         cached = self._memo_add.get(key)
         if cached is not None:
             return cached
-        sums = [
-            self.add(
-                DDEdge(a.w * ea.w, ea.node), DDEdge(b.w * eb.w, eb.node), level - 1
-            )
-            for ea, eb in zip(a.node.edges, b.node.edges)
-        ]
+        sums = []
+        for ea, eb in zip(a.node.edges, b.node.edges):
+            # a 0-stub operand: the call would return the other one as is
+            if ea is ZERO_EDGE:
+                sums.append(DDEdge(b.w * eb.w, eb.node))
+            elif eb is ZERO_EDGE:
+                sums.append(DDEdge(a.w * ea.w, ea.node))
+            else:
+                sums.append(
+                    self.add(DDEdge(a.w * ea.w, ea.node), DDEdge(b.w * eb.w, eb.node), level - 1)
+                )
         out = self._make_node(level, sums)
         self._memo_add[key] = out
         return out
@@ -308,6 +351,61 @@ class DDBackend:
             self._memo_mult[key] = cached
         return DDEdge(a.w * b.w * cached.w, cached.node)
 
+    def apply_gate(self, g: Gate, v: VectorDD) -> VectorDD:
+        """g applied to v by one walk over v's nodes, without a gate DD.
+
+        Equals `mult_mv(gate_to_mdd(g, v.n), v)` up to rounding, with the same
+        nodes. The walk's table is cleared per gate, as `mult_mv`'s are.
+        """
+        if any(q >= v.n for q in g.qubits):
+            raise ValueError("gate qubit outside register")
+        if _is_zero(v.root.w):
+            return VectorDD(v.n, ZERO_EDGE)
+        self.clear_memo()
+        return VectorDD(v.n, self._apply(self._gate_blocks(g), v.root, v.n - 1))
+
+    def _apply(self, b: _Block, e: DDEdge, level: int) -> DDEdge:
+        """Block b, times the identity on the other qubits, applied to the
+        nonzero edge e of a vector DD at `level`.
+
+        Above b's qubit each node is rebuilt from its transformed successors;
+        at it, each half of the result sums the quarters' products with the
+        two successors. An identity block returns e as it is, a 1 x 1 block
+        scales its weight, and a zero block or 0-stub adds nothing.
+        """
+        if b is _IDENTITY_BLOCK:
+            return e
+        if b.var < 0:
+            return DDEdge(e.w * b.w, e.node)
+        node = e.node
+        key = (id(node), id(b))
+        cached = self._memo_apply.get(key)
+        if cached is None:
+            e0, e1 = node.edges
+            if level > b.var:
+                halves = [
+                    e0 if e0 is ZERO_EDGE else self._apply(b, e0, level - 1),
+                    e1 if e1 is ZERO_EDGE else self._apply(b, e1, level - 1),
+                ]
+            else:
+                halves = []
+                q = b.quarters
+                for r in (0, 2):
+                    p0 = p1 = ZERO_EDGE
+                    if q[r] is not None and e0 is not ZERO_EDGE:
+                        p0 = self._apply(q[r], e0, level - 1)
+                    if q[r + 1] is not None and e1 is not ZERO_EDGE:
+                        p1 = self._apply(q[r + 1], e1, level - 1)
+                    if p0 is ZERO_EDGE or p1 is ZERO_EDGE:
+                        halves.append(p1 if p0 is ZERO_EDGE else p0)
+                    else:
+                        halves.append(self.add(p0, p1, level - 1))
+            cached = self._make_node(level, halves)
+            self._memo_apply[key] = cached
+        if cached is ZERO_EDGE:  # e.g. |0><0| on a control qubit, where e's control is 1
+            return ZERO_EDGE
+        return DDEdge(e.w * cached.w, cached.node)
+
     def mult_mv(self, m: MatrixDD, v: VectorDD) -> VectorDD:
         if m.n != v.n:
             raise WidthMismatchError("matrix and vector widths differ")
@@ -325,8 +423,7 @@ class DDBackend:
     def simulate(self, c: Circuit) -> VectorDD:
         v = self.zero_state_dd(c.num_qubits)
         for g in c.gates:
-            m = self.gate_to_mdd(g, c.num_qubits)
-            v = self.mult_mv(m, v)
+            v = self.apply_gate(g, v)
         return v
 
     def composed_mdd(self, c1: Circuit, c2: Circuit) -> MatrixDD:
@@ -502,4 +599,4 @@ def amplitude(c: Circuit, bits: str) -> complex:
 def stats(c: Circuit) -> str:
     d = DDBackend().simulate(c)
     w = d.root.w
-    return f"nodes={node_count(d)} root_weight={w.real:.17g},{w.imag:.17g}"
+    return f"nodes={node_count(d)} root_weight={w.real + 0.0:.17g},{w.imag + 0.0:.17g}"

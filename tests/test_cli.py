@@ -95,6 +95,13 @@ class TestAmplitude:
         assert float(re) == pytest.approx(INV_SQRT2, abs=1e-10)
         assert float(im) == pytest.approx(0, abs=1e-10)
 
+    @pytest.mark.parametrize("backend", ["dense", "dd", "tn"])
+    def test_zero_prints_unsigned(self, tmp_path, capsys, backend):
+        # z on |0> leaves a -0.0 at basis 1 in the dense kernel
+        path = write(tmp_path, "z.qcf", "qubits 1\nz 0\n")
+        assert cli.run(["amplitude", "--backend", backend, "--basis", "1", path]) == 0
+        assert capsys.readouterr().out == "1 0 0\n"
+
     def test_bad_basis_is_usage_error(self, bell_file, capsys):
         assert cli.run(["amplitude", "--backend", "dense", "--basis", "2", bell_file]) == 64
 
@@ -165,6 +172,16 @@ class TestStats:
 
     def test_dense_rejected(self, bell_file, capsys):
         assert cli.run(["stats", "--backend", "dense", bell_file]) == 64
+
+    @pytest.mark.parametrize("backend", ["dd", "tn", "zx"])
+    def test_zero_prints_unsigned(self, tmp_path, capsys, backend):
+        # y|0> = i|1>: the dd root weight is i, whose real part comes out -0.0
+        path = write(tmp_path, "y.qcf", "qubits 1\ny 0\n")
+        assert cli.run(["stats", "--backend", backend, path]) == 0
+        out = capsys.readouterr().out
+        assert "-0" not in out.replace("=", " ").replace(",", " ").split(), out
+        if backend == "dd":
+            assert out == "nodes=1 root_weight=0,1\n"
 
 
 class TestErrorPaths:

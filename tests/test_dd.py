@@ -376,6 +376,13 @@ class TestArithmetic:
             )
 
 
+def draw_angle(draw, kind: GateKind):
+    """An angle for rx/rz (odd denominators and 0 too), None for the rest."""
+    if kind not in PARAMETRIC_KINDS:
+        return None
+    return Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])))
+
+
 @st.composite
 def circuits_on(draw, n, max_gates=25):
     """Circuits on n qubits over every gate kind that fits, angles with odd denominators too."""
@@ -383,10 +390,7 @@ def circuits_on(draw, n, max_gates=25):
     gates = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
         qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
-        angle = None
-        if kind in PARAMETRIC_KINDS:
-            angle = Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])))
-        gates.append(Gate(kind, qubits, angle))
+        gates.append(Gate(kind, qubits, draw_angle(draw, kind)))
     return Circuit(n, tuple(gates))
 
 
@@ -647,3 +651,67 @@ class TestStats:
     def test_format(self):
         out = dd.stats(bell_circuit())
         assert out.startswith("nodes=3 root_weight=0.70710678118654")
+
+
+class TestApplyGate:
+    """`apply_gate` walks the state DD; the gate DD product is its reference."""
+
+    @staticmethod
+    def assert_matches_product(n: int, g: Gate, prefix: Circuit):
+        backend = dd.DDBackend()
+        v = backend.simulate(prefix)
+        got = backend.apply_gate(g, v)
+        want = backend.mult_mv(backend.gate_to_mdd(g, n), v)
+        assert dd.node_count(got) == dd.node_count(want)
+        np.testing.assert_allclose(
+            backend.dd_to_vector(got).amps, backend.dd_to_vector(want).amps, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("kind", [k for k in GateKind if gate_arity(k) == 1], ids=lambda k: k.value)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_qubit_gates_match_the_product(self, kind, data):
+        n = data.draw(st.integers(1, 6))
+        g = Gate(kind, (data.draw(st.integers(0, n - 1)),), draw_angle(data.draw, kind))
+        self.assert_matches_product(n, g, data.draw(circuits_on(n, max_gates=15)))
+
+    @pytest.mark.parametrize("adjacent", [True, False], ids=["adjacent", "apart"])
+    @pytest.mark.parametrize("first_above", [True, False], ids=["first_above", "first_below"])
+    @pytest.mark.parametrize("kind", [k for k in GateKind if gate_arity(k) == 2], ids=lambda k: k.value)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_two_qubit_gates_match_the_product(self, kind, first_above, adjacent, data):
+        gap = 1 if adjacent else data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(gap + 1, 6))
+        low = data.draw(st.integers(0, n - 1 - gap))
+        qubits = (low + gap, low) if first_above else (low, low + gap)
+        self.assert_matches_product(n, Gate(kind, qubits), data.draw(circuits_on(n, max_gates=15)))
+
+    def test_rejects_a_qubit_outside_the_register(self):
+        backend = dd.DDBackend()
+        with pytest.raises(ValueError):
+            backend.apply_gate(Gate(GateKind.CX, (0, 3)), backend.zero_state_dd(3))
+
+    def test_simulate_builds_no_gate_dds(self):
+        backend = dd.DDBackend()
+        c = random_circuit(random.Random(53), 6, 80)
+        with (
+            mock.patch.object(backend, "gate_to_mdd", wraps=backend.gate_to_mdd) as build,
+            mock.patch.object(backend, "mult_mv", wraps=backend.mult_mv) as product,
+        ):
+            v = backend.simulate(c)
+        assert build.call_count == 0
+        assert product.call_count == 0
+        assert backend._gates == {}
+        np.testing.assert_allclose(backend.dd_to_vector(v).amps, dense.simulate(c).amps, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [0, 11, 23])
+    def test_x_makes_one_node_per_level_from_its_qubit_up(self, q):
+        # the zero state has one node per level; x rebuilds q's and those above
+        n = 24
+        backend = dd.DDBackend()
+        v = backend.simulate(Circuit(n, (Gate(GateKind.X, (q,)),)))
+        assert len(backend._unique) <= n + (n - q)
+        bits = ["0"] * n
+        bits[n - 1 - q] = "1"
+        assert backend.get_amplitude(v, "".join(bits)) == 1
