@@ -40,19 +40,11 @@ MAX_EQUIV_QUBITS = 12
 
 
 class _Node:
-    __slots__ = ("var", "edges", "lead")
+    __slots__ = ("var", "edges")
 
     def __init__(self, var: int, edges: tuple):
         self.var = var
         self.edges = edges  # 2 x cols DDEdges, row-major: cols 1 (vector) or 2 (matrix)
-        # The weight product down the first nonzero edges, 1 up to rounding
-        # (w / w need not be exactly 1). A full walk of identity @ node
-        # renormalizes by it, so `_mult`'s identity cut-off multiplies it in
-        # to return what the walk would, bit for bit. The walk's unit factor
-        # comes first, as it can turn a -0.0 part into 0.0.
-        first = next(e for e in edges if e is not ZERO_EDGE)
-        lead = (1 + 0j) * first.w
-        self.lead = lead if first.node is None else lead * first.node.lead
 
 
 class DDEdge(NamedTuple):
@@ -160,9 +152,10 @@ class DDBackend:
         """Normalize successors and hash-cons; returns the incoming edge.
 
         One pass zeroes each edge `_is_zero` accepts, divides the rest by the
-        first nonzero weight and builds the grid key. Equal keys give the same
-        node, so the identity chain's node at a level is the only node of
-        identity shape there, which `_mult` relies on.
+        first nonzero weight (which it stores as exactly 1, so a walk of
+        identity @ m returns m's node with m's weight) and builds the grid
+        key. Equal keys give the same node, so the identity chain's node at a
+        level is the only node of identity shape there, which `_mult` relies on.
         """
         norm = None
         scaled = []
@@ -174,7 +167,9 @@ class DDBackend:
                 continue
             if norm is None:
                 norm = e.w
-            e = DDEdge(e.w / norm, e.node)
+                e = DDEdge(1 + 0j, e.node)
+            else:
+                e = DDEdge(e.w / norm, e.node)
             scaled.append(e)
             key.append((_key_weight(e.w), id(e.node)))
         if norm is None:
@@ -313,10 +308,11 @@ class DDBackend:
 
         A factor whose node is the identity chain's node at this level is the
         identity below it (hash-consing makes that node the only one of its
-        shape), so the product is the other factor's node without a walk; its
-        weight takes the node's `lead`, as a walk would. A 0-stub factor or
-        partial product is skipped rather than multiplied or added:
-        `_make_node` zeroes whatever `_is_zero` accepts either way.
+        shape), so the product is the other factor's node without a walk. A
+        0-stub factor or partial product is skipped rather than multiplied or
+        added, and a zero product is returned as `ZERO_EDGE` itself, so the
+        callers' skips see it: `_make_node` zeroes whatever `_is_zero` accepts
+        either way.
         """
         if _is_zero(a.w) or _is_zero(b.w):
             return ZERO_EDGE
@@ -325,9 +321,9 @@ class DDBackend:
         if level + 1 < len(self._identity):
             ident = self._identity[level + 1].node
             if a.node is ident:
-                return DDEdge(a.w * b.w * b.node.lead, b.node)
+                return DDEdge(a.w * b.w, b.node)
             if b.node is ident:
-                return DDEdge(a.w * b.w * a.node.lead, a.node)
+                return DDEdge(a.w * b.w, a.node)
         key = (id(a.node), id(b.node))
         cached = self._memo_mult.get(key)
         if cached is None:
@@ -349,6 +345,8 @@ class DDBackend:
                         blocks.append(self.add(p0, p1, level - 1))
             cached = self._make_node(level, blocks)
             self._memo_mult[key] = cached
+        if cached is ZERO_EDGE:
+            return ZERO_EDGE
         return DDEdge(a.w * b.w * cached.w, cached.node)
 
     def apply_gate(self, g: Gate, v: VectorDD) -> VectorDD:
@@ -475,6 +473,17 @@ def _trace(node: Optional[_Node], memo: dict[int, complex]) -> complex:
     return t
 
 
+def _max_magnitude(node: Optional[_Node], memo: dict[int, float]) -> float:
+    """Largest |entry| of the block an edge of weight 1 into node stands for."""
+    if node is None:
+        return 1.0
+    best = memo.get(id(node))
+    if best is None:
+        best = max(abs(e.w) * _max_magnitude(e.node, memo) for e in node.edges)
+        memo[id(node)] = best
+    return best
+
+
 def _least_diagonal(node: _Node, memo: dict[int, tuple[float, str]]) -> tuple[float, str]:
     best = memo.get(id(node))
     if best is None:
@@ -562,11 +571,12 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
 
     U is built alternately from both circuits' last gates (`composed_mdd`), so
     it stays near the identity while it is built when the circuits agree.
-    For a unitary U of dimension 2^n, |tr U| = 2^n exactly when U is a unit
-    scalar times the identity; the composed DD is unitary by construction,
-    so the trace test decides identity-up-to-phase without full expansion.
-    When it fails, the witness is the input j with the smallest |U[j, j]|:
-    that is the overlap of the two circuits' outputs on |j>.
+    The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
+    is 0), the circuits are equivalent, with phase conj(t), exactly when
+    every entry of U - t I is at most `tolerance` in magnitude. That
+    difference is one DD `add` and its largest entry one memoized walk, so U
+    is never expanded. Otherwise the witness is the input j with the
+    smallest |U[j, j]|: that is the overlap of the two circuits' outputs on |j>.
     """
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
@@ -576,10 +586,11 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     backend = DDBackend()
     u = backend.composed_mdd(c1, c2)
     tr = backend.trace(u)
-    dim = 2**n
-    if abs(abs(tr) / dim - 1.0) <= tolerance:
-        # U2 = phase * U1 makes tr U = conj(phase) * 2^n
-        return DDEquivalence(True, tr.conjugate() / abs(tr))
+    t = tr / abs(tr) if tr else 1 + 0j
+    diff = backend.add(u.root, DDEdge(-t, backend.identity_mdd(n).root.node), n - 1)
+    if abs(diff.w) * _max_magnitude(diff.node, {}) <= tolerance:
+        # U2 = phase * U1 makes U = conj(phase) I
+        return DDEquivalence(True, t.conjugate())
     return DDEquivalence(False, witness=backend.least_diagonal(u))
 
 

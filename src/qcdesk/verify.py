@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dd, dense, tn, zx
-from .ir import Circuit, index_bits
+from .ir import Circuit, adjoint_circuit, index_bits
 
 MAX_CROSS_CHECK_QUBITS = 12
 DEFAULT_TOLERANCE = 1e-9
@@ -31,8 +31,8 @@ class EquivalenceStatus(Enum):
 class EquivalenceVerdict:
     status: EquivalenceStatus
     method: BackendId
-    # basis input showing a difference: the one whose two outputs overlap
-    # least (dd reads it off the composed DD, dense off the two unitaries)
+    # basis input j of least |U_jj| for U = U2^dagger U1: the one whose two
+    # outputs overlap least (dd reads it off the composed DD, dense off U)
     witness: str | None = None
     phase: complex | None = None
     fallback_used: bool = False
@@ -76,35 +76,18 @@ def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
 def _dense_equivalence(
     c1: Circuit, c2: Circuit, tolerance: float
 ) -> EquivalenceVerdict:
-    u1 = dense.circuit_unitary(c1)
-    u2 = dense.circuit_unitary(c2)
-    # output overlap |<U1 e_j|U2 e_j>| per input j, conjugating u1 in place and back
-    np.conjugate(u1, out=u1)
-    overlap = np.abs(np.einsum("ij,ij->j", u1, u2))
-    np.conjugate(u1, out=u1)
-    k = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
-    phase = u2[k] / u1[k]
-    if abs(phase) > 0:
-        phase = phase / abs(phase)
-    else:
-        phase = 1.0 + 0j
-    # align in place: no 2^n x 2^n temporaries beyond diff
-    u1 *= phase
-    u2 -= u1
-    diff = np.abs(u2)
-    if float(diff.max()) <= tolerance:
-        return EquivalenceVerdict(
-            EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=complex(phase)
-        )
-    # an input of least overlap differs beyond any phase; if every input overlaps
-    # fully (relative phases only), the one that differs most after alignment
-    score = overlap if overlap.min() < 1 - tolerance else -diff.max(axis=0)
-    witness = index_bits(int(np.argmin(score)), c1.num_qubits)
+    # U = U2^dagger U1, the composition zx.equivalent_zx rewrites
+    u = dense.circuit_unitary(Circuit(c1.num_qubits, c1.gates + adjoint_circuit(c2).gates))
+    tr = complex(np.trace(u))
+    t = tr / abs(tr) if tr else 1 + 0j
+    overlap = np.abs(np.diagonal(u))  # |<U2 e_j|U1 e_j>| per input j
+    u.flat[:: len(u) + 1] -= t  # U - t I in place: no second 2^n x 2^n array
+    phase = t.conjugate()  # U2 = p U1 makes U = conj(p) I
+    if float(np.abs(u).max()) <= tolerance:
+        return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=phase)
+    witness = index_bits(int(np.argmin(overlap)), c1.num_qubits)
     return EquivalenceVerdict(
-        EquivalenceStatus.NOT_EQUIVALENT,
-        BackendId.DENSE,
-        witness=witness,
-        phase=complex(phase),
+        EquivalenceStatus.NOT_EQUIVALENT, BackendId.DENSE, witness=witness, phase=phase
     )
 
 

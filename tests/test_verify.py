@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import CapacityError, WidthMismatchError
 from qcdesk import cli, dense, verify
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate, index_bits, render_circuit
+from qcdesk.ir import (
+    Angle,
+    Circuit,
+    Gate,
+    GateKind,
+    adjoint_circuit,
+    adjoint_gate,
+    index_bits,
+    parse_circuit,
+    render_circuit,
+)
 from qcdesk.verify import BackendId, EquivalenceStatus
 
 
@@ -161,6 +172,69 @@ class TestDenseEquivalence:
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
             verify.check_equivalence(Circuit(1), Circuit(2), BackendId.DENSE)
+
+    def test_decides_on_one_composed_unitary(self, monkeypatch):
+        # one circuit_unitary call, on c1's gates followed by c2's inverse
+        calls = []
+        real = dense.circuit_unitary
+        monkeypatch.setattr(dense, "circuit_unitary", lambda c: calls.append(c) or real(c))
+        c1 = ghz_circuit(3)
+        c2 = Circuit(3, c1.gates + (Gate(GateKind.X, (1,)),))
+        v = verify.check_equivalence(c1, c2, BackendId.DENSE)
+        assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+        assert [c.gates for c in calls] == [c1.gates + adjoint_circuit(c2).gates]
+
+    def test_peak_memory_is_near_one_unitary(self):
+        # U2^dagger U1 is the only 2^n x 2^n complex array; the rest is a
+        # real |U - t I| and the kernel's scratch
+        n = 10
+        rng = random.Random(41)
+        c1 = random_circuit(rng, n, 60)
+        for c2 in (c1, random_circuit(rng, n, 60)):
+            tracemalloc.start()
+            try:
+                verify._dense_equivalence(c1, c2, verify.DEFAULT_TOLERANCE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * 16 * 4**n
+
+
+class TestOneVerdictRule:
+    """dense, dd and zx decide with one rule on U = U2^dagger U1: equivalent
+    iff max |U - t I| <= tolerance, where t = tr U / |tr U|."""
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_methods_agree_on_small_rotations(self, n, k):
+        # U is rz(-pi/2^k) on the top qubit (rx for n = 1), so max |U - t I|
+        # is about pi/2^(k+1): above the 1e-9 tolerance up to k = 30
+        h = Gate(GateKind.H, (0,))
+        c1 = Circuit(n, (h,))
+        c2 = Circuit(n, (h, Gate(GateKind.RZ, (n - 1,), Angle(1, 2**k))))
+        want = EquivalenceStatus.NOT_EQUIVALENT if k <= 30 else EquivalenceStatus.EQUIVALENT
+        for method in (BackendId.DENSE, BackendId.DD, BackendId.ZX):
+            assert verify.check_equivalence(c1, c2, method).status == want, method
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: with first-nonzero normalization an edge weight can be "
+        "far below the entries of its block, and _make_node drops it as zero",
+    )
+    def test_dd_keeps_a_block_with_a_small_first_entry(self):
+        # max |U - t I| is 2.9e-9; while composing, an off-diagonal block of
+        # entries near 4e-9 gets an edge weight near 1e-17 (first entry times
+        # the small factors above it) over node weights near 3e8, and the
+        # zero test on edge weights drops the block
+        text = (
+            "qubits 2\nsdg 0\nh 0\nswap 0 1\ntdg 1\nh 0\ncx 0 1\n{}"
+            "rz 0 0\nrx 1/2 1\nx 1\nsdg 0\nz 1\nrz 1 0\nrx 4/3 0\n"
+        )
+        c1 = parse_circuit(text.format(""))
+        c2 = parse_circuit(text.format("rz 1/536870912 1\n"))
+        want = EquivalenceStatus.NOT_EQUIVALENT
+        assert verify.check_equivalence(c1, c2, BackendId.DENSE).status == want
+        assert verify.check_equivalence(c1, c2, BackendId.DD).status == want
 
 
 class TestDdEquivalence:
