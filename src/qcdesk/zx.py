@@ -1,7 +1,9 @@
 """ZX-calculus backend: diagrams, sound rewriting, graph-like form, semantics.
 
-Diagrams are unnormalized; every rewrite preserves the tensor semantics only up
-to a nonzero scalar, and all comparisons downstream are made up to scalar.
+Colour is handled once: `to_graph_like` turns every X spider into a Z spider,
+and the four rewrite rules take only such graph-like diagrams. Diagrams are
+unnormalized; every rewrite preserves the tensor semantics only up to a
+nonzero scalar, and all comparisons downstream are made up to scalar.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import tn
-from .ir import Angle, Circuit, GateKind, adjoint_circuit
+from .ir import Angle, Circuit, GateKind, adjoint_circuit, check_basis
 
 PLAIN = "plain"
 HADAMARD = "hadamard"
@@ -24,8 +26,6 @@ MAX_TENSOR_BOUNDARIES = 12
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2.0)
 
 _PI = Angle(1)
-_HALF_PI = Angle(1, 2)
-_NEG_HALF_PI = Angle(-1, 2)
 
 
 class SpiderColor(Enum):
@@ -35,7 +35,6 @@ class SpiderColor(Enum):
 
 class RewriteRule(Enum):
     FUSION = "fusion"
-    COLOR_CHANGE = "color_change"
     IDENTITY_REMOVAL = "identity_removal"
     HADAMARD_CANCEL = "hadamard_cancel"
     SELF_LOOP_REMOVAL = "self_loop_removal"
@@ -145,6 +144,23 @@ def _toggle(kind: str) -> str:
     return HADAMARD if kind == PLAIN else PLAIN
 
 
+# fixed-phase one-qubit gates: their spiders, input side first
+_GADGETS = {
+    GateKind.Z: ((SpiderColor.Z, _PI),),
+    GateKind.X: ((SpiderColor.X, _PI),),
+    GateKind.S: ((SpiderColor.Z, Angle(1, 2)),),
+    GateKind.SDG: ((SpiderColor.Z, Angle(-1, 2)),),
+    GateKind.T: ((SpiderColor.Z, Angle(1, 4)),),
+    GateKind.TDG: ((SpiderColor.Z, Angle(-1, 4)),),
+    # Y = S X Sdg, a palindromic gadget so Y meets its mirror cleanly
+    GateKind.Y: (
+        (SpiderColor.Z, Angle(-1, 2)),
+        (SpiderColor.X, _PI),
+        (SpiderColor.Z, Angle(1, 2)),
+    ),
+}
+
+
 def circuit_to_zx(c: Circuit) -> ZXDiagram:
     """Per-gate spider gadgets; H gates become hadamard tags on the wire.
 
@@ -170,27 +186,13 @@ def circuit_to_zx(c: Circuit) -> ZXDiagram:
         k = g.kind
         if k == GateKind.H:
             pend[g.qubits[0]] = _toggle(pend[g.qubits[0]])
+        elif k in _GADGETS:
+            for color, phase in _GADGETS[k]:
+                put_spider(g.qubits[0], color, phase)
         elif k == GateKind.RZ:
             put_spider(g.qubits[0], SpiderColor.Z, g.angle)
         elif k == GateKind.RX:
             put_spider(g.qubits[0], SpiderColor.X, g.angle)
-        elif k == GateKind.Z:
-            put_spider(g.qubits[0], SpiderColor.Z, _PI)
-        elif k == GateKind.X:
-            put_spider(g.qubits[0], SpiderColor.X, _PI)
-        elif k == GateKind.S:
-            put_spider(g.qubits[0], SpiderColor.Z, _HALF_PI)
-        elif k == GateKind.SDG:
-            put_spider(g.qubits[0], SpiderColor.Z, _NEG_HALF_PI)
-        elif k == GateKind.T:
-            put_spider(g.qubits[0], SpiderColor.Z, Angle(1, 4))
-        elif k == GateKind.TDG:
-            put_spider(g.qubits[0], SpiderColor.Z, Angle(-1, 4))
-        elif k == GateKind.Y:
-            # Y = S X Sdg, a palindromic gadget so Y meets its mirror cleanly
-            put_spider(g.qubits[0], SpiderColor.Z, _NEG_HALF_PI)
-            put_spider(g.qubits[0], SpiderColor.X, _PI)
-            put_spider(g.qubits[0], SpiderColor.Z, _HALF_PI)
         elif k == GateKind.CX:
             ctrl, tgt = g.qubits
             zc = put_spider(ctrl, SpiderColor.Z, Angle(0))
@@ -215,8 +217,7 @@ def circuit_to_zx(c: Circuit) -> ZXDiagram:
 
 def plug_basis_states(d: ZXDiagram, bits: str) -> ZXDiagram:
     """Replace each input boundary by an X state spider (phase 0 for |0>, pi for |1>)."""
-    if len(bits) != len(d.boundary_in):
-        raise ValueError("basis state length != number of inputs")
+    check_basis(bits, len(d.boundary_in))
     out = d.copy()
     for b, bit in zip(list(out.boundary_in), bits):
         out.color[b] = SpiderColor.X
@@ -226,28 +227,25 @@ def plug_basis_states(d: ZXDiagram, bits: str) -> ZXDiagram:
 
 
 # ---- rewriting -------------------------------------------------------------
-# Each rule rewrites its first match in place and returns the step, or None.
+# The rules take graph-like diagrams, where every spider is Z. Each rewrites
+# its first match in place and returns the step, or None.
 
 
-def _join_through(d: ZXDiagram, v: int, es: list[int], kind: str):
-    """Replace the arity-2 spider v and its two edges by one edge of `kind`."""
-    a = d.other_end(es[0], v)
-    b = d.other_end(es[1], v)
-    d.remove_spider(v)
-    d.add_edge(a, b, kind)
-
-
-def _cancel_hadamard_wire(d: ZXDiagram) -> RewriteStep | None:
-    # degree-2 phase-0 spider between two hadamard edges -> plain wire
+def _remove_identity(d: ZXDiagram) -> RewriteStep | None:
+    # a phase-0 arity-2 spider is a wire; the hadamards on its two edges compose
     for v in d.spiders():
         if not d.phase[v].is_zero():
             continue
         es = d.incident(v)
         if len(es) != 2 or any(d._is_loop(e) for e in es):
             continue
-        if all(d.edge_kind(e) == HADAMARD for e in es):
-            _join_through(d, v, es, PLAIN)
+        kinds = [d.edge_kind(e) for e in es]
+        a, b = (d.other_end(e, v) for e in es)
+        d.remove_spider(v)
+        d.add_edge(a, b, PLAIN if kinds[0] == kinds[1] else HADAMARD)
+        if kinds == [HADAMARD, HADAMARD]:
             return RewriteStep(RewriteRule.HADAMARD_CANCEL, (v,))
+        return RewriteStep(RewriteRule.IDENTITY_REMOVAL, (v,))
     return None
 
 
@@ -260,29 +258,12 @@ def _cancel_parallel_hadamards(d: ZXDiagram) -> RewriteStep | None:
             continue
         if not (d.is_spider(u) and d.is_spider(v)):
             continue
-        if d.color[u] != d.color[v]:
-            continue
         key = (min(u, v), max(u, v))
         if key in seen:
             d.remove_edge(seen[key])
             d.remove_edge(e)
             return RewriteStep(RewriteRule.HADAMARD_CANCEL, key)
         seen[key] = e
-    return None
-
-
-def _remove_identity(d: ZXDiagram) -> RewriteStep | None:
-    for v in d.spiders():
-        if not d.phase[v].is_zero():
-            continue
-        es = d.incident(v)
-        if len(es) != 2 or any(d._is_loop(e) for e in es):
-            continue
-        kinds = [d.edge_kind(e) for e in es]
-        if kinds.count(HADAMARD) == 2:
-            continue  # handled by hadamard cancellation
-        _join_through(d, v, es, PLAIN if kinds[0] == kinds[1] else HADAMARD)
-        return RewriteStep(RewriteRule.IDENTITY_REMOVAL, (v,))
     return None
 
 
@@ -303,7 +284,7 @@ def _fuse(d: ZXDiagram) -> RewriteStep | None:
         u, v, kind = d.edges[e]
         if kind != PLAIN or u == v:
             continue
-        if d.is_spider(u) and d.is_spider(v) and d.color[u] == d.color[v]:
+        if d.is_spider(u) and d.is_spider(v):
             d.remove_edge(e)
             d.phase[u] = d.phase[u] + d.phase[v]
             for ev in d.incident(v):
@@ -316,50 +297,18 @@ def _fuse(d: ZXDiagram) -> RewriteStep | None:
     return None
 
 
-def _change_color(d: ZXDiagram) -> RewriteStep | None:
-    # flip an X spider only when it unlocks a fusion and strictly lowers the
-    # hadamard-edge count, which keeps the rewrite measure decreasing
-    for v in d.spiders():
-        if d.color[v] != SpiderColor.X:
-            continue
-        es = [e for e in d.incident(v) if not d._is_loop(e)]
-        n_h = sum(1 for e in es if d.edge_kind(e) == HADAMARD)
-        n_p = len(es) - n_h
-        if n_h <= n_p:
-            continue
-        enables = any(
-            d.edge_kind(e) == HADAMARD
-            and d.is_spider(d.other_end(e, v))
-            and d.color[d.other_end(e, v)] == SpiderColor.Z
-            for e in es
-        )
-        if enables:
-            _apply_color_flip(d, v)
-            return RewriteStep(RewriteRule.COLOR_CHANGE, (v,))
-    return None
-
-
-def _apply_color_flip(d: ZXDiagram, v: int):
-    d.color[v] = SpiderColor.Z if d.color[v] == SpiderColor.X else SpiderColor.X
-    for e in d.incident(v):
-        u, w, kind = d.edges[e]
-        if u != w:  # self-loops get conjugated on both legs, a no-op
-            d.edges[e] = (u, w, _toggle(kind))
-
-
 # priority order: each pass applies the first rule that matches
-_RULES = (
-    _cancel_hadamard_wire,
-    _cancel_parallel_hadamards,
-    _remove_identity,
-    _remove_self_loop,
-    _fuse,
-    _change_color,
-)
+_RULES = (_remove_identity, _cancel_parallel_hadamards, _remove_self_loop, _fuse)
 
 
 def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
-    """Exhaustive sound rewriting in `_RULES` order; input left untouched."""
+    """Exhaustive sound rewriting of a graph-like diagram in `_RULES` order.
+
+    Raises ValueError on an X spider (`to_graph_like` removes them); the input
+    is left untouched.
+    """
+    if SpiderColor.X in d.color.values():
+        raise ValueError("apply_rewrites needs a graph-like diagram; see to_graph_like")
     g = d.copy()
     steps: list[RewriteStep] = []
     limit = 4 * (g.spider_count() + len(g.edges)) + 16
@@ -372,13 +321,20 @@ def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
 
 
 def to_graph_like(d: ZXDiagram) -> ZXDiagram:
-    """All spiders Z-colored; parallel hadamard edges and self-loops eliminated."""
+    """All spiders Z-colored; parallel hadamard edges and self-loops eliminated.
+
+    The only place colour is handled: an X spider is a Z spider with a
+    hadamard on every leg, so each flip toggles its edges' kinds.
+    """
     g = d.copy()
     for v in g.spiders():
         if g.color[v] == SpiderColor.X:
-            _apply_color_flip(g, v)
-    # the engine's own rules, unrecorded: all spiders are Z now, so every
-    # parallel hadamard pair between spiders matches
+            g.color[v] = SpiderColor.Z
+            for e in g.incident(v):
+                u, w, kind = g.edges[e]
+                if u != w:  # a self-loop gets a hadamard at both ends, a no-op
+                    g.edges[e] = (u, w, _toggle(kind))
+    # the engine's own rules, unrecorded
     while _remove_self_loop(g) or _cancel_parallel_hadamards(g):
         pass
     return g

@@ -124,22 +124,23 @@ def plain_expand(edge: dd.DDEdge, n: int, cols: int) -> np.ndarray:
 
 class TestExpand:
     def test_unshared_state_peaks_near_its_result(self):
-        # random amplitudes share no sub-vector: a full tree of 2^16 - 1 nodes,
-        # whose blocks summed over all levels would be 16 result-sized arrays
+        # random amplitudes share no sub-vector: a full tree of 2^n - 1 nodes,
+        # whose blocks summed over all levels would be n result-sized arrays
+        n = 12
         rng = np.random.default_rng(23)
-        amps = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         backend = dd.DDBackend()
-        v = backend.vector_to_dd(dense.StateVector(16, amps))
-        assert dd.node_count(v) == 65535
+        v = backend.vector_to_dd(dense.StateVector(n, amps))
+        assert dd.node_count(v) == 2**n - 1
         tracemalloc.start()
         try:
             out = backend.dd_to_vector(v).amps
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.nbytes == 2**20
-        assert peak < 4 * 2**20
-        assert np.array_equal(out, plain_expand(v.root, 16, 1).reshape(-1))
+        assert out.nbytes == 16 * 2**n
+        assert peak < 4 * out.nbytes
+        assert np.array_equal(out, plain_expand(v.root, n, 1).reshape(-1))
 
     def test_shared_nodes_in_a_matrix(self):
         # the GHZ unitary reuses its lower nodes along several edges

@@ -3,20 +3,48 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_circuit, random_gate
 from qcdesk.errors import ParseError
 from qcdesk.ir import (
+    PARAMETRIC_KINDS,
+    TWO_QUBIT_KINDS,
     Angle,
     Circuit,
     Gate,
     GateKind,
     adjoint_circuit,
+    gate_arity,
     gate_matrix,
     parse_circuit,
     render_circuit,
 )
 from qcdesk import dense
+
+
+@st.composite
+def spelled_circuits(draw):
+    """(QCF text, the circuit it spells): every gate kind, unreduced angles of
+    any sign, comment and blank lines and indentation mixed in."""
+    n = draw(st.integers(1, 5))
+    kinds = [k for k in GateKind if n >= 2 or k not in TWO_QUBIT_KINDS]
+    filler = st.lists(st.sampled_from(["", "   ", "# note", "  # rx 1/2 0", "#qubits 9"]), max_size=2)
+    lines = draw(filler) + [f"qubits {n}"]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
+        tokens = [kind.value]
+        angle = None
+        if kind in PARAMETRIC_KINDS:
+            num = draw(st.integers(-1000, 1000))
+            den = draw(st.integers(-64, 64).filter(bool))
+            angle = Angle(num, den)
+            tokens.append(str(num) if den == 1 and draw(st.booleans()) else f"{num}/{den}")
+        tokens += map(str, qubits)
+        gates.append(Gate(kind, qubits, angle))
+        lines += draw(filler) + [" " * draw(st.integers(0, 2)) + " ".join(tokens)]
+    return "\n".join(lines) + "\n", Circuit(n, tuple(gates))
 
 
 class TestAngle:
@@ -79,6 +107,15 @@ class TestParse:
         for _ in range(25):
             c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 15))
             assert parse_circuit(render_circuit(c)) == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(spelled=spelled_circuits())
+    def test_round_trip_property(self, spelled):
+        text, c = spelled
+        assert parse_circuit(text) == c
+        rendered = render_circuit(c)
+        assert parse_circuit(rendered) == c
+        assert render_circuit(parse_circuit(rendered)) == rendered
 
 
 class TestGateMatrix:

@@ -3,11 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, random_circuit
 from qcdesk.errors import CapacityError, WidthMismatchError
 from qcdesk import dense, zx
-from qcdesk.ir import Angle, Circuit, Gate, GateKind
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -80,6 +81,11 @@ class TestPlugBasisStates:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             zx.plug_basis_states(zx.circuit_to_zx(bell_circuit()), "0")
+
+    @pytest.mark.parametrize("bits", ["2x", "0x", "1 "])
+    def test_bad_character_rejected(self, bits):
+        with pytest.raises(ValueError, match="character"):
+            zx.plug_basis_states(zx.circuit_to_zx(bell_circuit()), bits)
 
     def test_plugged_bell_tensor(self):
         d = zx.plug_basis_states(zx.circuit_to_zx(bell_circuit()), "00")
@@ -154,10 +160,19 @@ class TestRewrites:
         assert out.phase[w] == Angle(1, 4) + Angle(1)
 
     def test_input_diagram_untouched(self):
-        d = zx.circuit_to_zx(bell_circuit())
+        d = zx.to_graph_like(zx.circuit_to_zx(bell_circuit()))
         before = (d.spider_count(), len(d.edges))
         zx.apply_rewrites(d)
         assert (d.spider_count(), len(d.edges)) == before
+
+    def test_x_spider_rejected(self):
+        # colour is handled by to_graph_like alone
+        d, i, o = wire_diagram()
+        v = d.add_spider(zx.SpiderColor.X, Angle(1))
+        d.add_edge(i, v)
+        d.add_edge(v, o)
+        with pytest.raises(ValueError, match="graph-like"):
+            zx.apply_rewrites(d)
 
     def test_rewrites_preserve_semantics_up_to_scalar(self):
         rng = random.Random(17)
@@ -177,6 +192,52 @@ class TestRewrites:
             budget = 4 * (d.spider_count() + len(d.edges)) + 16
             _, steps = zx.apply_rewrites(d)
             assert len(steps) < budget
+
+
+def rules_at_every_state(g: zx.ZXDiagram) -> set[zx.RewriteRule]:
+    """Walk the engine's path from g; at each state try every rule on a copy and
+    assert that each one that fires keeps the tensor up to a nonzero scalar."""
+    fired = set()
+    while True:
+        before = zx.zx_to_tensor(g).data
+        nxt = None
+        for rule in zx._RULES:
+            h = g.copy()
+            step = rule(h)
+            if step is not None:
+                assert_proportional(zx.zx_to_tensor(h).data, before)
+                fired.add(step.rule)
+                nxt = nxt or h
+        if nxt is None:
+            return fired
+        g = nxt
+
+
+class TestRuleSoundness:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), mirrored=st.booleans())
+    def test_every_rule_keeps_the_tensor_at_every_reached_state(self, seed, n, mirrored):
+        # mirrored: c followed by its inverse, the composition equivalent_zx rewrites
+        rng = random.Random(seed)
+        c = random_circuit(rng, n, rng.randrange(0, 7))
+        if mirrored:
+            c = Circuit(n, c.gates + adjoint_circuit(c).gates)
+        rules_at_every_state(zx.to_graph_like(zx.circuit_to_zx(c)))
+
+    def test_fusion_closing_a_triangle_leaves_a_hadamard_self_loop(self):
+        # a -H- v -H- b and a -H- b: cancelling v makes a plain a-b edge beside
+        # the hadamard one, and fusing them loops the hadamard edge on a
+        d, i, o = wire_diagram()
+        a = d.add_spider(zx.SpiderColor.Z, Angle(1, 4))
+        b = d.add_spider(zx.SpiderColor.Z, Angle(1, 4))
+        v = d.add_spider(zx.SpiderColor.Z, Angle(0))
+        d.add_edge(i, a)
+        d.add_edge(b, o)
+        d.add_edge(a, v, zx.HADAMARD)
+        d.add_edge(v, b, zx.HADAMARD)
+        d.add_edge(a, b, zx.HADAMARD)
+        R = zx.RewriteRule
+        assert rules_at_every_state(d) == {R.HADAMARD_CANCEL, R.FUSION, R.SELF_LOOP_REMOVAL}
 
 
 class TestGraphLike:
