@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, WidthMismatchError
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -264,3 +264,26 @@ def adjoint_gate(g: Gate) -> Gate:
 def adjoint_circuit(c: Circuit) -> Circuit:
     """Inverse circuit: gates reversed, each replaced by its inverse."""
     return Circuit(c.num_qubits, tuple(adjoint_gate(g) for g in reversed(c.gates)))
+
+
+def miter(c1: Circuit, c2: Circuit) -> Circuit:
+    """c1 then adjoint_circuit(c2), less each gate g whose nearest earlier kept gate
+    on a shared qubit is exactly g^dagger (both are dropped). The gates between
+    them act on other qubits, so U2^dagger U1 is exactly unchanged."""
+    if c1.num_qubits != c2.num_qubits:
+        raise WidthMismatchError("circuits have different widths")
+    kept: list[Gate | None] = []
+    latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]  # kept indices per qubit
+    gates = [(g, adjoint_gate(g)) for g in c1.gates]
+    gates += [(adjoint_gate(g), g) for g in reversed(c2.gates)]  # (gate, its inverse)
+    for g, inverse in gates:
+        near = max((latest[q][-1] for q in g.qubits if latest[q]), default=None)
+        if near is not None and kept[near] == inverse:
+            kept[near] = None
+            for q in g.qubits:  # same qubits as kept[near], which is last on each
+                latest[q].pop()
+            continue
+        for q in g.qubits:
+            latest[q].append(len(kept))
+        kept.append(g)
+    return Circuit(c1.num_qubits, tuple(g for g in kept if g is not None))

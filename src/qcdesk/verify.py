@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dd, dense, tn, zx
-from .ir import Circuit, adjoint_circuit, index_bits
+from .ir import Circuit, index_bits, miter
 
 MAX_CROSS_CHECK_QUBITS = 12
 DEFAULT_TOLERANCE = 1e-9
@@ -32,7 +32,8 @@ class EquivalenceVerdict:
     status: EquivalenceStatus
     method: BackendId
     # basis input j of least |U_jj| for U = U2^dagger U1: the one whose two
-    # outputs overlap least (dd reads it off the composed DD, dense off U)
+    # outputs overlap least (dd reads it off the composed DD, dense off U,
+    # taking the lowest j within tolerance of the least)
     witness: str | None = None
     phase: complex | None = None
     fallback_used: bool = False
@@ -76,8 +77,9 @@ def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
 def _dense_equivalence(
     c1: Circuit, c2: Circuit, tolerance: float
 ) -> EquivalenceVerdict:
-    # U = U2^dagger U1, the composition zx.equivalent_zx rewrites
-    u = dense.circuit_unitary(Circuit(c1.num_qubits, c1.gates + adjoint_circuit(c2).gates))
+    # U = U2^dagger U1, built from the miter zx.equivalent_zx rewrites too:
+    # c1 then c2's inverse, with the gate pairs that meet as g g^dagger dropped
+    u = dense.circuit_unitary(miter(c1, c2))
     tr = complex(np.trace(u))
     t = tr / abs(tr) if tr else 1 + 0j
     overlap = np.abs(np.diagonal(u))  # |<U2 e_j|U1 e_j>| per input j
@@ -85,7 +87,8 @@ def _dense_equivalence(
     phase = t.conjugate()  # U2 = p U1 makes U = conj(p) I
     if float(np.abs(u).max()) <= tolerance:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=phase)
-    witness = index_bits(int(np.argmin(overlap)), c1.num_qubits)
+    # the lowest j within tolerance of the least |U_jj|: rounding noise breaks no ties
+    witness = index_bits(int(np.argmax(overlap <= overlap.min() + tolerance)), c1.num_qubits)
     return EquivalenceVerdict(
         EquivalenceStatus.NOT_EQUIVALENT, BackendId.DENSE, witness=witness, phase=phase
     )

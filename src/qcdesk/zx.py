@@ -14,9 +14,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import CapacityError, WidthMismatchError
+from .errors import CapacityError
 from . import tn
-from .ir import Angle, Circuit, GateKind, adjoint_circuit, check_basis
+from .ir import Angle, Circuit, GateKind, check_basis, miter
 
 PLAIN = "plain"
 HADAMARD = "hadamard"
@@ -436,25 +436,25 @@ def _is_identity_wiring(d: ZXDiagram) -> bool:
     return got == want
 
 
+def _reduce(c: Circuit) -> ZXEquivalence:
+    """Rewrite the graph-like diagram of c; EQUIVALENT when bare wires remain."""
+    diagram = to_graph_like(circuit_to_zx(c))
+    before = diagram.spider_count()
+    reduced, steps = apply_rewrites(diagram)
+    verdict = ZXVerdict.EQUIVALENT if _is_identity_wiring(reduced) else ZXVerdict.INCONCLUSIVE
+    return ZXEquivalence(verdict, before, reduced.spider_count(), len(steps))
+
+
 def equivalent_zx(c1: Circuit, c2: Circuit) -> ZXEquivalence:
-    """Rewrite c1 composed with the inverse of c2 down to bare wires, or give up.
+    """Rewrite the miter of c1 and c2 (c1 then c2's inverse) down to bare wires, or give up.
 
     The rule set is sound but not complete, so the negative answer is
     Inconclusive rather than NotEquivalent.
     """
-    if c1.num_qubits != c2.num_qubits:
-        raise WidthMismatchError("circuits have different widths")
-    composed = Circuit(c1.num_qubits, c1.gates + adjoint_circuit(c2).gates)
-    diagram = to_graph_like(circuit_to_zx(composed))
-    before = diagram.spider_count()
-    reduced, steps = apply_rewrites(diagram)
-    verdict = (
-        ZXVerdict.EQUIVALENT if _is_identity_wiring(reduced) else ZXVerdict.INCONCLUSIVE
-    )
-    return ZXEquivalence(verdict, before, reduced.spider_count(), len(steps))
+    return _reduce(miter(c1, c2))
 
 
 def stats(c: Circuit) -> str:
-    # c composed with the inverse of the empty circuit is c itself
-    r = equivalent_zx(c, Circuit(c.num_qubits))
+    # the diagram of c itself: a miter would cancel pairs such as t; tdg first
+    r = _reduce(c)
     return f"spiders_before={r.spiders_before} spiders_after={r.spiders_after} steps={r.steps}"

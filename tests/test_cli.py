@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcdesk import cli, dense
+from qcdesk import cli, dense, verify
 
 BELL = "qubits 2\nh 1\ncx 1 0\n"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -170,6 +170,12 @@ class TestStats:
         assert cli.run(["stats", "--backend", "zx", bell_file]) == 0
         assert capsys.readouterr().out.startswith("spiders_before=")
 
+    def test_zx_reports_the_circuit_itself(self, tmp_path, capsys):
+        # not the miter of the circuit with the empty one, which cancels t; tdg
+        path = write(tmp_path, "ttdg.qcf", "qubits 1\nt 0\ntdg 0\n")
+        assert cli.run(["stats", "--backend", "zx", path]) == 0
+        assert capsys.readouterr().out == "spiders_before=2 spiders_after=0 steps=2\n"
+
     def test_dense_rejected(self, bell_file, capsys):
         assert cli.run(["stats", "--backend", "dense", bell_file]) == 64
 
@@ -218,6 +224,25 @@ class TestErrorPaths:
     def test_capacity_error(self, tmp_path, capsys):
         big = write(tmp_path, "big.qcf", "qubits 30\n")
         assert cli.run(["simulate", "--backend", "dense", big]) == 70
+
+    @pytest.mark.parametrize(
+        "table, argv",
+        [
+            (verify.EQUIVALENCE, ["verify", "--method", "dense"]),
+            (verify.STATE, ["simulate", "--backend", "dense"]),
+        ],
+    )
+    def test_memory_error_is_capacity(self, monkeypatch, capsys, bell_file, table, argv):
+        # exit 1 would read as NOT_EQUIVALENT
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setitem(table, verify.BackendId.DENSE, exhausted)
+        files = [bell_file] * (2 if argv[0] == "verify" else 1)
+        assert cli.run(argv + files) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_width_mismatch_is_usage(self, tmp_path, capsys, bell_file):
         one = write(tmp_path, "one.qcf", "qubits 1\nx 0\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_circuit, random_gate
-from qcdesk.errors import ParseError
+from qcdesk.errors import ParseError, WidthMismatchError
 from qcdesk.ir import (
     PARAMETRIC_KINDS,
     TWO_QUBIT_KINDS,
@@ -17,6 +17,7 @@ from qcdesk.ir import (
     adjoint_circuit,
     gate_arity,
     gate_matrix,
+    miter,
     parse_circuit,
     render_circuit,
 )
@@ -171,3 +172,44 @@ class TestAdjoint:
             expected = np.zeros(2**n)
             expected[0] = 1.0
             np.testing.assert_allclose(s.amps, expected, atol=1e-10)
+
+
+class TestMiter:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), edits=st.integers(0, 20))
+    def test_same_unitary_as_the_full_composition(self, seed, n, edits):
+        # c2 is c1 with up to `edits` gates redrawn, so pairs meet as g g^dagger
+        rng = random.Random(seed)
+        c1 = random_circuit(rng, n, rng.randrange(21))
+        gates = list(c1.gates)
+        for _ in range(edits if gates else 0):
+            gates[rng.randrange(len(gates))] = random_gate(rng, n)
+        c2 = Circuit(n, gates)
+        full = Circuit(n, c1.gates + adjoint_circuit(c2).gates)
+        np.testing.assert_allclose(
+            dense.circuit_unitary(miter(c1, c2)), dense.circuit_unitary(full), rtol=0, atol=1e-12
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(spelled=spelled_circuits())
+    def test_circuit_against_itself_is_empty(self, spelled):
+        c = spelled[1]
+        assert miter(c, c).gates == ()
+
+    def test_pair_apart_on_other_qubits_cancels(self):
+        t, tdg = Gate(GateKind.T, (0,)), Gate(GateKind.TDG, (0,))
+        cx, between = Gate(GateKind.CX, (0, 1)), (Gate(GateKind.H, (2,)), Gate(GateKind.CZ, (1, 2)))
+        assert miter(Circuit(3, (t,) + between), Circuit(3, (t,))).gates == between
+        assert miter(Circuit(3, (cx, between[0], cx)), Circuit(3)).gates == between[:1]
+        assert miter(Circuit(3, (t, between[0], tdg)), Circuit(3)).gates == between[:1]
+
+    def test_gate_in_between_on_the_same_qubit_blocks(self):
+        x, z = Gate(GateKind.X, (0,)), Gate(GateKind.Z, (0,))
+        assert miter(Circuit(1, (x, z, x)), Circuit(1)).gates == (x, z, x)
+        # cx(0, 1) and cx(1, 0) are different gates
+        pair = (Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0)))
+        assert miter(Circuit(2, pair), Circuit(2)).gates == pair
+
+    def test_width_mismatch(self):
+        with pytest.raises(WidthMismatchError):
+            miter(Circuit(1), Circuit(2))

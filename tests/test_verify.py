@@ -16,6 +16,7 @@ from qcdesk.ir import (
     adjoint_circuit,
     adjoint_gate,
     index_bits,
+    miter,
     parse_circuit,
     render_circuit,
 )
@@ -174,15 +175,30 @@ class TestDenseEquivalence:
             verify.check_equivalence(Circuit(1), Circuit(2), BackendId.DENSE)
 
     def test_decides_on_one_composed_unitary(self, monkeypatch):
-        # one circuit_unitary call, on c1's gates followed by c2's inverse
+        # one circuit_unitary call, on the miter: c1 against c2's inverse,
+        # where all of c1 cancels and only c2's extra x is left
         calls = []
         real = dense.circuit_unitary
         monkeypatch.setattr(dense, "circuit_unitary", lambda c: calls.append(c) or real(c))
         c1 = ghz_circuit(3)
-        c2 = Circuit(3, c1.gates + (Gate(GateKind.X, (1,)),))
+        c2 = Circuit(3, (Gate(GateKind.X, (1,)),) + c1.gates)
         v = verify.check_equivalence(c1, c2, BackendId.DENSE)
         assert v.status == EquivalenceStatus.NOT_EQUIVALENT
-        assert [c.gates for c in calls] == [c1.gates + adjoint_circuit(c2).gates]
+        assert [c.gates for c in calls] == [miter(c1, c2).gates]
+        assert miter(c1, c2).gates == (Gate(GateKind.X, (1,)),)
+
+    @pytest.mark.parametrize("method", [BackendId.DENSE, BackendId.ZX])
+    def test_witness_is_the_lowest_tied_input(self, monkeypatch, method):
+        # U = cx(4, 0): |U_jj| = 0 for all 16 inputs j >= 16, exactly in the
+        # miter and up to rounding noise in the full composition, where the
+        # least entry is j = 24; the witness is the lowest tied input either way
+        c1 = random_circuit(random.Random(5), 5, 40)
+        c2 = Circuit(5, (Gate(GateKind.CX, (4, 0)),) + c1.gates)
+        assert verify.check_equivalence(c1, c2, method).witness == "10000"
+        monkeypatch.setattr(
+            verify, "miter", lambda a, b: Circuit(5, a.gates + adjoint_circuit(b).gates)
+        )
+        assert verify.check_equivalence(c1, c2, method).witness == "10000"
 
     def test_peak_memory_is_near_one_unitary(self):
         # U2^dagger U1 is the only 2^n x 2^n complex array; the rest is a
