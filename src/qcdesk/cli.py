@@ -150,6 +150,9 @@ def run(argv: list[str]) -> int:
     except MemoryError:  # a ceiling that did not fire: never exit as a verdict
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
+    except RecursionError:  # DD walks recurse once per qubit
+        print("error: circuit too wide for a recursive walk", file=sys.stderr)
+        return EXIT_CAPACITY
     except OSError as exc:  # missing, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dense
-from .ir import Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
 
 # Weights are rounded to this many decimals for unique-table keys, so
 # floating-point drift cannot break node sharing.
@@ -454,11 +454,24 @@ class DDBackend:
         return m.root.w * _trace(m.root.node, {})
 
     def least_diagonal(self, m: MatrixDD) -> str:
-        """Basis string j with the smallest |m[j, j]|, by one walk over edges 0 and 3.
+        """The lowest basis string j whose |m[j, j]| is within EQUIVALENCE_TOLERANCE
+        of the least (dense's rule), so rounding noise breaks no ties.
 
-        A 0-stub is a zero block, so the bits below it are 0; ties take the 0 edge.
+        One memoized walk finds each node's least diagonal magnitude; one descent
+        then takes edge 0 wherever such an entry lies below it, else edge 3.
+        A 0-stub is a zero block, so the bits below it are 0.
         """
-        return "0" * m.n if m.root.node is None else _least_diagonal(m.root.node, {})[1]
+        memo: dict[int, float] = {}
+        scale, node = abs(m.root.w), m.root.node
+        bound = scale * _magnitude(node, memo, min, 3) + EQUIVALENCE_TOLERANCE
+        bits = ""
+        while node is not None:
+            e0, e3 = node.edges[0], node.edges[3]
+            low = scale * abs(e0.w) * _magnitude(e0.node, memo, min, 3) <= bound
+            e = e0 if low else e3
+            bits += "0" if low else "1"
+            scale, node = scale * abs(e.w), e.node
+        return bits.ljust(m.n, "0")
 
 
 def _trace(node: Optional[_Node], memo: dict[int, complex]) -> complex:
@@ -473,26 +486,16 @@ def _trace(node: Optional[_Node], memo: dict[int, complex]) -> complex:
     return t
 
 
-def _max_magnitude(node: Optional[_Node], memo: dict[int, float]) -> float:
-    """Largest |entry| of the block an edge of weight 1 into node stands for."""
+def _magnitude(node: Optional[_Node], memo: dict[int, float], pick, step: int) -> float:
+    """pick (max or min) of the |entries| of the block an edge of weight 1 into node
+    stands for: of all of them for step 1, of the diagonal (edges 0 and 3) for step 3."""
     if node is None:
         return 1.0
-    best = memo.get(id(node))
-    if best is None:
-        best = max(abs(e.w) * _max_magnitude(e.node, memo) for e in node.edges)
-        memo[id(node)] = best
-    return best
-
-
-def _least_diagonal(node: _Node, memo: dict[int, tuple[float, str]]) -> tuple[float, str]:
-    best = memo.get(id(node))
-    if best is None:
-        for bit, e in (("0", node.edges[0]), ("1", node.edges[3])):
-            mag, bits = (1.0, "0" * node.var) if e.node is None else _least_diagonal(e.node, memo)
-            if best is None or abs(e.w) * mag < best[0]:
-                best = (abs(e.w) * mag, bit + bits)
-        memo[id(node)] = best
-    return best
+    out = memo.get(id(node))
+    if out is None:
+        out = pick(abs(e.w) * _magnitude(e.node, memo, pick, step) for e in node.edges[::step])
+        memo[id(node)] = out
+    return out
 
 
 def node_count(d: Union[VectorDD, MatrixDD]) -> int:
@@ -566,17 +569,18 @@ class DDEquivalence:
     witness: str | None = None  # basis input whose two outputs overlap least
 
 
-def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquivalence:
+def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     """Equivalence up to global phase via the composed matrix DD U = U2^dagger U1.
 
     U is built alternately from both circuits' last gates (`composed_mdd`), so
     it stays near the identity while it is built when the circuits agree.
     The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
     is 0), the circuits are equivalent, with phase conj(t), exactly when
-    every entry of U - t I is at most `tolerance` in magnitude. That
-    difference is one DD `add` and its largest entry one memoized walk, so U
-    is never expanded. Otherwise the witness is the input j with the
-    smallest |U[j, j]|: that is the overlap of the two circuits' outputs on |j>.
+    every entry of U - t I is at most EQUIVALENCE_TOLERANCE in magnitude.
+    That difference is one DD `add` and its largest entry one memoized walk,
+    so U is never expanded. Otherwise the witness is dense's too, the lowest
+    input j whose |U[j, j]| is within EQUIVALENCE_TOLERANCE of the least
+    (`least_diagonal`): |U[j, j]| is the overlap of the two outputs on |j>.
     """
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
@@ -588,7 +592,7 @@ def equivalent_dd(c1: Circuit, c2: Circuit, tolerance: float = 1e-9) -> DDEquiva
     tr = backend.trace(u)
     t = tr / abs(tr) if tr else 1 + 0j
     diff = backend.add(u.root, DDEdge(-t, backend.identity_mdd(n).root.node), n - 1)
-    if abs(diff.w) * _max_magnitude(diff.node, {}) <= tolerance:
+    if abs(diff.w) * _magnitude(diff.node, {}, max, 1) <= EQUIVALENCE_TOLERANCE:
         # U2 = phase * U1 makes U = conj(phase) I
         return DDEquivalence(True, t.conjugate())
     return DDEquivalence(False, witness=backend.least_diagonal(u))

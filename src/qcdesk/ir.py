@@ -266,6 +266,11 @@ def adjoint_circuit(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(adjoint_gate(g) for g in reversed(c.gates)))
 
 
+# Every equivalence method decides on U = U2^dagger U1, t = tr U / |tr U|: equivalent iff
+# max |U - t I| <= this, else the witness is the lowest j with |U_jj| <= min + this.
+EQUIVALENCE_TOLERANCE = 1e-9
+
+
 def miter(c1: Circuit, c2: Circuit) -> Circuit:
     """c1 then adjoint_circuit(c2), less each gate g whose nearest earlier kept gate
     on a shared qubit is exactly g^dagger (both are dropped). The gates between

@@ -146,8 +146,8 @@ def greedy_plan(net: TensorNetwork) -> ContractionPlan:
             heapq.heappop(heap)
         if heap:
             i, j = heapq.heappop(heap)[2]
-        else:  # nothing shares an index now, nor will any outer product
-            i, j = min(itertools.combinations(sorted(live), 2), key=lambda p: key(*p))
+        else:  # no pair shares an index, now or later: the two smallest, ties to the older
+            i, j = sorted(heapq.nsmallest(2, live, key=lambda t: (size(live[t]), t)))
         for l in live[i] | live[j]:
             holders[l] -= {i, j}
         k, _ = sim.contract(i, j)

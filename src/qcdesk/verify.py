@@ -8,10 +8,9 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError
 from . import dd, dense, tn, zx
-from .ir import Circuit, index_bits, miter
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, index_bits, miter
 
 MAX_CROSS_CHECK_QUBITS = 12
-DEFAULT_TOLERANCE = 1e-9
 
 
 class BackendId(Enum):
@@ -32,8 +31,8 @@ class EquivalenceVerdict:
     status: EquivalenceStatus
     method: BackendId
     # basis input j of least |U_jj| for U = U2^dagger U1: the one whose two
-    # outputs overlap least (dd reads it off the composed DD, dense off U,
-    # taking the lowest j within tolerance of the least)
+    # outputs overlap least. Every method takes the lowest j within
+    # EQUIVALENCE_TOLERANCE of the least, dd off the composed DD, dense off U.
     witness: str | None = None
     phase: complex | None = None
     fallback_used: bool = False
@@ -74,9 +73,7 @@ def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
     return CrossCheckReport(max_dev, tolerance, max_dev <= tolerance)
 
 
-def _dense_equivalence(
-    c1: Circuit, c2: Circuit, tolerance: float
-) -> EquivalenceVerdict:
+def _dense_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
     # U = U2^dagger U1, built from the miter zx.equivalent_zx rewrites too:
     # c1 then c2's inverse, with the gate pairs that meet as g g^dagger dropped
     u = dense.circuit_unitary(miter(c1, c2))
@@ -85,27 +82,27 @@ def _dense_equivalence(
     overlap = np.abs(np.diagonal(u))  # |<U2 e_j|U1 e_j>| per input j
     u.flat[:: len(u) + 1] -= t  # U - t I in place: no second 2^n x 2^n array
     phase = t.conjugate()  # U2 = p U1 makes U = conj(p) I
-    if float(np.abs(u).max()) <= tolerance:
+    if float(np.abs(u).max()) <= EQUIVALENCE_TOLERANCE:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=phase)
-    # the lowest j within tolerance of the least |U_jj|: rounding noise breaks no ties
-    witness = index_bits(int(np.argmax(overlap <= overlap.min() + tolerance)), c1.num_qubits)
+    tied = overlap <= overlap.min() + EQUIVALENCE_TOLERANCE  # rounding noise breaks no ties
+    witness = index_bits(int(np.argmax(tied)), c1.num_qubits)
     return EquivalenceVerdict(
         EquivalenceStatus.NOT_EQUIVALENT, BackendId.DENSE, witness=witness, phase=phase
     )
 
 
-def _dd_equivalence(c1: Circuit, c2: Circuit, tolerance: float) -> EquivalenceVerdict:
-    result = dd.equivalent_dd(c1, c2, tolerance)
+def _dd_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
+    result = dd.equivalent_dd(c1, c2)
     status = EquivalenceStatus.EQUIVALENT if result.equivalent else EquivalenceStatus.NOT_EQUIVALENT
     return EquivalenceVerdict(status, BackendId.DD, witness=result.witness, phase=result.phase)
 
 
-def _zx_equivalence(c1: Circuit, c2: Circuit, tolerance: float) -> EquivalenceVerdict:
+def _zx_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
     if zx.equivalent_zx(c1, c2).verdict == zx.ZXVerdict.EQUIVALENT:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.ZX)
     if c1.num_qubits > dense.MAX_UNITARY_QUBITS:
         return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, BackendId.ZX)
-    fallback = _dense_equivalence(c1, c2, tolerance)
+    fallback = _dense_equivalence(c1, c2)
     return replace(fallback, method=BackendId.ZX, fallback_used=True)
 
 
@@ -126,11 +123,9 @@ EQUIVALENCE = {
 }
 
 
-def check_equivalence(
-    c1: Circuit, c2: Circuit, method: BackendId, tolerance: float = DEFAULT_TOLERANCE
-) -> EquivalenceVerdict:
+def check_equivalence(c1: Circuit, c2: Circuit, method: BackendId) -> EquivalenceVerdict:
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
     if method not in EQUIVALENCE:
         raise ValueError(f"unsupported equivalence method {method}")
-    return EQUIVALENCE[method](c1, c2, tolerance)
+    return EQUIVALENCE[method](c1, c2)

@@ -43,7 +43,6 @@ class RewriteRule(Enum):
 @dataclass(frozen=True)
 class RewriteStep:
     rule: RewriteRule
-    spiders: tuple[int, ...]
 
 
 class ZXDiagram:
@@ -108,14 +107,6 @@ class ZXDiagram:
 
     def incident(self, v: int) -> list[int]:
         return list(self._incident[v])
-
-    def degree(self, v: int) -> int:
-        # a self-loop contributes two endpoints
-        return sum(2 if self._is_loop(e) else 1 for e in self._incident[v])
-
-    def _is_loop(self, e: int) -> bool:
-        u, v, _ = self.edges[e]
-        return u == v
 
     def other_end(self, e: int, v: int) -> int:
         u, w, _ = self.edges[e]
@@ -237,15 +228,16 @@ def _remove_identity(d: ZXDiagram) -> RewriteStep | None:
         if not d.phase[v].is_zero():
             continue
         es = d.incident(v)
-        if len(es) != 2 or any(d._is_loop(e) for e in es):
+        ends = [d.other_end(e, v) for e in es]
+        if len(es) != 2 or v in ends:  # a self-loop is no wire
             continue
         kinds = [d.edge_kind(e) for e in es]
-        a, b = (d.other_end(e, v) for e in es)
+        a, b = ends
         d.remove_spider(v)
         d.add_edge(a, b, PLAIN if kinds[0] == kinds[1] else HADAMARD)
         if kinds == [HADAMARD, HADAMARD]:
-            return RewriteStep(RewriteRule.HADAMARD_CANCEL, (v,))
-        return RewriteStep(RewriteRule.IDENTITY_REMOVAL, (v,))
+            return RewriteStep(RewriteRule.HADAMARD_CANCEL)
+        return RewriteStep(RewriteRule.IDENTITY_REMOVAL)
     return None
 
 
@@ -262,7 +254,7 @@ def _cancel_parallel_hadamards(d: ZXDiagram) -> RewriteStep | None:
         if key in seen:
             d.remove_edge(seen[key])
             d.remove_edge(e)
-            return RewriteStep(RewriteRule.HADAMARD_CANCEL, key)
+            return RewriteStep(RewriteRule.HADAMARD_CANCEL)
         seen[key] = e
     return None
 
@@ -275,7 +267,7 @@ def _remove_self_loop(d: ZXDiagram) -> RewriteStep | None:
             d.remove_edge(e)
             if kind == HADAMARD:
                 d.phase[u] = d.phase[u] + _PI
-            return RewriteStep(RewriteRule.SELF_LOOP_REMOVAL, (u,))
+            return RewriteStep(RewriteRule.SELF_LOOP_REMOVAL)
     return None
 
 
@@ -293,7 +285,7 @@ def _fuse(d: ZXDiagram) -> RewriteStep | None:
                 other = b if a == v else a
                 d.add_edge(u, u if other == v else other, k)
             d.remove_spider(v)
-            return RewriteStep(RewriteRule.FUSION, (u, v))
+            return RewriteStep(RewriteRule.FUSION)
     return None
 
 

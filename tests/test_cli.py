@@ -244,6 +244,15 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_recursion_error_is_capacity(self, tmp_path, capsys):
+        # DD walks recurse once per level; exit 1 would read as NOT_EQUIVALENT
+        wide = write(tmp_path, "wide.qcf", "qubits 2000\nh 0\ncx 0 1\n")
+        assert cli.run(["stats", "--backend", "dd", wide]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_width_mismatch_is_usage(self, tmp_path, capsys, bell_file):
         one = write(tmp_path, "one.qcf", "qubits 1\nx 0\n")
         assert cli.run(["verify", "--method", "dense", bell_file, one]) == 64

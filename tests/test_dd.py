@@ -13,7 +13,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
 from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
-from qcdesk.ir import PARAMETRIC_KINDS, Angle, Circuit, Gate, GateKind, adjoint_circuit, gate_arity
+from qcdesk.ir import (
+    EQUIVALENCE_TOLERANCE,
+    PARAMETRIC_KINDS,
+    Angle,
+    Circuit,
+    Gate,
+    GateKind,
+    adjoint_circuit,
+    gate_arity,
+    index_bits,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -593,8 +603,9 @@ class TestEquivalence:
             n = rng.randrange(1, 5)
             m = backend.circuit_mdd(random_circuit(rng, n, rng.randrange(0, 16)))
             diag = np.abs(np.diag(backend.mdd_to_matrix(m)))
-            j = int(backend.least_diagonal(m), 2)
-            assert diag[j] == pytest.approx(diag.min(), abs=1e-12)
+            # dense's rule: the lowest j within the tolerance of the least
+            j = int(np.argmax(diag <= diag.min() + EQUIVALENCE_TOLERANCE))
+            assert backend.least_diagonal(m) == index_bits(j, m.n)
 
     def test_least_diagonal_pads_zero_stubs_and_prefers_zero(self):
         backend = dd.DDBackend()

@@ -244,6 +244,16 @@ class TestPlanning:
         assert len(net.tensors) > 150
         assert tn.greedy_plan(net).steps == rescan_greedy_steps(net)
 
+    def test_greedy_plans_a_thousand_idle_qubits(self):
+        # once the idle wires close, no two tensors share an index: each step
+        # is an outer product of the two smallest, found without a pair scan
+        n = 1000
+        c = Circuit(n, (Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1))))
+        assert tn.amplitude_tn(c, "11".rjust(n, "0")) == pytest.approx(INV_SQRT2)
+        small = Circuit(12, c.gates)
+        for net in (tn.circuit_to_network(small), closed_network(small, "0" * 12)):
+            assert tn.greedy_plan(net).steps == rescan_greedy_steps(net)
+
     def test_greedy_on_empty_and_single_tensor_networks(self):
         single = tn.TensorNetwork(
             [tn.Tensor([tn.Index("a")], np.array([1, 0], dtype=complex))], [tn.Index("a")]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import CapacityError, WidthMismatchError
@@ -31,8 +31,13 @@ def _mutate_or_insert(rng: random.Random, c: Circuit) -> Circuit:
         g = c.gates[i]
         kind = GateKind.X if g.kind == GateKind.H else GateKind.H
         return Circuit(n, c.gates[:i] + (Gate(kind, (g.qubits[0],)),) + c.gates[i + 1 :])
-    kinds = [GateKind.Z, GateKind.S] + ([GateKind.CZ] if n >= 2 else [])
-    kind = rng.choice(kinds)
+    return _insert_one(rng, c, (GateKind.Z, GateKind.S, GateKind.CZ))
+
+
+def _insert_one(rng: random.Random, c: Circuit, kinds: tuple[GateKind, ...]) -> Circuit:
+    """c with one gate of a kind drawn from kinds (cz only on 2+ qubits) inserted."""
+    n = c.num_qubits
+    kind = rng.choice([k for k in kinds if k != GateKind.CZ or n >= 2])
     qubits = tuple(rng.sample(range(n), 2 if kind == GateKind.CZ else 1))
     pos = rng.randrange(len(c.gates) + 1)
     return Circuit(n, c.gates[:pos] + (Gate(kind, qubits),) + c.gates[pos:])
@@ -209,7 +214,7 @@ class TestDenseEquivalence:
         for c2 in (c1, random_circuit(rng, n, 60)):
             tracemalloc.start()
             try:
-                verify._dense_equivalence(c1, c2, verify.DEFAULT_TOLERANCE)
+                verify._dense_equivalence(c1, c2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -316,7 +321,7 @@ class TestDdEquivalence:
         c1 = random_circuit(rng, n, rng.randrange(1, 25))
         c2 = _rewritten(c1) if rewrite else _mutate_or_insert(rng, c1)
         via_dd = verify.check_equivalence(c1, c2, BackendId.DD)
-        via_dense = verify._dense_equivalence(c1, c2, verify.DEFAULT_TOLERANCE)
+        via_dense = verify._dense_equivalence(c1, c2)
         assert via_dd.status == via_dense.status
         if rewrite:
             assert via_dd.status == EquivalenceStatus.EQUIVALENT
@@ -327,6 +332,23 @@ class TestDdEquivalence:
             u = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
             fidelity = np.abs(np.diag(u)) ** 2
             assert fidelity[int(via_dd.witness, 2)] <= fidelity.min() + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+    @example(seed=57, n=3)  # tied |U_jj| that dd once broke by rounding noise
+    def test_dd_and_dense_give_one_verdict_and_witness(self, seed, n):
+        # c against c with one gate inserted, and that against a rewriting of
+        # itself: the same status and witness, and the same phase when both carry one
+        rng = random.Random(seed)
+        c = random_circuit(rng, n, rng.randrange(1, 25))
+        kinds = (GateKind.Z, GateKind.S, GateKind.T, GateKind.X, GateKind.CZ)
+        inserted = _insert_one(rng, c, kinds)
+        for c1, c2 in ((c, inserted), (inserted, _rewritten(inserted))):
+            via_dd = verify.check_equivalence(c1, c2, BackendId.DD)
+            via_dense = verify.check_equivalence(c1, c2, BackendId.DENSE)
+            assert (via_dd.status, via_dd.witness) == (via_dense.status, via_dense.witness)
+            if via_dd.phase is not None:
+                assert abs(via_dd.phase - via_dense.phase) < 1e-9
 
     def test_agrees_with_dense_on_random_pairs(self):
         rng = random.Random(7)
