@@ -1,11 +1,18 @@
 """Ground-truth array backend: state vectors and strided gate kernels.
 
-Gate kernels update the amplitude buffer in place. A gate on k qubits views
-the buffer as 2^k strided blocks, one per basis value of its qubits, and
-rewrites each block as the combination of blocks that the nonzeros of its
-gate-matrix row name: diagonal gates only scale, permutation gates only copy.
-The blocks are walked in slices of at most _SLICE amplitudes, so peak memory
-is the buffer plus O(_SLICE) scratch.
+simulate and circuit_unitary fill one buffer of 2^n rows (one column for a
+state, 2^n for a unitary) in few passes. It starts as the Kronecker product of
+one 2x2 factor per qubit, the one-qubit gates before its first two-qubit gate
+(for a state, the column at the input's bit). A later gate joins the latest
+block on its qubits (no later block touches them) if the two span at most two
+qubits and their structural product has at most the denser one's nonzeros per row.
+
+The kernel applies one block in place. A block on k qubits views the buffer
+as 2^k strided blocks, one per basis value of its qubits, and rewrites each as
+the combination of blocks that the nonzeros of its matrix row name: diagonal
+blocks only scale, permutation blocks only copy. The blocks are walked in
+slices of at most _SLICE amplitudes, so peak memory is the buffer plus
+O(_SLICE) scratch.
 """
 from __future__ import annotations
 
@@ -16,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits
-from .ir import check_basis
+from .ir import Angle, Circuit, Gate, GateKind, check_basis, gate_arity, gate_matrix, index_bits
 
 MAX_STATE_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 
 _SLICE = 1 << 15  # amplitudes per kernel step
+_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass
@@ -36,39 +43,92 @@ class StateVector:
 
 def initial_state(n: int, basis: int = 0) -> StateVector:
     """The basis state |basis> on n qubits."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if n > MAX_STATE_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds state-vector ceiling {MAX_STATE_QUBITS}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[basis] = 1.0
-    return StateVector(n, amps)
+    return simulate(Circuit(n), basis)
+
+
+@dataclass
+class _Block:  # gates fused into one kernel pass
+    qubits: tuple[int, ...]  # descending; the first one's bit is most significant
+    stack: np.ndarray  # [the product of the gates, its structural nonzeros as 0/1]
+    density: int  # most nonzeros in a row of stack[1]
+    gates: list[Gate]
 
 
 @functools.lru_cache(maxsize=1024)
-def _program(kind: GateKind, angle: Angle | None, first_is_lower: bool):
-    """Sparse rows of a gate matrix, as steps over the kernel's blocks.
+def _local_stack(kind: GateKind, angle: Angle | None, first_is_lower: bool):
+    """(stack, density) of a gate with the higher qubit's bit most significant;
+    gate_matrix puts the first listed qubit's there."""
+    m = gate_matrix(Gate(kind, tuple(range(gate_arity(kind))), angle))
+    m = m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])] if first_is_lower else m
+    stack = np.stack([m, m != 0])
+    stack.flags.writeable = False  # cached: every block of this gate shares it
+    return stack, int(np.count_nonzero(m, axis=1).max())
 
-    Blocks are numbered in axis order (the higher qubit's bit most
-    significant); gate_matrix numbers them with the first listed qubit most
-    significant, which differs when that qubit is the lower one. Returns
-    (rows, saved): each row is (out, terms) with terms (src, coeff, slot),
-    diagonal term first; slot >= 0 reads the copy saved before the block was
-    overwritten. Rows that are the identity are left out.
-    """
-    k = gate_arity(kind)
-    m = gate_matrix(Gate(kind, tuple(range(k)), angle))
-    if first_is_lower:
-        m = m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+
+def _gate_block(g: Gate) -> _Block:
+    stack, density = _local_stack(g.kind, g.angle, g.qubits[0] < g.qubits[-1])
+    return _Block(tuple(sorted(g.qubits, reverse=True)), stack, density, [g])
+
+
+def _embed(b: _Block, onto: tuple[int, ...]) -> np.ndarray:
+    """b's stack over onto, a superset of its qubits: kron(B, I) or kron(I, B)."""
+    if b.qubits == onto:
+        return b.stack
+    x, y = (b.stack, _I2) if b.qubits[0] == onto[0] else (_I2, b.stack)
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(2, 4, 4)
+
+
+def _fuse(b: _Block, g: _Block) -> bool:
+    """Fold g, applied after b, into b if the rule in the module doc allows it."""
+    onto = tuple(sorted({*b.qubits, *g.qubits}, reverse=True))
+    if len(onto) > 2:
+        return False
+    stack = _embed(g, onto) @ _embed(b, onto)
+    stack[1] = stack[1] != 0
+    density = int(stack[1].real.sum(1).max())
+    if density > max(b.density, g.density):
+        return False
+    b.qubits, b.stack, b.density = onto, stack, density
+    b.gates += g.gates
+    return True
+
+
+def _plan(c: Circuit) -> tuple[list[np.ndarray], list[_Block]]:
+    """c's product-start factors (2x2, one per qubit) and fused blocks in order."""
+    factors = [_I2] * c.num_qubits
+    blocks: list[_Block] = []
+    last: dict[int, int] = {}  # qubit -> index of the latest block on it
+    for g in c.gates:
+        b = _gate_block(g)
+        if len(b.qubits) == 1 and b.qubits[0] not in last:
+            factors[b.qubits[0]] = b.stack[0] @ factors[b.qubits[0]]
+            continue
+        j = max((last[q] for q in b.qubits if q in last), default=None)
+        if j is None or not _fuse(blocks[j], b):
+            j = len(blocks)
+            blocks.append(b)
+        for q in b.qubits:  # the block's other qubit may have a later block
+            last[q] = j
+    return factors, blocks
+
+
+@functools.lru_cache(maxsize=1024)
+def _program(entries: tuple[complex, ...]):
+    """Sparse rows of a block matrix (row-major, axis order) as steps over the
+    kernel's blocks: (rows, saved). Each row is (out, terms) with terms (src,
+    coeff, slot), diagonal term first; slot >= 0 reads the copy saved before
+    the block was overwritten. Rows that are the identity are left out."""
+    d = 2 if len(entries) == 4 else 4
+    m = [entries[r * d : (r + 1) * d] for r in range(d)]
     # rows are written in ascending order, so a block read by a later row
     # must be saved before its own row overwrites it
-    saved = tuple(c for c in range(2**k) if any(m[r, c] != 0 for r in range(c + 1, 2**k)))
+    saved = tuple(c for c in range(d) if any(m[r][c] for r in range(c + 1, d)))
     rows = []
-    for r in range(2**k):
-        cols = sorted(np.flatnonzero(m[r]).tolist(), key=lambda c: c != r)
-        if cols == [r] and m[r, r] == 1:
+    for r in range(d):
+        cols = sorted((c for c in range(d) if m[r][c]), key=lambda c: c != r)
+        if cols == [r] and m[r][r] == 1:
             continue
-        rows.append((r, tuple((c, complex(m[r, c]), saved.index(c) if c < r else -1) for c in cols)))
+        rows.append((r, tuple((c, m[r][c], saved.index(c) if c < r else -1) for c in cols)))
     return tuple(rows), saved
 
 
@@ -101,24 +161,18 @@ def _block_indices(shape: tuple[int, ...], slice_amps: int) -> tuple[tuple[tuple
     )
 
 
-def _apply_in_place(buf: np.ndarray, g: Gate, n: int) -> None:
-    """Apply g in place to a C-contiguous complex buffer of 2^n rows, one per
-    basis value (q_{n-1} most significant), of buf.size / 2^n columns each;
-    the column count is a power of two, so every slice has the same shape.
-
-    A state vector is one column; a unitary under construction is 2^n.
-    """
-    qs = g.qubits
-    width = buf.size >> n
-    if len(qs) == 1:
-        q = qs[0]
-        shape = (1 << (n - 1 - q), 2, (1 << q) * width)
-    else:
-        hq, lq = max(qs), min(qs)
-        shape = (1 << (n - 1 - hq), 2, 1 << (hq - lq - 1), 2, (1 << lq) * width)
-    rows, saved = _program(g.kind, g.angle, qs[0] < qs[-1])
+def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int) -> None:
+    """Apply m, a matrix over qubits in axis order, in place to a C-contiguous
+    complex buffer of 2^n rows, one per basis value (q_{n-1} most significant),
+    of buf.size / 2^n columns each: 1 for a state, 2^n for a unitary. The
+    column count is a power of two, so every slice has the same shape."""
+    rows, saved = _program(tuple(m.ravel().tolist()))
     if not rows:
         return
+    shape, top = (), n  # (hi, 2, lo) or (hi, 2, mid, 2, lo)
+    for q in qubits:
+        shape, top = shape + (1 << (top - 1 - q), 2), q
+    shape += ((1 << top) * (buf.size >> n),)
     view = buf.reshape(shape)
     indices = _block_indices(shape, _SLICE)
     # one slot per saved block, then one for the products of multi-term rows
@@ -142,21 +196,47 @@ def _apply_in_place(buf: np.ndarray, g: Gate, n: int) -> None:
                 dst += tmp
 
 
+def _fill(c: Circuit, buf: np.ndarray, basis: int | None) -> None:
+    """Write c's unitary into the zeroed buf, or only its column basis. The
+    product start grows level by level: the new blocks are written from the
+    block built so far, which is scaled last."""
+    factors, blocks = _plan(c)
+    if basis is not None:
+        factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
+    grid = buf.reshape(len(buf), -1)
+    grid[0, 0] = rows = cols = 1
+    for f in factors:  # factor q on bit q
+        old = grid[:rows, :cols]
+        for i, j in itertools.product(*map(range, f.shape)):
+            if (i, j) != (0, 0) and f[i, j] != 0:
+                np.multiply(old, f[i, j], out=grid[i * rows : (i + 1) * rows, j * cols : (j + 1) * cols])
+        if f[0, 0] != 1:
+            old *= f[0, 0]
+        rows, cols = rows * f.shape[0], cols * f.shape[1]
+    for b in blocks:
+        _apply_block(buf, b.qubits, b.stack[0], c.num_qubits)
+
+
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
     """The state after g; s itself is left unchanged."""
     if any(q >= s.n for q in g.qubits):
         raise ValueError("gate qubit outside register")
     amps = np.array(s.amps, dtype=complex)
-    _apply_in_place(amps, g, s.n)
+    b = _gate_block(g)
+    _apply_block(amps, b.qubits, b.stack[0], s.n)
     return StateVector(s.n, amps)
 
 
 def simulate(c: Circuit, basis: int = 0) -> StateVector:
-    """Run c on the basis state |basis>, updating one buffer gate by gate."""
-    s = initial_state(c.num_qubits, basis)
-    for g in c.gates:
-        _apply_in_place(s.amps, g, s.n)
-    return s
+    """Run c on the basis state |basis>."""
+    n = c.num_qubits
+    if n > MAX_STATE_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds state-vector ceiling {MAX_STATE_QUBITS}")
+    if not 0 <= basis < 2**n:
+        raise ValueError(f"basis {basis} outside [0, 2^{n})")
+    amps = np.zeros(2**n, dtype=complex)
+    _fill(c, amps, basis)
+    return StateVector(n, amps)
 
 
 def amplitude(c: Circuit, bits: str) -> complex:
@@ -184,15 +264,9 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     n = c.num_qubits
     if n > MAX_UNITARY_QUBITS:
         raise CapacityError(f"{n} qubits exceeds unitary ceiling {MAX_UNITARY_QUBITS}")
-    u = np.eye(2**n, dtype=complex)
-    for g in c.gates:
-        _apply_in_place(u, g, n)
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    _fill(c, u, None)
     return u
-
-
-def embedded_gate_unitary(g: Gate, n: int) -> np.ndarray:
-    """Gate embedded in the n-qubit identity (n <= 10)."""
-    return circuit_unitary(Circuit(n, (g,)))
 
 
 def format_amplitude_dump(s: StateVector, keep: np.ndarray | None = None) -> str:

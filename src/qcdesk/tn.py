@@ -144,10 +144,9 @@ def greedy_plan(net: TensorNetwork) -> ContractionPlan:
     while len(live) > 1:
         while heap and not (heap[0][2][0] in live and heap[0][2][1] in live):
             heapq.heappop(heap)
-        if heap:
-            i, j = heapq.heappop(heap)[2]
-        else:  # no pair shares an index, now or later: the two smallest, ties to the older
-            i, j = sorted(heapq.nsmallest(2, live, key=lambda t: (size(live[t]), t)))
+        if not heap:
+            break
+        i, j = heapq.heappop(heap)[2]
         for l in live[i] | live[j]:
             holders[l] -= {i, j}
         k, _ = sim.contract(i, j)
@@ -156,6 +155,13 @@ def greedy_plan(net: TensorNetwork) -> ContractionPlan:
             holders[l].add(k)
         for x in {x for l in live[k] for x in holders[l]} - {k}:
             heapq.heappush(heap, key(x, k))
+    # no pair shares an index, now or later: outer products of the two smallest, ties to the older
+    smallest = [(size(labels), t) for t, labels in live.items()]
+    heapq.heapify(smallest)
+    while len(smallest) > 1:
+        (a, i), (b, j) = heapq.heappop(smallest), heapq.heappop(smallest)
+        steps.append((min(i, j), max(i, j)))
+        heapq.heappush(smallest, (a * b, sim.contract(i, j)[0]))
     return ContractionPlan(steps)
 
 

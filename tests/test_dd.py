@@ -254,7 +254,7 @@ class TestMatrixDD:
             g = random_gate(rng, n)
             got = backend.mdd_to_matrix(backend.gate_to_mdd(g, n))
             np.testing.assert_allclose(
-                got, dense.embedded_gate_unitary(g, n), atol=1e-12
+                got, dense.circuit_unitary(Circuit(n, (g,))), atol=1e-12
             )
 
 
@@ -318,9 +318,9 @@ class TestArithmetic:
             got = backend.mult_mm(
                 backend.gate_to_mdd(g1, n), backend.gate_to_mdd(g2, n)
             )
-            expected = dense.embedded_gate_unitary(
-                g1, n
-            ) @ dense.embedded_gate_unitary(g2, n)
+            expected = dense.circuit_unitary(Circuit(n, (g1,))) @ dense.circuit_unitary(
+                Circuit(n, (g2,))
+            )
             np.testing.assert_allclose(
                 backend.mdd_to_matrix(got), expected, atol=1e-10
             )

@@ -1,6 +1,9 @@
 import functools
+import importlib
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
 from qcdesk.errors import CapacityError
 from qcdesk import dense
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, parse_circuit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -17,6 +20,21 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+
+
+MAX_Q = dense.MAX_STATE_QUBITS
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def peak_until_raises(fn, exc) -> int:
+    """Traced peak bytes of fn(), which must raise exc."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc):
+            fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestInitialState:
@@ -29,6 +47,18 @@ class TestInitialState:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             dense.initial_state(25)
+
+    @pytest.mark.parametrize("basis", [-1, 8, 2**40])
+    def test_basis_outside_register_raises(self, basis):
+        # amps[-1] would wrap to |111>, and the product start would drop high bits
+        with pytest.raises(ValueError):
+            dense.initial_state(3, basis)
+        with pytest.raises(ValueError):
+            dense.simulate(Circuit(3, (Gate(GateKind.H, (0,)),)), basis)
+
+    def test_basis_is_checked_before_allocation(self):
+        c = Circuit(MAX_Q, (Gate(GateKind.H, (0,)),))
+        assert peak_until_raises(lambda: dense.simulate(c, 2**MAX_Q), ValueError) < 1 << 20
 
 
 class TestApplyGate:
@@ -170,14 +200,18 @@ class TestProperties:
 
 
 def kron_embedding(g: Gate, n: int) -> np.ndarray:
-    """g on n qubits as a sum of np.kron chains, one per nonzero of its matrix:
-    entry (row, col) puts |row bit><col bit| on each gate qubit, I elsewhere."""
-    m = gate_matrix(g)
-    k = len(g.qubits)
+    return matrix_embedding(gate_matrix(g), g.qubits, n)
+
+
+def matrix_embedding(m: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """m over qubits (the first one's bit most significant) on n qubits, as a sum
+    of np.kron chains, one per nonzero of m: entry (row, col) puts
+    |row bit><col bit| on each of the qubits, I elsewhere."""
+    k = len(qubits)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for row, col in zip(*np.nonzero(m)):
         ops = [_I2] * n  # ops[j] acts on qubit n-1-j
-        for j, q in enumerate(g.qubits):
+        for j, q in enumerate(qubits):
             e = np.zeros((2, 2))
             e[(row >> (k - 1 - j)) & 1, (col >> (k - 1 - j)) & 1] = 1
             ops[n - 1 - q] = e
@@ -210,7 +244,8 @@ class TestInPlaceKernel:
         want = kron_embedding(g, n) @ buf
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_SLICE", slice_amps)  # small values cross slice boundaries
-            dense._apply_in_place(buf, g, n)
+            block = dense._gate_block(g)
+            dense._apply_block(buf, block.qubits, block.stack[0], n)
         np.testing.assert_allclose(buf, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
@@ -232,3 +267,84 @@ class TestInPlaceKernel:
         out = dense.apply_gate(dense.StateVector(n, amps), g)
         np.testing.assert_array_equal(amps, before)
         np.testing.assert_allclose(out.amps, kron_embedding(g, n) @ before, rtol=0, atol=1e-12)
+
+
+@st.composite
+def circuits(draw, n_max=6, max_gates=30):
+    """Circuits of every gate kind, qubits in either order, rotation angles
+    k pi / 2^m down to pi / 2^60."""
+    n = draw(st.integers(1, n_max))
+    kinds = [k for k in GateKind if gate_arity(k) <= n]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
+        angle = None
+        if kind in (GateKind.RX, GateKind.RZ):
+            angle = Angle(draw(st.integers(-16, 16)), 2 ** draw(st.integers(0, 60)))
+        gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, tuple(gates))
+
+
+def per_gate_unitary(gates, n: int) -> np.ndarray:
+    u = np.eye(2**n, dtype=complex)
+    for g in gates:
+        u = kron_embedding(g, n) @ u
+    return u
+
+
+class TestFusedPasses:
+    """simulate and circuit_unitary run a product start and fused blocks; the
+    per-gate kron embedding shares no code with either."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=circuits(), data=st.data(), slice_amps=st.sampled_from([4, 8, 32]))
+    def test_match_per_gate_product(self, c, data, slice_amps):
+        n = c.num_qubits
+        basis = data.draw(st.integers(0, 2**n - 1))
+        want = per_gate_unitary(c.gates, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_SLICE", slice_amps)  # small values cross slice boundaries
+            state = dense.simulate(c, basis).amps
+            u = dense.circuit_unitary(c)
+        np.testing.assert_allclose(state, want[:, basis], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=circuits(n_max=4))
+    def test_blocks_are_no_denser_than_their_densest_gate(self, c):
+        n = c.num_qubits
+        for b in dense._plan(c)[1]:
+            matrix, pattern = b.stack
+            got = matrix_embedding(matrix, b.qubits, n)
+            np.testing.assert_allclose(got, per_gate_unitary(b.gates, n), rtol=0, atol=1e-12)
+            assert set(np.unique(pattern)) <= {0, 1}
+            assert np.all(pattern[matrix != 0] == 1)  # the pattern holds every nonzero
+            densest = max(np.count_nonzero(gate_matrix(g), axis=1).max() for g in b.gates)
+            assert np.count_nonzero(pattern, axis=1).max() <= densest
+
+    def test_statevector_bench_circuit_runs_in_few_passes(self, monkeypatch):
+        # 200 gates, one kernel pass each before fusion
+        monkeypatch.syspath_prepend(str(BENCH))
+        gen = importlib.import_module("gen")
+        n, gates = gen.statevector(1).circuits["sv.qcf"]
+        c = parse_circuit(gen.render(n, gates))
+        passes = 0
+        kernel = dense._apply_block
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            kernel(*args)
+
+        monkeypatch.setattr(dense, "_apply_block", counting)
+        dense.simulate(c)
+        assert len(c.gates) == 200
+        assert passes <= 80
+
+    @pytest.mark.parametrize("run", [
+        lambda: dense.simulate(Circuit(MAX_Q + 1, (Gate(GateKind.H, (0,)),))),
+        lambda: dense.circuit_unitary(Circuit(dense.MAX_UNITARY_QUBITS + 1, (Gate(GateKind.H, (0,)),))),
+    ], ids=["simulate", "circuit_unitary"])
+    def test_capacity_is_checked_before_allocation(self, run):
+        assert peak_until_raises(run, CapacityError) < 1 << 20

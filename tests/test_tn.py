@@ -254,6 +254,23 @@ class TestPlanning:
         for net in (tn.circuit_to_network(small), closed_network(small, "0" * 12)):
             assert tn.greedy_plan(net).steps == rescan_greedy_steps(net)
 
+    def test_outer_products_do_not_resize_every_tensor(self, monkeypatch):
+        # the open network of 1,000 idle qubits is ~1,000 outer products; a
+        # rescan of every live tensor's size per step makes ~500,000 calls
+        calls = 0
+        size = tn._LabelSim.size
+
+        def counting(sim, labels):
+            nonlocal calls
+            calls += 1
+            return size(sim, labels)
+
+        monkeypatch.setattr(tn._LabelSim, "size", counting)
+        c = Circuit(1000, (Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1))))
+        plan = tn.greedy_plan(tn.circuit_to_network(c))
+        assert len(plan.steps) == 1001
+        assert calls < 10_000
+
     def test_greedy_on_empty_and_single_tensor_networks(self):
         single = tn.TensorNetwork(
             [tn.Tensor([tn.Index("a")], np.array([1, 0], dtype=complex))], [tn.Index("a")]
