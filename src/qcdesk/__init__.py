@@ -16,7 +16,6 @@ from .ir import (
 )
 from .errors import (
     CapacityError,
-    DimensionMismatchError,
     ParseError,
     PlanError,
     QcdeskError,
@@ -34,7 +33,6 @@ __all__ = [
     "parse_circuit",
     "render_circuit",
     "CapacityError",
-    "DimensionMismatchError",
     "ParseError",
     "PlanError",
     "QcdeskError",

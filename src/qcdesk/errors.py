@@ -22,9 +22,5 @@ class WidthMismatchError(QcdeskError):
     """Two circuits being compared have different qubit counts."""
 
 
-class DimensionMismatchError(QcdeskError):
-    """A shared tensor index has unequal dimensions on its two ends."""
-
-
 class PlanError(QcdeskError):
     """A contraction plan references a missing or already-consumed tensor."""

@@ -1,19 +1,19 @@
 """Tensor-network backend: circuit translation, pairwise contraction, planning.
 
-Every index has bond dimension 2. Gate tensors hold the gate unitary reshaped
-with output indices first, one (out, in) leg pair per touched qubit, first
-listed qubit most significant.
+An index is a label, a str naming one qubit wire of dimension 2. Gate tensors
+hold the gate unitary reshaped with output indices first, one (out, in) leg
+pair per touched qubit, first listed qubit most significant. A plan is
+checked whole, steps and intermediate sizes, before anything is contracted.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, PlanError
+from .errors import CapacityError, PlanError
 from . import dense
 from .ir import Circuit, check_basis, gate_matrix
 
@@ -21,36 +21,24 @@ MAX_FULL_STATE_QUBITS = 20
 MAX_EXHAUSTIVE_TENSORS = 8
 
 
-@dataclass(frozen=True)
-class Index:
-    label: str
-    dim: int = 2
-
-
 @dataclass
 class Tensor:
-    indices: list[Index]
-    data: np.ndarray  # shape = tuple of index dims, row-major in index order
+    indices: list[str]
+    data: np.ndarray  # shape (2,) * rank, row-major in index order
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        dims = tuple(ix.dim for ix in self.indices)
-        if self.data.shape != dims:
-            self.data = self.data.reshape(dims)
+        # ValueError when the data does not hold 2^rank entries
+        self.data = np.asarray(self.data, dtype=complex).reshape((2,) * len(self.indices))
 
     @property
     def rank(self) -> int:
         return len(self.indices)
 
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
 
 @dataclass
 class TensorNetwork:
     tensors: list[Tensor]
-    open_indices: list[Index] = field(default_factory=list)
+    open_indices: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -60,19 +48,13 @@ class ContractionPlan:
 
 def contract_pair(a: Tensor, b: Tensor) -> Tensor:
     """Sum over all shared index labels; outer product when none are shared."""
-    a_labels = {ix.label: pos for pos, ix in enumerate(a.indices)}
-    shared = [(a_labels[ix.label], pos) for pos, ix in enumerate(b.indices) if ix.label in a_labels]
-    for apos, bpos in shared:
-        if a.indices[apos].dim != b.indices[bpos].dim:
-            raise DimensionMismatchError(
-                f"index {a.indices[apos].label!r} has dims "
-                f"{a.indices[apos].dim} and {b.indices[bpos].dim}"
-            )
+    a_pos = {l: pos for pos, l in enumerate(a.indices)}
+    shared = [(a_pos[l], pos) for pos, l in enumerate(b.indices) if l in a_pos]
     a_axes = tuple(apos for apos, _ in shared)
     b_axes = tuple(bpos for _, bpos in shared)
     data = np.tensordot(a.data, b.data, axes=(a_axes, b_axes))
-    out = [ix for pos, ix in enumerate(a.indices) if pos not in a_axes]
-    out += [ix for pos, ix in enumerate(b.indices) if pos not in b_axes]
+    out = [l for pos, l in enumerate(a.indices) if pos not in a_axes]
+    out += [l for pos, l in enumerate(b.indices) if pos not in b_axes]
     return Tensor(out, data)
 
 
@@ -80,11 +62,11 @@ def circuit_to_network(c: Circuit) -> TensorNetwork:
     """One |0> tensor per qubit plus one tensor per gate, wired along qubit lines."""
     labels = itertools.count()
 
-    def fresh() -> Index:
-        return Index(f"e{next(labels)}")
+    def fresh() -> str:
+        return f"e{next(labels)}"
 
     tensors: list[Tensor] = []
-    wire: dict[int, Index] = {}
+    wire: dict[int, str] = {}
     for q in range(c.num_qubits):
         ix = fresh()
         tensors.append(Tensor([ix], np.array([1.0, 0.0], dtype=complex)))
@@ -101,15 +83,14 @@ def circuit_to_network(c: Circuit) -> TensorNetwork:
 
 class _LabelSim:
     """Label-set cost simulator: each live tensor's label set under pairwise
-    contraction, with every step checked. All planners and execute_plan use it."""
+    contraction, with every step checked. The planners and plan_cost use it."""
 
     def __init__(self, net: TensorNetwork):
-        self.dims = {ix.label: ix.dim for t in net.tensors for ix in t.indices}
-        self.live = {i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)}
+        self.live = {i: frozenset(t.indices) for i, t in enumerate(net.tensors)}
         self.next_id = len(net.tensors)
 
     def size(self, labels: frozenset) -> int:
-        return prod(self.dims[l] for l in labels) if labels else 1
+        return 1 << len(labels)
 
     def contract(self, i: int, j: int) -> tuple[int, frozenset]:
         """Replace live tensors i and j by their contraction; (new id, shared labels)."""
@@ -166,21 +147,28 @@ def greedy_plan(net: TensorNetwork) -> ContractionPlan:
 
 
 def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
-    """Run the plan; the final tensor's indices follow net.open_indices order."""
-    sim = _LabelSim(net)
+    """Run the plan; the final tensor's indices follow net.open_indices order.
+
+    The whole plan is checked through plan_cost before the first contraction:
+    a bad step or a plan that leaves other than one tensor raises PlanError,
+    an intermediate above 2**dense.MAX_STATE_QUBITS entries CapacityError."""
+    _, max_size = plan_cost(net, plan)
+    left = len(net.tensors) - len(plan.steps)
+    if left != 1:
+        raise PlanError(f"plan leaves {left} tensors instead of one")
+    if max_size > 1 << dense.MAX_STATE_QUBITS:
+        raise CapacityError(
+            f"plan has a {max_size}-entry intermediate; ceiling 2^{dense.MAX_STATE_QUBITS}"
+        )
     live: dict[int, Tensor] = dict(enumerate(net.tensors))
-    for i, j in plan.steps:
-        k, _ = sim.contract(i, j)
+    for k, (i, j) in enumerate(plan.steps, len(net.tensors)):
         live[k] = contract_pair(live.pop(i), live.pop(j))
-    if len(live) != 1:
-        raise PlanError(f"plan leaves {len(live)} tensors instead of one")
     result = live.popitem()[1]
-    want = [ix.label for ix in net.open_indices]
-    have = [ix.label for ix in result.indices]
+    want, have = net.open_indices, result.indices
     if sorted(want) != sorted(have):
         raise PlanError("result indices do not match the network's open indices")
     perm = [have.index(l) for l in want]
-    return Tensor(list(net.open_indices), np.transpose(result.data, perm))
+    return Tensor(list(want), np.transpose(result.data, perm))
 
 
 def plan_cost(net: TensorNetwork, plan: ContractionPlan) -> tuple[int, int]:

@@ -303,11 +303,8 @@ def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
         raise ValueError("apply_rewrites needs a graph-like diagram; see to_graph_like")
     g = d.copy()
     steps: list[RewriteStep] = []
-    limit = 4 * (g.spider_count() + len(g.edges)) + 16
-    while len(steps) <= limit:
-        step = next(filter(None, (rule(g) for rule in _RULES)), None)
-        if step is None:
-            break
+    # every rule lowers spider_count() + len(edges), so this loop ends
+    while step := next(filter(None, (rule(g) for rule in _RULES)), None):
         steps.append(step)
     return g, steps
 
@@ -364,10 +361,10 @@ def zx_to_tensor(d: ZXDiagram) -> tn.Tensor:
         )
     labels = itertools.count()
 
-    def fresh() -> tn.Index:
-        return tn.Index(f"z{next(labels)}")
+    def fresh() -> str:
+        return f"z{next(labels)}"
 
-    legs: dict[int, list[tn.Index]] = {v: [] for v in d._incident}
+    legs: dict[int, list[str]] = {v: [] for v in d._incident}
     extra: list[tn.Tensor] = []
     for e in sorted(d.edges):
         u, v, kind = d.edges[e]

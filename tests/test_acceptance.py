@@ -130,14 +130,11 @@ def test_criterion_4_tensor_contraction():
                 for k in range(dim):
                     expected[i, j] += a[i, k] * b[k, j]
         if dim == 2:
-            ta = tn.Tensor([tn.Index("i"), tn.Index("k")], a)
-            tb = tn.Tensor([tn.Index("k"), tn.Index("j")], b)
+            ta = tn.Tensor(["i", "k"], a)
+            tb = tn.Tensor(["k", "j"], b)
         else:
-            i1, i2 = tn.Index("i1"), tn.Index("i2")
-            k1, k2 = tn.Index("k1"), tn.Index("k2")
-            j1, j2 = tn.Index("j1"), tn.Index("j2")
-            ta = tn.Tensor([i1, i2, k1, k2], a.reshape(2, 2, 2, 2))
-            tb = tn.Tensor([k1, k2, j1, j2], b.reshape(2, 2, 2, 2))
+            ta = tn.Tensor(["i1", "i2", "k1", "k2"], a.reshape(2, 2, 2, 2))
+            tb = tn.Tensor(["k1", "k2", "j1", "j2"], b.reshape(2, 2, 2, 2))
         out = tn.contract_pair(ta, tb)
         np.testing.assert_allclose(out.data.reshape(dim, dim), expected, atol=1e-12)
     # the bell network contracts to the bell state

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
-from qcdesk.errors import DimensionMismatchError, PlanError
+from qcdesk.errors import CapacityError, PlanError
 from qcdesk import dense, tn
 from qcdesk.ir import Angle, Circuit, Gate, GateKind
 
@@ -25,8 +26,7 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matrix_tensors(a: np.ndarray, b: np.ndarray):
-    i, k, j = tn.Index("i"), tn.Index("k"), tn.Index("j")
-    return tn.Tensor([i, k], a), tn.Tensor([k, j], b)
+    return tn.Tensor(["i", "k"], a), tn.Tensor(["k", "j"], b)
 
 
 def all_plans(num_tensors: int):
@@ -46,11 +46,10 @@ def all_plans(num_tensors: int):
 
 def rescan_greedy_steps(net: tn.TensorNetwork) -> list[tuple[int, int]]:
     """The greedy rule by rescanning every live pair at every step, O(T^3)."""
-    live = {i: frozenset(ix.label for ix in t.indices) for i, t in enumerate(net.tensors)}
-    dims = {ix.label: ix.dim for t in net.tensors for ix in t.indices}
+    live = {i: frozenset(t.indices) for i, t in enumerate(net.tensors)}
 
     def size(labels):
-        return math.prod(dims[l] for l in labels)
+        return 2 ** len(labels)
 
     def key(p):
         a, b = live[p[0]], live[p[1]]
@@ -112,37 +111,36 @@ class TestContractPair:
         b = np.array([[5, 6], [7, 8]], dtype=complex)
         ta, tb = matrix_tensors(a, b)
         out = tn.contract_pair(ta, tb)
-        assert [ix.label for ix in out.indices] == ["i", "j"]
+        assert out.indices == ["i", "j"]
         np.testing.assert_array_equal(out.data, [[19, 22], [43, 50]])
 
     def test_identity_contraction_relabels(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
-        ta = tn.Tensor([tn.Index("i"), tn.Index("k")], a)
-        ident = tn.Tensor([tn.Index("k"), tn.Index("j")], np.eye(2))
+        ta = tn.Tensor(["i", "k"], a)
+        ident = tn.Tensor(["k", "j"], np.eye(2))
         out = tn.contract_pair(ta, ident)
         np.testing.assert_array_equal(out.data, a)
-        assert [ix.label for ix in out.indices] == ["i", "j"]
+        assert out.indices == ["i", "j"]
 
     def test_inner_product_scalar(self):
-        k = tn.Index("k")
-        u = tn.Tensor([k], np.array([1, 2], dtype=complex))
-        v = tn.Tensor([k], np.array([3, 4], dtype=complex))
+        u = tn.Tensor(["k"], np.array([1, 2], dtype=complex))
+        v = tn.Tensor(["k"], np.array([3, 4], dtype=complex))
         out = tn.contract_pair(u, v)
         assert out.rank == 0
         assert complex(out.data) == 11
 
     def test_outer_product(self):
-        u = tn.Tensor([tn.Index("a")], np.array([1, 2], dtype=complex))
-        v = tn.Tensor([tn.Index("b")], np.array([3, 4], dtype=complex))
+        u = tn.Tensor(["a"], np.array([1, 2], dtype=complex))
+        v = tn.Tensor(["b"], np.array([3, 4], dtype=complex))
         out = tn.contract_pair(u, v)
         assert out.rank == 2
         np.testing.assert_array_equal(out.data, [[3, 4], [6, 8]])
 
-    def test_dimension_mismatch(self):
-        u = tn.Tensor([tn.Index("k", 2)], np.array([1, 2], dtype=complex))
-        v = tn.Tensor([tn.Index("k", 3)], np.array([1, 2, 3], dtype=complex))
-        with pytest.raises(DimensionMismatchError):
-            tn.contract_pair(u, v)
+    def test_wrong_size_data_raises(self):
+        # every index is one dimension-2 wire: rank k takes exactly 2^k entries
+        for labels, data in ((["k"], [1, 2, 3]), (["i", "j"], [1, 2]), ([], [1, 2])):
+            with pytest.raises(ValueError):
+                tn.Tensor(labels, np.array(data, dtype=complex))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_random_against_triple_loop(self, dim):
@@ -154,11 +152,8 @@ class TestContractPair:
                 ta, tb = matrix_tensors(a, b)
             else:
                 # one shared label per leg pair: 4x4 as two dim-2 legs each side
-                i1, i2 = tn.Index("i1"), tn.Index("i2")
-                k1, k2 = tn.Index("k1"), tn.Index("k2")
-                j1, j2 = tn.Index("j1"), tn.Index("j2")
-                ta = tn.Tensor([i1, i2, k1, k2], a.reshape(2, 2, 2, 2))
-                tb = tn.Tensor([k1, k2, j1, j2], b.reshape(2, 2, 2, 2))
+                ta = tn.Tensor(["i1", "i2", "k1", "k2"], a.reshape(2, 2, 2, 2))
+                tb = tn.Tensor(["k1", "k2", "j1", "j2"], b.reshape(2, 2, 2, 2))
             out = tn.contract_pair(ta, tb)
             np.testing.assert_allclose(
                 out.data.reshape(dim, dim), triple_loop_matmul(a, b), atol=1e-12
@@ -190,9 +185,9 @@ class TestCircuitToNetwork:
             net = tn.circuit_to_network(c)
             counts = {}
             for t in net.tensors:
-                for ix in t.indices:
-                    counts[ix.label] = counts.get(ix.label, 0) + 1
-            open_labels = {ix.label for ix in net.open_indices}
+                for label in t.indices:
+                    counts[label] = counts.get(label, 0) + 1
+            open_labels = set(net.open_indices)
             for label, k in counts.items():
                 assert k == (1 if label in open_labels else 2)
 
@@ -203,10 +198,7 @@ class TestPlanning:
         assert len(tn.greedy_plan(net).steps) == 3
 
     def test_single_tensor_empty_plan(self):
-        net = tn.TensorNetwork(
-            [tn.Tensor([tn.Index("a")], np.array([1, 0], dtype=complex))],
-            [tn.Index("a")],
-        )
+        net = tn.TensorNetwork([tn.Tensor(["a"], np.array([1, 0], dtype=complex))], ["a"])
         assert tn.greedy_plan(net).steps == []
 
     def test_bell_max_intermediate_rank(self):
@@ -272,9 +264,7 @@ class TestPlanning:
         assert calls < 10_000
 
     def test_greedy_on_empty_and_single_tensor_networks(self):
-        single = tn.TensorNetwork(
-            [tn.Tensor([tn.Index("a")], np.array([1, 0], dtype=complex))], [tn.Index("a")]
-        )
+        single = tn.TensorNetwork([tn.Tensor(["a"], np.array([1, 0], dtype=complex))], ["a"])
         for net in (tn.TensorNetwork([], []), single):
             assert tn.greedy_plan(net).steps == rescan_greedy_steps(net) == []
 
@@ -315,6 +305,38 @@ class TestExecutePlan:
         net = tn.circuit_to_network(bell_circuit())
         with pytest.raises(PlanError):
             tn.execute_plan(net, tn.ContractionPlan([(0, 1), (0, 2)]))
+
+    def test_bad_last_step_raises_before_any_contraction(self, monkeypatch):
+        calls = 0
+        contract = tn.contract_pair
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return contract(a, b)
+
+        monkeypatch.setattr(tn, "contract_pair", counting)
+        net = tn.circuit_to_network(bell_circuit())
+        with pytest.raises(PlanError):
+            tn.execute_plan(net, tn.ContractionPlan([(0, 2), (1, 3), (4, 4)]))
+        assert calls == 0
+
+    def test_oversized_intermediate_raises_before_allocation(self):
+        # two disjoint rank-13 tensors: their outer product has 2^26 entries
+        ones = np.ones((2,) * 13, dtype=complex)
+        net = tn.TensorNetwork(
+            [tn.Tensor([f"{side}{q}" for q in range(13)], ones) for side in "ab"],
+            [f"{side}{q}" for side in "ab" for q in range(13)],
+        )
+        plan = tn.ContractionPlan([(0, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                tn.execute_plan(net, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_self_pair_step_raises(self):
         net = tn.circuit_to_network(bell_circuit())
@@ -383,14 +405,14 @@ class TestPlanCost:
 
     def test_empty_plan(self):
         a = np.ones((2, 2), dtype=complex)
-        t = tn.Tensor([tn.Index("i"), tn.Index("j")], a)
-        net = tn.TensorNetwork([t], [tn.Index("i"), tn.Index("j")])
+        t = tn.Tensor(["i", "j"], a)
+        net = tn.TensorNetwork([t], ["i", "j"])
         assert tn.plan_cost(net, tn.ContractionPlan([])) == (0, 4)
 
     def test_stats_format(self):
-        out = tn.stats(bell_circuit())
-        assert out.startswith("tensors=4 steps=3 flops=")
-        assert "max_intermediate=" in out
+        # the greedy plans and their costs, pinned exactly
+        assert tn.stats(bell_circuit()) == "tensors=4 steps=3 flops=28 max_intermediate=16"
+        assert tn.stats(ghz_circuit(8)) == "tensors=16 steps=15 flops=876 max_intermediate=256"
 
 
 class TestGreedyNearOptimal:

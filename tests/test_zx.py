@@ -196,16 +196,19 @@ class TestRewrites:
 
 def rules_at_every_state(g: zx.ZXDiagram) -> set[zx.RewriteRule]:
     """Walk the engine's path from g; at each state try every rule on a copy and
-    assert that each one that fires keeps the tensor up to a nonzero scalar."""
+    assert that each one that fires keeps the tensor up to a nonzero scalar and
+    lowers spider_count() + len(edges), which is why apply_rewrites ends."""
     fired = set()
     while True:
         before = zx.zx_to_tensor(g).data
+        count = g.spider_count() + len(g.edges)
         nxt = None
         for rule in zx._RULES:
             h = g.copy()
             step = rule(h)
             if step is not None:
                 assert_proportional(zx.zx_to_tensor(h).data, before)
+                assert h.spider_count() + len(h.edges) < count
                 fired.add(step.rule)
                 nxt = nxt or h
         if nxt is None:
