@@ -3,13 +3,16 @@
 An index is a label, a str naming one qubit wire of dimension 2. Gate tensors
 hold the gate unitary reshaped with output indices first, one (out, in) leg
 pair per touched qubit, first listed qubit most significant. A plan is
-checked whole, steps and intermediate sizes, before anything is contracted.
+checked whole, steps, intermediate sizes and open indices, before anything
+is contracted.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from decimal import Decimal
+from functools import reduce
 
 import numpy as np
 
@@ -150,12 +153,17 @@ def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     """Run the plan; the final tensor's indices follow net.open_indices order.
 
     The whole plan is checked through plan_cost before the first contraction:
-    a bad step or a plan that leaves other than one tensor raises PlanError,
-    an intermediate above 2**dense.MAX_STATE_QUBITS entries CapacityError."""
+    a bad step, a plan that leaves other than one tensor or open indices other
+    than the network's dangling labels raise PlanError, an intermediate above
+    2**dense.MAX_STATE_QUBITS entries CapacityError."""
     _, max_size = plan_cost(net, plan)
     left = len(net.tensors) - len(plan.steps)
     if left != 1:
         raise PlanError(f"plan leaves {left} tensors instead of one")
+    # a label on two tensors is summed, so the result keeps those on one
+    dangling = reduce(frozenset.symmetric_difference, (frozenset(t.indices) for t in net.tensors))
+    if sorted(net.open_indices) != sorted(dangling):
+        raise PlanError("open indices do not match the network's dangling labels")
     if max_size > 1 << dense.MAX_STATE_QUBITS:
         raise CapacityError(
             f"plan has a {max_size}-entry intermediate; ceiling 2^{dense.MAX_STATE_QUBITS}"
@@ -164,11 +172,8 @@ def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     for k, (i, j) in enumerate(plan.steps, len(net.tensors)):
         live[k] = contract_pair(live.pop(i), live.pop(j))
     result = live.popitem()[1]
-    want, have = net.open_indices, result.indices
-    if sorted(want) != sorted(have):
-        raise PlanError("result indices do not match the network's open indices")
-    perm = [have.index(l) for l in want]
-    return Tensor(list(want), np.transpose(result.data, perm))
+    perm = [result.indices.index(l) for l in net.open_indices]
+    return Tensor(list(net.open_indices), np.transpose(result.data, perm))
 
 
 def plan_cost(net: TensorNetwork, plan: ContractionPlan) -> tuple[int, int]:
@@ -246,7 +251,8 @@ def stats(c: Circuit) -> str:
     net = circuit_to_network(c)
     plan = greedy_plan(net)
     flops, max_size = plan_cost(net, plan)
+    # Decimal prints ints of any size exactly; str(int) stops at 4,300 digits
     return (
         f"tensors={len(net.tensors)} steps={len(plan.steps)} "
-        f"flops={flops} max_intermediate={max_size}"
+        f"flops={Decimal(flops)} max_intermediate={Decimal(max_size)}"
     )

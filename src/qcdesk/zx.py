@@ -1,9 +1,12 @@
 """ZX-calculus backend: diagrams, sound rewriting, graph-like form, semantics.
 
-Colour is handled once: `to_graph_like` turns every X spider into a Z spider,
-and the four rewrite rules take only such graph-like diagrams. Diagrams are
-unnormalized; every rewrite preserves the tensor semantics only up to a
-nonzero scalar, and all comparisons downstream are made up to scalar.
+A diagram is a simple graph, as in PyZX: at most one edge, plain or hadamard,
+joins two vertices, and none joins a vertex to itself. `add_edge` resolves a
+loop or a second edge the moment it is added. Colour is handled once:
+`to_graph_like` turns every X spider into a Z spider, and the two rewrite
+rules take only such graph-like diagrams. Diagrams are unnormalized; every
+rewrite preserves the tensor semantics only up to a nonzero scalar, and all
+comparisons downstream are made up to scalar.
 """
 from __future__ import annotations
 
@@ -46,21 +49,19 @@ class RewriteStep:
 
 
 class ZXDiagram:
-    """Spiders and boundary points joined by plain or hadamard edges.
+    """Spiders and boundary points on a simple graph of plain or hadamard edges.
 
-    Edges form a multiset (parallel edges and self-loops are legal); boundary
-    points carry exactly one incident edge each.
+    `nbrs[v]` maps each neighbour of v to the kind of their one edge. Boundary
+    points carry exactly one edge each.
     """
 
     def __init__(self):
         self._next_vertex = itertools.count()
-        self._next_edge = itertools.count()
         self.color: dict[int, SpiderColor] = {}
         self.phase: dict[int, Angle] = {}
         self.boundary_in: list[int] = []
         self.boundary_out: list[int] = []
-        self.edges: dict[int, tuple[int, int, str]] = {}
-        self._incident: dict[int, list[int]] = {}
+        self.nbrs: dict[int, dict[int, str]] = {}
 
     # ---- construction ------------------------------------------------------
 
@@ -68,33 +69,49 @@ class ZXDiagram:
         v = next(self._next_vertex)
         self.color[v] = color
         self.phase[v] = phase
-        self._incident[v] = []
+        self.nbrs[v] = {}
         return v
 
     def add_boundary(self, which: str) -> int:
         v = next(self._next_vertex)
-        self._incident[v] = []
+        self.nbrs[v] = {}
         (self.boundary_in if which == "in" else self.boundary_out).append(v)
         return v
 
-    def add_edge(self, u: int, v: int, kind: str = PLAIN) -> int:
-        e = next(self._next_edge)
-        self.edges[e] = (u, v, kind)
-        self._incident[u].append(e)
-        if v != u:
-            self._incident[v].append(e)
-        return e
+    def add_edge(self, u: int, v: int, kind: str = PLAIN) -> RewriteRule | None:
+        """Join u and v, resolving a loop or a second edge at once; the rule
+        that resolved it, or None when the edge was simply added.
 
-    def remove_edge(self, e: int):
-        u, v, _ = self.edges.pop(e)
-        self._incident[u].remove(e)
-        if v != u:
-            self._incident[v].remove(e)
+        Resolution works in the Z frame, where an X spider is a Z spider with
+        a hadamard on every leg, so an edge's kind toggles once per X end: a
+        hadamard loop adds pi and a plain one vanishes; two hadamard edges
+        cancel; plain beside plain stays one plain edge, and plain beside
+        hadamard stays plain and adds pi to u (the hadamard edge becomes a
+        loop once the plain one is fused). Raises ValueError at a boundary.
+        """
+        old = self.nbrs[u].get(v)
+        if old is None and u != v:
+            self.nbrs[u][v] = self.nbrs[v][u] = kind
+            return None
+        if not (self.is_spider(u) and self.is_spider(v)):
+            raise ValueError("boundary point must have exactly one incident edge")
+        if u == v:
+            if kind == HADAMARD:
+                self.phase[u] += _PI
+            return RewriteRule.SELF_LOOP_REMOVAL
+        flip = (self.color[u] == SpiderColor.X) != (self.color[v] == SpiderColor.X)
+        if old == kind == (PLAIN if flip else HADAMARD):
+            del self.nbrs[u][v], self.nbrs[v][u]
+            return RewriteRule.HADAMARD_CANCEL
+        if old != kind:
+            self.phase[u] += _PI
+        self.nbrs[u][v] = self.nbrs[v][u] = HADAMARD if flip else PLAIN
+        return RewriteRule.SELF_LOOP_REMOVAL
 
     def remove_spider(self, v: int):
-        for e in list(self._incident[v]):
-            self.remove_edge(e)
-        del self.color[v], self.phase[v], self._incident[v]
+        for w in self.nbrs.pop(v):
+            del self.nbrs[w][v]
+        del self.color[v], self.phase[v]
 
     def is_spider(self, v: int) -> bool:
         return v in self.color
@@ -105,29 +122,21 @@ class ZXDiagram:
     def spider_count(self) -> int:
         return len(self.color)
 
-    def incident(self, v: int) -> list[int]:
-        return list(self._incident[v])
-
-    def other_end(self, e: int, v: int) -> int:
-        u, w, _ = self.edges[e]
-        return w if u == v else u
-
-    def edge_kind(self, e: int) -> str:
-        return self.edges[e][2]
+    def edges(self) -> list[tuple[int, int, str]]:
+        """Each edge once, as (u, v, kind) with u < v."""
+        return [(u, v, k) for u, ns in self.nbrs.items() for v, k in ns.items() if u < v]
 
     def hadamard_edge_count(self) -> int:
-        return sum(1 for (_, _, k) in self.edges.values() if k == HADAMARD)
+        return sum(1 for (_, _, k) in self.edges() if k == HADAMARD)
 
     def copy(self) -> "ZXDiagram":
         d = ZXDiagram()
-        d._next_vertex = itertools.count(max(self._incident, default=-1) + 1)
-        d._next_edge = itertools.count(max(self.edges, default=-1) + 1)
+        d._next_vertex = itertools.count(max(self.nbrs, default=-1) + 1)
         d.color = dict(self.color)
         d.phase = dict(self.phase)
         d.boundary_in = list(self.boundary_in)
         d.boundary_out = list(self.boundary_out)
-        d.edges = dict(self.edges)
-        d._incident = {v: list(es) for v, es in self._incident.items()}
+        d.nbrs = {v: dict(ns) for v, ns in self.nbrs.items()}
         return d
 
 
@@ -219,78 +228,41 @@ def plug_basis_states(d: ZXDiagram, bits: str) -> ZXDiagram:
 
 # ---- rewriting -------------------------------------------------------------
 # The rules take graph-like diagrams, where every spider is Z. Each rewrites
-# its first match in place and returns the step, or None.
+# its first match in place and returns its steps, empty when nothing matched:
+# its own step, then one for each resolution its add_edge calls made.
 
 
-def _remove_identity(d: ZXDiagram) -> RewriteStep | None:
+def _steps(rule: RewriteRule, *resolved: RewriteRule | None) -> list[RewriteStep]:
+    return [RewriteStep(r) for r in (rule, *resolved) if r is not None]
+
+
+def _remove_identity(d: ZXDiagram) -> list[RewriteStep]:
     # a phase-0 arity-2 spider is a wire; the hadamards on its two edges compose
     for v in d.spiders():
-        if not d.phase[v].is_zero():
-            continue
-        es = d.incident(v)
-        ends = [d.other_end(e, v) for e in es]
-        if len(es) != 2 or v in ends:  # a self-loop is no wire
-            continue
-        kinds = [d.edge_kind(e) for e in es]
-        a, b = ends
-        d.remove_spider(v)
-        d.add_edge(a, b, PLAIN if kinds[0] == kinds[1] else HADAMARD)
-        if kinds == [HADAMARD, HADAMARD]:
-            return RewriteStep(RewriteRule.HADAMARD_CANCEL)
-        return RewriteStep(RewriteRule.IDENTITY_REMOVAL)
-    return None
-
-
-def _cancel_parallel_hadamards(d: ZXDiagram) -> RewriteStep | None:
-    # parallel pair of hadamard edges between the same two spiders cancels mod 2
-    seen: dict[tuple[int, int], int] = {}
-    for e in sorted(d.edges):
-        u, v, kind = d.edges[e]
-        if kind != HADAMARD or u == v:
-            continue
-        if not (d.is_spider(u) and d.is_spider(v)):
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            d.remove_edge(seen[key])
-            d.remove_edge(e)
-            return RewriteStep(RewriteRule.HADAMARD_CANCEL)
-        seen[key] = e
-    return None
-
-
-def _remove_self_loop(d: ZXDiagram) -> RewriteStep | None:
-    # a plain self-loop vanishes, a hadamard one adds pi to the phase
-    for e in sorted(d.edges):
-        u, v, kind = d.edges[e]
-        if u == v:
-            d.remove_edge(e)
-            if kind == HADAMARD:
-                d.phase[u] = d.phase[u] + _PI
-            return RewriteStep(RewriteRule.SELF_LOOP_REMOVAL)
-    return None
-
-
-def _fuse(d: ZXDiagram) -> RewriteStep | None:
-    for e in sorted(d.edges):
-        u, v, kind = d.edges[e]
-        if kind != PLAIN or u == v:
-            continue
-        if d.is_spider(u) and d.is_spider(v):
-            d.remove_edge(e)
-            d.phase[u] = d.phase[u] + d.phase[v]
-            for ev in d.incident(v):
-                a, b, k = d.edges[ev]
-                d.remove_edge(ev)
-                other = b if a == v else a
-                d.add_edge(u, u if other == v else other, k)
+        if d.phase[v].is_zero() and len(d.nbrs[v]) == 2:
+            (a, ka), (b, kb) = d.nbrs[v].items()
             d.remove_spider(v)
-            return RewriteStep(RewriteRule.FUSION)
-    return None
+            R = RewriteRule
+            rule = R.HADAMARD_CANCEL if ka == kb == HADAMARD else R.IDENTITY_REMOVAL
+            return _steps(rule, d.add_edge(a, b, PLAIN if ka == kb else HADAMARD))
+    return []
+
+
+def _fuse(d: ZXDiagram) -> list[RewriteStep]:
+    # v merges into u along their plain edge; v's other edges move to u
+    for u in d.spiders():
+        v = next((v for v, k in d.nbrs[u].items() if k == PLAIN and d.is_spider(v)), None)
+        if v is not None:
+            d.phase[u] += d.phase[v]
+            moved = d.nbrs[v]
+            d.remove_spider(v)
+            resolved = [d.add_edge(u, w, k) for w, k in moved.items() if w != u]
+            return _steps(RewriteRule.FUSION, *resolved)
+    return []
 
 
 # priority order: each pass applies the first rule that matches
-_RULES = (_remove_identity, _cancel_parallel_hadamards, _remove_self_loop, _fuse)
+_RULES = (_remove_identity, _fuse)
 
 
 def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
@@ -303,14 +275,14 @@ def apply_rewrites(d: ZXDiagram) -> tuple[ZXDiagram, list[RewriteStep]]:
         raise ValueError("apply_rewrites needs a graph-like diagram; see to_graph_like")
     g = d.copy()
     steps: list[RewriteStep] = []
-    # every rule lowers spider_count() + len(edges), so this loop ends
-    while step := next(filter(None, (rule(g) for rule in _RULES)), None):
-        steps.append(step)
+    # every rule lowers spider_count() + len(edges()), so this loop ends
+    while new := next(filter(None, (rule(g) for rule in _RULES)), None):
+        steps.extend(new)
     return g, steps
 
 
 def to_graph_like(d: ZXDiagram) -> ZXDiagram:
-    """All spiders Z-colored; parallel hadamard edges and self-loops eliminated.
+    """All spiders Z-colored.
 
     The only place colour is handled: an X spider is a Z spider with a
     hadamard on every leg, so each flip toggles its edges' kinds.
@@ -319,13 +291,8 @@ def to_graph_like(d: ZXDiagram) -> ZXDiagram:
     for v in g.spiders():
         if g.color[v] == SpiderColor.X:
             g.color[v] = SpiderColor.Z
-            for e in g.incident(v):
-                u, w, kind = g.edges[e]
-                if u != w:  # a self-loop gets a hadamard at both ends, a no-op
-                    g.edges[e] = (u, w, _toggle(kind))
-    # the engine's own rules, unrecorded
-    while _remove_self_loop(g) or _cancel_parallel_hadamards(g):
-        pass
+            for w, kind in g.nbrs[v].items():
+                g.nbrs[v][w] = g.nbrs[w][v] = _toggle(kind)
     return g
 
 
@@ -364,11 +331,10 @@ def zx_to_tensor(d: ZXDiagram) -> tn.Tensor:
     def fresh() -> str:
         return f"z{next(labels)}"
 
-    legs: dict[int, list[str]] = {v: [] for v in d._incident}
+    legs: dict[int, list[str]] = {v: [] for v in d.nbrs}
     extra: list[tn.Tensor] = []
-    for e in sorted(d.edges):
-        u, v, kind = d.edges[e]
-        if kind == PLAIN and u != v and (d.is_spider(u) or d.is_spider(v)):
+    for u, v, kind in d.edges():
+        if kind == PLAIN and (d.is_spider(u) or d.is_spider(v)):
             ix = fresh()
             legs[u].append(ix)
             legs[v].append(ix)
@@ -412,17 +378,8 @@ class ZXEquivalence:
 def _is_identity_wiring(d: ZXDiagram) -> bool:
     if d.spider_count() != 0:
         return False
-    if len(d.edges) != len(d.boundary_in):
-        return False
-    want = set()
-    for i, o in zip(d.boundary_in, d.boundary_out):
-        want.add(frozenset((i, o)))
-    got = set()
-    for u, v, kind in d.edges.values():
-        if kind != PLAIN:
-            return False
-        got.add(frozenset((u, v)))
-    return got == want
+    want = {(min(i, o), max(i, o), PLAIN) for i, o in zip(d.boundary_in, d.boundary_out)}
+    return set(d.edges()) == want
 
 
 def _reduce(c: Circuit) -> ZXEquivalence:

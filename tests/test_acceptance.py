@@ -151,8 +151,8 @@ def test_criterion_5_zx_fixtures():
     reduced, steps = zx.apply_rewrites(zx.to_graph_like(plugged))
     assert any(s.rule == zx.RewriteRule.FUSION for s in steps)
     assert reduced.spider_count() == 0
-    assert len(reduced.edges) == 1
-    (u, v, kind), = reduced.edges.values()
+    assert len(reduced.edges()) == 1
+    (u, v, kind), = reduced.edges()
     assert kind == zx.PLAIN
     assert {u, v} == set(reduced.boundary_out)
     t = zx.zx_to_tensor(plugged)

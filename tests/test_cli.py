@@ -176,6 +176,16 @@ class TestStats:
         assert cli.run(["stats", "--backend", "zx", path]) == 0
         assert capsys.readouterr().out == "spiders_before=2 spiders_after=0 steps=2\n"
 
+    def test_tn_prints_sizes_past_the_int_digit_limit(self, tmp_path, capsys):
+        # max_intermediate is 2^15000, 4,516 digits: past str(int)'s 4,300
+        path = write(tmp_path, "idle.qcf", "qubits 15000\n")
+        assert cli.run(["stats", "--backend", "tn", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("tensors=15000 steps=14999 ")
+        digits = out.split("max_intermediate=")[1].rstrip("\n")
+        assert len(digits) == 4516
+        assert int(digits[-30:]) == pow(2, 15000, 10**30)
+
     def test_dense_rejected(self, bell_file, capsys):
         assert cli.run(["stats", "--backend", "dense", bell_file]) == 64
 

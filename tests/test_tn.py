@@ -321,6 +321,22 @@ class TestExecutePlan:
             tn.execute_plan(net, tn.ContractionPlan([(0, 2), (1, 3), (4, 4)]))
         assert calls == 0
 
+    def test_wrong_open_indices_raise_before_any_contraction(self, monkeypatch):
+        calls = 0
+        contract = tn.contract_pair
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return contract(a, b)
+
+        monkeypatch.setattr(tn, "contract_pair", counting)
+        net = tn.circuit_to_network(bell_circuit())
+        net.open_indices = ["x", "y"]
+        with pytest.raises(PlanError, match="dangling"):
+            tn.execute_plan(net, tn.greedy_plan(net))
+        assert calls == 0
+
     def test_oversized_intermediate_raises_before_allocation(self):
         # two disjoint rank-13 tensors: their outer product has 2^26 entries
         ones = np.ones((2,) * 13, dtype=complex)
