@@ -11,13 +11,22 @@ The kernel applies one block in place. A block on k qubits views the buffer
 as 2^k strided blocks, one per basis value of its qubits, and rewrites each as
 the combination of blocks that the nonzeros of its matrix row name: diagonal
 blocks only scale, permutation blocks only copy. The blocks are walked in
-slices of at most _SLICE amplitudes, so peak memory is the buffer plus
-O(_SLICE) scratch.
+slices of at most _SLICE amplitudes, so the kernel needs O(_SLICE) scratch.
+
+A block with one nonzero per row (a permutation times phases) sends each
+amplitude to one place. While the leading blocks are such and the product
+start's support (its factors' nonzero counts multiplied) is at most
+_SUPPORT_SHARE of the buffer, they run on the support alone, as (index, value)
+arrays gathered at the Kronecker sum of the factors' nonzero offsets: each
+block flips index bits and scales values as the kernel would, to the bit. They
+take 64 bytes per entry, so peak memory is the buffer plus the larger of the
+kernel's scratch and 64 * _SUPPORT_SHARE bytes per amplitude (half the buffer).
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +38,7 @@ MAX_STATE_QUBITS = 24
 MAX_UNITARY_QUBITS = 10
 
 _SLICE = 1 << 15  # amplitudes per kernel step
+_SUPPORT_SHARE = 1 / 8  # largest support, as a share of the buffer, run as index arrays
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -175,9 +185,12 @@ def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int
     shape += ((1 << top) * (buf.size >> n),)
     view = buf.reshape(shape)
     indices = _block_indices(shape, _SLICE)
-    # one slot per saved block, then one for the products of multi-term rows
+    # one slot per saved block, then one for products: a multi-term row's, and a
+    # moved block's if lo = 1. Then the blocks interleave, and numpy rounds a
+    # product whose output interleaves with its input apart (off its vector loop)
     scratch = np.empty((len(saved) + 1,) + view[indices[0][0]].shape, dtype=buf.dtype)
     tmp = scratch[-1]
+    interleaved = shape[-1] == 1
     for index in indices:
         blocks = [view[ix] for ix in index]
         for slot, c in enumerate(saved):
@@ -187,8 +200,8 @@ def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int
             c, coeff, slot = terms[0]
             src = scratch[slot] if slot >= 0 else blocks[c]
             if coeff != 1:
-                np.multiply(src, coeff, out=dst)
-            elif src is not dst:
+                src = np.multiply(src, coeff, out=tmp if interleaved and src is not dst else dst)
+            if src is not dst:
                 np.copyto(dst, src)
             for c, coeff, slot in terms[1:]:
                 src = scratch[slot] if slot >= 0 else blocks[c]
@@ -213,8 +226,39 @@ def _fill(c: Circuit, buf: np.ndarray, basis: int | None) -> None:
         if f[0, 0] != 1:
             old *= f[0, 0]
         rows, cols = rows * f.shape[0], cols * f.shape[1]
-    for b in blocks:
+    done = _run_on_support(buf.reshape(-1), factors, blocks, c.num_qubits)
+    for b in blocks[done:]:
         _apply_block(buf, b.qubits, b.stack[0], c.num_qubits)
+
+
+def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], blocks: list[_Block], n: int) -> int:
+    """Apply the leading monomial blocks to the support of flat, the product
+    start of factors, as the module doc says; returns how many it applied."""
+    run = list(itertools.takewhile(lambda b: b.density == 1, blocks))
+    if not run or math.prod(map(np.count_nonzero, factors)) > flat.size * _SUPPORT_SHARE:
+        return 0
+    shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
+    idx = np.zeros(1, dtype=np.intp)
+    for q, f in enumerate(factors):
+        i, j = np.nonzero(f)
+        idx = (idx[:, None] + ((i << (q + shift)) | (j << q))).ravel()
+    vals, flat[idx] = flat[idx], 0
+    for b in run:
+        m, pattern = b.stack
+        cols = np.arange(len(m))
+        perm = pattern.real.argmax(0)  # column -> the row of its one nonzero
+        bits = [q + shift for q in b.qubits]  # most significant first
+        flips = sum((((perm ^ cols) >> k) & 1) << p for k, p in enumerate(reversed(bits)))
+        local = (idx >> bits[0]) & 1
+        for p in bits[1:]:
+            local = (local << 1) | ((idx >> p) & 1)
+        idx ^= flips[local]
+        coef = m[perm, cols]
+        if np.any(coef != 1):  # vals first and a new array, as the kernel's src * coeff:
+            # `vals *=` on one entry and `vals * temporary` (numpy may swap it) round apart
+            vals = np.multiply(vals, coef[local])
+    flat[idx] = vals
+    return len(run)
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:

@@ -26,15 +26,24 @@ MAX_Q = dense.MAX_STATE_QUBITS
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def peak_until_raises(fn, exc) -> int:
-    """Traced peak bytes of fn(), which must raise exc."""
+def traced_peak(fn) -> int:
+    """Traced peak bytes while fn() runs."""
     tracemalloc.start()
     try:
-        with pytest.raises(exc):
-            fn()
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_until_raises(fn, exc) -> int:
+    """Traced peak bytes of fn(), which must raise exc."""
+
+    def raising():
+        with pytest.raises(exc):
+            fn()
+
+    return traced_peak(raising)
 
 
 class TestInitialState:
@@ -269,12 +278,13 @@ class TestInPlaceKernel:
         np.testing.assert_allclose(out.amps, kron_embedding(g, n) @ before, rtol=0, atol=1e-12)
 
 
-@st.composite
-def circuits(draw, n_max=6, max_gates=30):
-    """Circuits of every gate kind, qubits in either order, rotation angles
+MONOMIAL_KINDS = [GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CZ, GateKind.S, GateKind.T, GateKind.RZ]
+
+
+def draw_gates(draw, n, kinds, max_gates):
+    """Gates of the given kinds, qubits in either order, rotation angles
     k pi / 2^m down to pi / 2^60."""
-    n = draw(st.integers(1, n_max))
-    kinds = [k for k in GateKind if gate_arity(k) <= n]
+    kinds = [k for k in kinds if gate_arity(k) <= n]
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))
@@ -283,6 +293,21 @@ def circuits(draw, n_max=6, max_gates=30):
         if kind in (GateKind.RX, GateKind.RZ):
             angle = Angle(draw(st.integers(-16, 16)), 2 ** draw(st.integers(0, 60)))
         gates.append(Gate(kind, qubits, angle))
+    return gates
+
+
+@st.composite
+def circuits(draw, n_max=6, max_gates=30):
+    """Circuits of every gate kind (see draw_gates)."""
+    n = draw(st.integers(1, n_max))
+    return Circuit(n, tuple(draw_gates(draw, n, list(GateKind), max_gates)))
+
+
+@st.composite
+def monomial_prefixed_circuits(draw, n_max=6):
+    """Permutation and phase gates, then gates of every kind."""
+    n = draw(st.integers(1, n_max))
+    gates = draw_gates(draw, n, MONOMIAL_KINDS, 20) + draw_gates(draw, n, list(GateKind), 10)
     return Circuit(n, tuple(gates))
 
 
@@ -291,6 +316,31 @@ def per_gate_unitary(gates, n: int) -> np.ndarray:
     for g in gates:
         u = kron_embedding(g, n) @ u
     return u
+
+
+def count_kernel_passes(mp) -> list:
+    """Patch the kernel to record the qubits of each block it applies."""
+    passes = []
+    kernel = dense._apply_block
+
+    def counting(buf, qubits, m, n):
+        passes.append(qubits)
+        kernel(buf, qubits, m, n)
+
+    mp.setattr(dense, "_apply_block", counting)
+    return passes
+
+
+def leading_monomial_blocks(c: Circuit) -> int:
+    blocks = dense._plan(c)[1]
+    return next((i for i, b in enumerate(blocks) if b.density > 1), len(blocks))
+
+
+def bench_statevector_circuit(mp, seed: int) -> Circuit:
+    mp.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    n, gates = gen.statevector(seed).circuits["sv.qcf"]
+    return parse_circuit(gen.render(n, gates))
 
 
 class TestFusedPasses:
@@ -324,23 +374,33 @@ class TestFusedPasses:
             assert np.count_nonzero(pattern, axis=1).max() <= densest
 
     def test_statevector_bench_circuit_runs_in_few_passes(self, monkeypatch):
-        # 200 gates, one kernel pass each before fusion
-        monkeypatch.syspath_prepend(str(BENCH))
-        gen = importlib.import_module("gen")
-        n, gates = gen.statevector(1).circuits["sv.qcf"]
-        c = parse_circuit(gen.render(n, gates))
-        passes = 0
-        kernel = dense._apply_block
-
-        def counting(*args):
-            nonlocal passes
-            passes += 1
-            kernel(*args)
-
-        monkeypatch.setattr(dense, "_apply_block", counting)
+        # 200 gates in 68 blocks, each a permutation times phases: all of them
+        # run on the 2^15-entry support, none as a kernel pass over 2^20
+        c = bench_statevector_circuit(monkeypatch, 1)
+        passes = count_kernel_passes(monkeypatch)
         dense.simulate(c)
         assert len(c.gates) == 200
-        assert passes <= 80
+        assert leading_monomial_blocks(c) == len(dense._plan(c)[1]) == 68
+        assert passes == []
+
+    @pytest.mark.parametrize("case", ["hand", "bench"])
+    def test_kernel_runs_the_blocks_from_the_first_denser_one(self, monkeypatch, case):
+        cx, h = GateKind.CX, GateKind.H
+        if case == "hand":  # h joins the second block; the third is monomial again
+            c = Circuit(4, (Gate(cx, (0, 1)), Gate(cx, (1, 2)), Gate(h, (2,)), Gate(cx, (2, 3))))
+        else:  # h joins the last block on qubit 0 of the bench circuit
+            c = bench_statevector_circuit(monkeypatch, 1)
+            c = Circuit(c.num_qubits, c.gates + (Gate(h, (0,)),))
+        blocks = dense._plan(c)[1]
+        lead = leading_monomial_blocks(c)
+        assert 0 < lead < len(blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_SUPPORT_SHARE", 0)
+            want = dense.simulate(c, 1).amps
+        passes = count_kernel_passes(monkeypatch)
+        got = dense.simulate(c, 1).amps
+        assert passes == [b.qubits for b in blocks[lead:]]
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("run", [
         lambda: dense.simulate(Circuit(MAX_Q + 1, (Gate(GateKind.H, (0,)),))),
@@ -348,3 +408,80 @@ class TestFusedPasses:
     ], ids=["simulate", "circuit_unitary"])
     def test_capacity_is_checked_before_allocation(self, run):
         assert peak_until_raises(run, CapacityError) < 1 << 20
+
+
+class TestSupportPhase:
+    """Leading monomial blocks run on the support's (index, value) arrays; the
+    kernel-only path (_SUPPORT_SHARE 0) is the oracle, equal value for value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=monomial_prefixed_circuits(), data=st.data())
+    def test_matches_the_kernel_only_path(self, c, data):
+        n = c.num_qubits
+        basis = data.draw(st.integers(0, 2**n - 1))
+        factors, blocks = dense._plan(c)
+        lead = leading_monomial_blocks(c)
+
+        def run(share):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dense, "_SUPPORT_SHARE", share)
+                passes = count_kernel_passes(mp)
+                state = dense.simulate(c, basis).amps
+                state_passes = len(passes)
+                return state, dense.circuit_unitary(c), state_passes, len(passes) - state_passes
+
+        def skipped(support, size):  # the blocks the support phase takes from the kernel
+            return lead if support <= size * dense._SUPPORT_SHARE else 0
+
+        state, unitary, state_passes, unitary_passes = run(dense._SUPPORT_SHARE)
+        want_state, want_unitary, *kernel_passes = run(0)
+        assert kernel_passes == [len(blocks)] * 2
+        # the product start's support: the state's column, the whole start
+        state_support = math.prod(np.count_nonzero(f[:, (basis >> q) & 1]) for q, f in enumerate(factors))
+        unitary_support = math.prod(np.count_nonzero(f) for f in factors)
+        assert state_passes == len(blocks) - skipped(state_support, 2**n)
+        assert unitary_passes == len(blocks) - skipped(unitary_support, 4**n)
+        assert np.array_equal(state, want_state)
+        assert np.array_equal(unitary, want_unitary)
+
+    @pytest.mark.parametrize("n, basis, gates", [
+        (4, 1, "x 1; t 0; x 0; cx 0 1; x 0; t 0"),
+        (5, 3, "t 0; x 0; cx 0 1; rz 1/4 1; x 1"),
+    ])
+    def test_a_moved_phase_rounds_as_in_the_kernel(self, n, basis, gates):
+        # a moved amplitude times a phase, where a product like e^{i pi/4} e^{i pi/4}
+        # has a real part of 2.2e-16 without fused multiply-add and 1.8e-16 with
+        # it; the kernel's views on qubit 0 interleave, the support holds one entry
+        c = parse_circuit(f"qubits {n}\n" + gates.replace("; ", "\n") + "\n")
+        got = dense.simulate(c, basis).amps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_SUPPORT_SHARE", 0)
+            want = dense.simulate(c, basis).amps
+        assert np.array_equal(got, want)
+
+    def test_peak_is_the_buffer_plus_the_support_arrays(self, monkeypatch):
+        n, superposed = 20, 15
+        rng = random.Random(5)
+        gates = [Gate(GateKind.H, (q,)) for q in range(superposed)]
+        for _ in range(60):
+            kind = rng.choice([GateKind.CX, GateKind.T, GateKind.SWAP])
+            gates.append(Gate(kind, tuple(rng.sample(range(n), gate_arity(kind)))))
+        c = Circuit(n, tuple(gates))
+        passes = count_kernel_passes(monkeypatch)
+        peak = traced_peak(lambda: dense.simulate(c))
+        assert passes == []
+        assert 2**superposed <= (2**n) * dense._SUPPORT_SHARE
+        # 64 bytes per support entry, as the dense module doc says
+        assert peak <= 16 * 2**n + 64 * 2**superposed + (1 << 18)
+
+    def test_full_support_never_takes_the_support_path(self, monkeypatch):
+        n = 20
+        gates = [Gate(GateKind.H, (q,)) for q in range(n)]
+        gates += [Gate(GateKind.CX, (q, q + 1)) for q in range(0, n - 1, 2)]
+        gates += [Gate(GateKind.SWAP, (q, q + 1)) for q in range(1, n - 1, 2)]
+        c = Circuit(n, tuple(gates))
+        passes = count_kernel_passes(monkeypatch)
+        peak = traced_peak(lambda: dense.simulate(c))
+        assert len(passes) == len(dense._plan(c)[1]) == n - 1
+        # the kernel's scratch is O(_SLICE); the support phase would add 40 bytes an amplitude
+        assert peak <= 16 * 2**n + 16 * 4 * dense._SLICE + (1 << 18)
