@@ -20,6 +20,8 @@ EXIT_CAPACITY = 70
 
 # printed amplitudes below this magnitude are suppressed without --full
 _COMPACT_EPS = 1e-12
+# numpy's multinomial counts shots in an int64
+_MAX_SHOTS = 2**63 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,11 +30,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its invalid-value message
@@ -54,7 +58,7 @@ def _build_parser() -> _Parser:
     amp.add_argument("file")
 
     smp = sub.add_parser("sample", help="seeded measurement sampling (dense backend)")
-    smp.add_argument("--shots", type=_at_least(1), required=True)
+    smp.add_argument("--shots", type=_at_least(1, _MAX_SHOTS), required=True)
     smp.add_argument("--seed", type=_at_least(0), required=True)
     smp.add_argument("file")
 
@@ -104,8 +108,7 @@ def _cmd_amplitude(args) -> int:
 def _cmd_sample(args) -> int:
     c = _load(args.file)
     counts = dense.sample(dense.simulate(c), args.shots, args.seed)
-    for bits in sorted(counts):
-        print(f"{bits} {counts[bits]}")
+    sys.stdout.write("".join([f"{bits} {counts[bits]}\n" for bits in sorted(counts)]))
     return EXIT_OK
 
 

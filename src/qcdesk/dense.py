@@ -21,6 +21,18 @@ arrays gathered at the Kronecker sum of the factors' nonzero offsets: each
 block flips index bits and scales values as the kernel would, to the bit. They
 take 64 bytes per entry, so peak memory is the buffer plus the larger of the
 kernel's scratch and 64 * _SUPPORT_SHARE bytes per amplitude (half the buffer).
+
+format_amplitude_dump takes the printed indices in chunks of at most _SLICE.
+In each chunk it formats every distinct real and imaginary part once
+(np.unique) and gathers the strings back, and it gathers the bit labels from
+two tables of 2^(n/2) halves, so its scratch is O(_SLICE) beyond the text.
+sample draws the multinomial over the support (the nonzero probabilities),
+each divided by the full array's sum, so each is the full draw's to the bit.
+numpy's binomial step draws nothing for a zero probability, so the counts
+equal the full draw's, with one exception: that draw gives its last category
+the remainder, so when the last basis state has probability 0 it could land
+there the shots that rounding (about 1e-16 per shot) held back from the last
+nonzero one, which gets them here.
 """
 from __future__ import annotations
 
@@ -297,10 +309,12 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
     if shots < 1:
         raise ValueError("shots must be positive")
     probs = measure_probabilities(s)
-    probs = probs / probs.sum()
+    support = np.flatnonzero(probs != 0)  # a bool mask scans faster than floats
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {index_bits(i, s.n): int(counts[i]) for i in np.flatnonzero(counts).tolist()}
+    counts = rng.multinomial(shots, probs[support] / probs.sum())
+    hit = np.flatnonzero(counts)
+    high, low = _bit_labels(s.n)(support[hit])
+    return dict(zip((high + low).tolist(), counts[hit].tolist()))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -313,14 +327,34 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
+def _bit_labels(n: int):
+    """The map from an index array to index_bits(i, n) for each i, as two object
+    arrays (high and low bits) that sum elementwise to the labels. Both are
+    gathered from tables of at most 2^ceil(n/2) strings."""
+    low = n // 2
+    high = np.array([index_bits(i, n - low) for i in range(1 << (n - low))], dtype=object)
+    lows = np.array([index_bits(i, low)[:low] for i in range(1 << low)], dtype=object)
+    return lambda idx: (high[idx >> low], lows[idx & ((1 << low) - 1)])
+
+
+def _formatted(parts: np.ndarray, end: str) -> np.ndarray:
+    """f" {x:.17g}{end}" for each x in parts, each distinct value formatted once."""
+    values, inverse = np.unique(parts + 0.0, return_inverse=True)
+    return np.array([f" {x:.17g}{end}" for x in values.tolist()], dtype=object)[inverse]
+
+
 def format_amplitude_dump(s: StateVector, keep: np.ndarray | None = None) -> str:
     """One '<bits> <re> <im>' line per basis state, or per index in keep
     (ascending), 17 significant digits. Zeros print as 0, never -0."""
-    if keep is None:
-        keep, amps = range(len(s.amps)), s.amps
-    else:
-        keep, amps = keep.tolist(), s.amps[keep]
-    return "".join(
-        f"{index_bits(i, s.n)} {a.real + 0.0:.17g} {a.imag + 0.0:.17g}\n"
-        for i, a in zip(keep, amps.tolist())
-    )
+    size = len(s.amps) if keep is None else len(keep)
+    labels = _bit_labels(s.n)
+    chunks = []
+    for lo in range(0, size, _SLICE):
+        idx = np.arange(lo, min(lo + _SLICE, size)) if keep is None else keep[lo : lo + _SLICE]
+        amps = s.amps[idx]
+        cells = np.empty((len(idx), 4), dtype=object)  # a line is its cells joined
+        cells[:, 0], cells[:, 1] = labels(idx)
+        cells[:, 2] = _formatted(amps.real, "")
+        cells[:, 3] = _formatted(amps.imag, "\n")
+        chunks.append("".join(cells.ravel().tolist()))
+    return "".join(chunks)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import dump_amplitudes, format_then_filter, random_circuit
 from qcdesk import cli, dense, verify
+from qcdesk.ir import render_circuit
 
 BELL = "qubits 2\nh 1\ncx 1 0\n"
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -47,16 +53,6 @@ class TestSimulate:
         assert amps[3] == pytest.approx(INV_SQRT2, abs=1e-10)
 
 
-def format_then_filter(amps: np.ndarray, n: int, full: bool) -> str:
-    """The dump as first formatted in full and then filtered on its own text."""
-    lines = [f"{format(i, f'0{n}b')} {a.real:.17g} {a.imag:.17g}" for i, a in enumerate(amps)]
-    return "".join(
-        ln + "\n"
-        for ln in lines
-        if full or abs(complex(*map(float, ln.split()[1:]))) > cli._COMPACT_EPS
-    )
-
-
 class TestAmplitudeDump:
     N = 6
 
@@ -84,6 +80,27 @@ class TestAmplitudeDump:
         assert out == format_then_filter(amps + 0.0, self.N, full)
         # the input holds -0.0 components, which the old format printed as -0
         assert any(np.signbit(amps.real[amps.real == 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        distinct=st.sampled_from([1, 3, 16, 256]),
+        chunk=st.sampled_from([4, 8, 32, None]),
+        full=st.booleans(),
+    )
+    def test_chunked_dump_equals_format_then_filter(self, tmp_path_factory, n, seed, distinct, chunk, full):
+        # few distinct parts (many lines share each string) up to all distinct,
+        # and dumps that span several chunks and end inside one
+        amps = dump_amplitudes(seed, n, distinct)
+        path = write(tmp_path_factory.mktemp("dump"), "any.qcf", "qubits 1\n")
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "backend_state", lambda c, b: dense.StateVector(n, amps))
+            if chunk is not None:
+                mp.setattr(dense, "_SLICE", chunk)
+            assert cli.run(["simulate", "--backend", "dense", path] + ["--full"] * full) == 0
+        assert out.getvalue() == format_then_filter(amps + 0.0, n, full)
 
 
 class TestAmplitude:
@@ -121,13 +138,30 @@ class TestSample:
         assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize(
-        "shots, seed", [("0", "1"), ("-5", "1"), ("10", "-1"), ("ten", "1")]
+        "shots, seed",
+        [("0", "1"), ("-5", "1"), ("10", "-1"), ("ten", "1"), ("100000000000000000000", "1"), (str(2**63), "1")],
     )
     def test_out_of_range_is_usage_error(self, bell_file, capsys, shots, seed):
         assert cli.run(["sample", "--shots", shots, "--seed", seed, bell_file]) == 64
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_most_shots_numpy_can_count(self, bell_file, capsys):
+        assert cli.run(["sample", "--shots", str(2**63 - 1), "--seed", "1", bell_file]) == 0
+        counts = [int(ln.split()[1]) for ln in capsys.readouterr().out.splitlines()]
+        assert sum(counts) == 2**63 - 1
+
+    @pytest.mark.parametrize("shots, seed", [(1, 0), (1000, 5), (100_000, 2)])
+    def test_bytes_equal_one_print_per_line(self, tmp_path, capsys, shots, seed):
+        c = random_circuit(random.Random(seed), 6, 30)
+        path = write(tmp_path, "c.qcf", render_circuit(c))
+        assert cli.run(["sample", "--shots", str(shots), "--seed", str(seed), path]) == 0
+        got = capsys.readouterr().out
+        counts = dense.sample(dense.simulate(c), shots, seed)
+        for bits in sorted(counts):
+            print(f"{bits} {counts[bits]}")
+        assert got == capsys.readouterr().out
 
 
 class TestVerify:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
+from conftest import bell_circuit, dump_amplitudes, format_then_filter, ghz_circuit, random_circuit, random_gate
 from qcdesk.errors import CapacityError
 from qcdesk import dense
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, parse_circuit
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits, parse_circuit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -137,6 +137,13 @@ class TestMeasurement:
         )
 
 
+def reference_sample(s: dense.StateVector, shots: int, seed: int) -> dict[str, int]:
+    """The multinomial drawn over all 2^n probabilities."""
+    p = np.abs(s.amps) ** 2
+    counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    return {index_bits(i, s.n): int(counts[i]) for i in np.flatnonzero(counts)}
+
+
 class TestSample:
     def test_deterministic_state_all_shots(self):
         s = dense.StateVector(1, np.array([1, 0], dtype=complex))
@@ -167,6 +174,80 @@ class TestSample:
                 freqs[int(bits, 2)] = k / 100_000
             tv = 0.5 * np.abs(freqs - probs).sum()
             assert tv < 0.05
+
+    @pytest.mark.parametrize("shots", [1, 7, 10_000, 10**12])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_full_draw(self, shots, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        s = dense.simulate(random_circuit(random.Random(seed), n, 4 * n))
+        assert dense.sample(s, shots, seed) == reference_sample(s, shots, seed)
+
+    @pytest.mark.parametrize("shots", [1, 3, 10_000])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_full_draw_with_zero_ends(self, shots, seed):
+        # the last category takes the full draw's remainder: here it has probability 0
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps[rng.random(2**n) < 0.6] = 0
+        amps[[0, -1]] = 0
+        amps[1] = 0.5
+        s = dense.StateVector(n, amps / np.linalg.norm(amps))
+        got = dense.sample(s, shots, seed)
+        assert got == reference_sample(s, shots, seed)
+        assert sum(got.values()) == shots
+
+    def test_statevector_bench_circuit(self, monkeypatch):
+        s = dense.simulate(bench_statevector_circuit(monkeypatch, 1))
+        assert s.amps[-1] == 0
+        assert dense.sample(s, 10_000, 1) == reference_sample(s, 10_000, 1)
+
+    def test_never_reports_a_zero_probability_state(self, monkeypatch):
+        # With 2^63 - 1 shots, the full draw's binomial for the last nonzero
+        # probability (p / remaining just below 1 after rounding) can hold shots
+        # back, and the remainder lands on the last basis state, of probability 0.
+        s = dense.simulate(bench_statevector_circuit(monkeypatch, 1))
+        shots = 2**63 - 1
+        got = dense.sample(s, shots, 1)
+        want = reference_sample(s, shots, 1)
+        last = index_bits(2**s.n - 1, s.n)
+        top = index_bits(int(np.flatnonzero(s.amps)[-1]), s.n)
+        want[top] = want.get(top, 0) + want.pop(last, 0)
+        assert got == want
+        assert sum(got.values()) == shots
+
+
+class TestAmplitudeDump:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        distinct=st.sampled_from([1, 3, 16, 256]),
+        chunk=st.sampled_from([4, 8, 32, None]),
+        masked=st.booleans(),
+    )
+    def test_equals_format_then_filter(self, n, seed, distinct, chunk, masked):
+        amps = dump_amplitudes(seed, n, distinct)
+        lines = format_then_filter(amps + 0.0, n, True).splitlines(keepends=True)
+        keep = np.flatnonzero(np.random.default_rng(seed).random(2**n) < 0.5) if masked else None
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(dense, "_SLICE", chunk)
+            got = dense.format_amplitude_dump(dense.StateVector(n, amps), keep)
+        assert got == "".join(lines if keep is None else [lines[i] for i in keep])
+
+    def test_peak_is_a_small_multiple_of_the_text(self, monkeypatch):
+        # All-distinct parts, in chunks of 2^12 of the 2^16 lines: the chunks'
+        # texts and their join are twice the text, and the chunk's scratch is
+        # small beside it. Formatting the whole state at once peaks near 5x.
+        n = 16
+        rng = np.random.default_rng(1)
+        s = dense.StateVector(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+        monkeypatch.setattr(dense, "_SLICE", 1 << 12)
+        text = []
+        peak = traced_peak(lambda: text.append(dense.format_amplitude_dump(s)))
+        assert peak <= 3 * len(text[0])
 
 
 class TestCircuitUnitary:
