@@ -11,7 +11,9 @@ node at exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 Simulation applies each gate to the state DD directly (`DDBackend.apply_gate`):
 one walk rebuilds the nodes above the gate's qubits and splits the gate matrix
 into 2 x 2 blocks at each gate qubit, so no gate DD is built. The multiply
-serves matrix products and equivalence checking.
+serves matrix products and equivalence checking. Reads of a whole diagram
+(node count, trace, magnitudes, the expander's sharing) walk it level by
+level (`_levels`), so no diagram is too deep for them.
 
 Equivalence checking builds the composed matrix U2^dagger U1 from the middle
 outward, alternating gates of the two circuits from their last gates, so a
@@ -125,12 +127,11 @@ def _split_block(rows: list, qubits: tuple, order: list[int], r0: int, c0: int) 
 class DDBackend:
     """One unique table plus compute tables and a gate cache; confine to one thread.
 
-    The unique table keeps every node it ever made alive for the backend's
-    lifetime, so an id(node) never names two nodes. That is why the compute
-    tables, keyed by id(node), may outlive one product: `mult_mm` keeps them
-    across gates. `apply_gate` and `mult_mv` clear them per gate, which keeps
-    the peak memory of long simulations down. Gate DDs are cached per
-    (gate, width) and their block trees per gate.
+    Every operation that fills the compute tables (`apply_gate`, `mult_mv`,
+    `mult_mm`) starts from empty ones, so a table holds only what the current
+    operation computed, keyed by the ids of nodes that live at least as long
+    as the operation. Gate DDs are cached per (gate, width) and their block
+    trees per gate.
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -411,9 +412,10 @@ class DDBackend:
         return VectorDD(v.n, self._mult(m.root, v.root, v.n - 1))
 
     def mult_mm(self, a: MatrixDD, b: MatrixDD) -> MatrixDD:
-        """a @ b; the compute tables persist across calls (see the class docstring)."""
+        """a @ b, with the compute tables cleared first, as `mult_mv` clears them."""
         if a.n != b.n:
             raise WidthMismatchError("matrix widths differ")
+        self.clear_memo()
         return MatrixDD(a.n, self._mult(a.root, b.root, a.n - 1))
 
     # ---- circuit-level operations -----------------------------------------
@@ -451,82 +453,71 @@ class DDBackend:
         return self.composed_mdd(c, Circuit(c.num_qubits))
 
     def trace(self, m: MatrixDD) -> complex:
-        return m.root.w * _trace(m.root.node, {})
+        def diagonal_sum(node: _Node, t: dict) -> complex:
+            e0, e3 = node.edges[0], node.edges[3]
+            return e0.w * t[e0.node] + e3.w * t[e3.node]
+
+        return m.root.w * _fold(m.root.node, 1.0 + 0j, diagonal_sum)[m.root.node]
 
     def least_diagonal(self, m: MatrixDD) -> str:
         """The lowest basis string j whose |m[j, j]| is within EQUIVALENCE_TOLERANCE
         of the least (dense's rule), so rounding noise breaks no ties.
 
-        One memoized walk finds each node's least diagonal magnitude; one descent
+        One level walk finds each node's least diagonal magnitude; one descent
         then takes edge 0 wherever such an entry lies below it, else edge 3.
         A 0-stub is a zero block, so the bits below it are 0.
         """
-        memo: dict[int, float] = {}
+        least = _magnitudes(m.root.node, min, 3)
         scale, node = abs(m.root.w), m.root.node
-        bound = scale * _magnitude(node, memo, min, 3) + EQUIVALENCE_TOLERANCE
+        bound = scale * least[node] + EQUIVALENCE_TOLERANCE
         bits = ""
         while node is not None:
             e0, e3 = node.edges[0], node.edges[3]
-            low = scale * abs(e0.w) * _magnitude(e0.node, memo, min, 3) <= bound
+            low = scale * abs(e0.w) * least[e0.node] <= bound
             e = e0 if low else e3
             bits += "0" if low else "1"
             scale, node = scale * abs(e.w), e.node
         return bits.ljust(m.n, "0")
 
 
-def _trace(node: Optional[_Node], memo: dict[int, complex]) -> complex:
-    if node is None:
-        return 1.0 + 0j
-    cached = memo.get(id(node))
-    if cached is not None:
-        return cached
-    e0, e3 = node.edges[0], node.edges[3]
-    t = e0.w * _trace(e0.node, memo) + e3.w * _trace(e3.node, memo)
-    memo[id(node)] = t
-    return t
+def _levels(root: Optional[_Node]):
+    """Each level of the diagram below root, top first, as a dict from node to
+    its in-degree (the root's is 1).
 
-
-def _magnitude(node: Optional[_Node], memo: dict[int, float], pick, step: int) -> float:
-    """pick (max or min) of the |entries| of the block an edge of weight 1 into node
-    stands for: of all of them for step 1, of the diagonal (edges 0 and 3) for step 3."""
-    if node is None:
-        return 1.0
-    out = memo.get(id(node))
-    if out is None:
-        out = pick(abs(e.w) * _magnitude(e.node, memo, pick, step) for e in node.edges[::step])
-        memo[id(node)] = out
-    return out
-
-
-def node_count(d: Union[VectorDD, MatrixDD]) -> int:
-    """Distinct decision nodes reachable from the root, terminal excluded."""
-    seen: set[int] = set()
-    stack = [d.root.node]
-    while stack:
-        node = stack.pop()
-        if node is not None and id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(e.node for e in node.edges)
-    return len(seen)
-
-
-def _shared_uses(root: _Node) -> dict[_Node, int]:
-    """In-degree of every node below root that more than one edge reaches.
-
-    Walks level by level, which the quasi-reduced shape allows: the nodes a
-    level points to make up the whole next level down.
+    The quasi-reduced shape makes this the whole walk: the nodes one level
+    points to make up the whole next level down.
     """
-    shared: dict[_Node, int] = {}
-    level = [root]
+    level = {} if root is None else {root: 1}
     while level:
+        yield level
         uses: dict[_Node, int] = {}
         for node in level:
             for e in node.edges:
                 if e.node is not None:
                     uses[e.node] = uses.get(e.node, 0) + 1
-        shared.update((node, k) for node, k in uses.items() if k > 1)
-        level = list(uses)
-    return shared
+        level = uses
+
+
+def _fold(root: Optional[_Node], leaf, value) -> dict:
+    """value(node, folded) of every node below root, bottom-up over its levels;
+    folded maps the nodes below to their values and the terminal (None) to leaf."""
+    folded = {None: leaf}
+    for level in reversed(list(_levels(root))):
+        for node in level:
+            folded[node] = value(node, folded)
+    return folded
+
+
+def _magnitudes(root: Optional[_Node], pick, step: int) -> dict:
+    """For root and each node below it, pick (max or min) of the |entries| of the
+    block an edge of weight 1 into it stands for: of all of them for step 1,
+    of the diagonal (edges 0 and 3) for step 3."""
+    return _fold(root, 1.0, lambda node, m: pick(abs(e.w) * m[e.node] for e in node.edges[::step]))
+
+
+def node_count(d: Union[VectorDD, MatrixDD]) -> int:
+    """Distinct decision nodes reachable from the root, terminal excluded."""
+    return sum(map(len, _levels(d.root.node)))
 
 
 def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
@@ -537,7 +528,8 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
     """
     if root.node is None:  # the zero DD, or a scalar when n == 0
         return np.full((2**n, cols**n), root.w if n == 0 else 0j)
-    return root.w * _expand_node(root.node, cols, {}, _shared_uses(root.node))
+    shared = {node: k for level in _levels(root.node) for node, k in level.items() if k > 1}
+    return root.w * _expand_node(root.node, cols, {}, shared)
 
 
 def _expand_node(
@@ -577,7 +569,7 @@ def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
     is 0), the circuits are equivalent, with phase conj(t), exactly when
     every entry of U - t I is at most EQUIVALENCE_TOLERANCE in magnitude.
-    That difference is one DD `add` and its largest entry one memoized walk,
+    That difference is one DD `add` and its largest entry one level walk,
     so U is never expanded. Otherwise the witness is dense's too, the lowest
     input j whose |U[j, j]| is within EQUIVALENCE_TOLERANCE of the least
     (`least_diagonal`): |U[j, j]| is the overlap of the two outputs on |j>.
@@ -591,8 +583,9 @@ def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     u = backend.composed_mdd(c1, c2)
     tr = backend.trace(u)
     t = tr / abs(tr) if tr else 1 + 0j
+    backend.clear_memo()
     diff = backend.add(u.root, DDEdge(-t, backend.identity_mdd(n).root.node), n - 1)
-    if abs(diff.w) * _magnitude(diff.node, {}, max, 1) <= EQUIVALENCE_TOLERANCE:
+    if abs(diff.w) * _magnitudes(diff.node, max, 1)[diff.node] <= EQUIVALENCE_TOLERANCE:
         # U2 = phase * U1 makes U = conj(phase) I
         return DDEquivalence(True, t.conjugate())
     return DDEquivalence(False, witness=backend.least_diagonal(u))

@@ -73,7 +73,6 @@ class _Block:  # gates fused into one kernel pass
     qubits: tuple[int, ...]  # descending; the first one's bit is most significant
     stack: np.ndarray  # [the product of the gates, its structural nonzeros as 0/1]
     density: int  # most nonzeros in a row of stack[1]
-    gates: list[Gate]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -89,7 +88,7 @@ def _local_stack(kind: GateKind, angle: Angle | None, first_is_lower: bool):
 
 def _gate_block(g: Gate) -> _Block:
     stack, density = _local_stack(g.kind, g.angle, g.qubits[0] < g.qubits[-1])
-    return _Block(tuple(sorted(g.qubits, reverse=True)), stack, density, [g])
+    return _Block(tuple(sorted(g.qubits, reverse=True)), stack, density)
 
 
 def _embed(b: _Block, onto: tuple[int, ...]) -> np.ndarray:
@@ -111,7 +110,6 @@ def _fuse(b: _Block, g: _Block) -> bool:
     if density > max(b.density, g.density):
         return False
     b.qubits, b.stack, b.density = onto, stack, density
-    b.gates += g.gates
     return True
 
 

@@ -156,7 +156,7 @@ class TestExpand:
         # the GHZ unitary reuses its lower nodes along several edges
         backend = dd.DDBackend()
         m = backend.circuit_mdd(ghz_circuit(5))
-        assert dd._shared_uses(m.root.node)
+        assert any(k > 1 for level in dd._levels(m.root.node) for k in level.values())
         got = backend.mdd_to_matrix(m)
         assert np.array_equal(got, plain_expand(m.root, 5, 2))
         np.testing.assert_allclose(got, dense.circuit_unitary(ghz_circuit(5)), atol=1e-12)
@@ -403,6 +403,25 @@ class TestArithmetic:
             np.testing.assert_allclose(
                 backend.dd_to_vector(out).amps, x + y, atol=1e-10
             )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: add keys its compute table on grid-rounded weights, "
+        "so a hit can return the sum for weights that differ below the grid",
+    )
+    def test_add_hit_is_the_sum_of_its_own_operands(self):
+        backend = dd.DDBackend()
+        rng = np.random.default_rng(29)
+        a, b = (
+            backend.vector_to_dd(dense.StateVector(2, rng.normal(size=4) + 1j * rng.normal(size=4))).root
+            for _ in range(2)
+        )
+        backend.add(dd.DDEdge(1 + 0j, a.node), b, 1)
+        w = 1 + 4e-11  # the same grid key as 1
+        got = backend.dd_to_vector(dd.VectorDD(2, backend.add(dd.DDEdge(w, a.node), b, 1))).amps
+        want = w * backend.dd_to_vector(dd.VectorDD(2, dd.DDEdge(1 + 0j, a.node))).amps
+        want += backend.dd_to_vector(dd.VectorDD(2, b)).amps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def draw_angle(draw, kind: GateKind):
@@ -676,6 +695,63 @@ class TestStats:
     def test_format(self):
         out = dd.stats(bell_circuit())
         assert out.startswith("nodes=3 root_weight=0.70710678118654")
+
+    def test_lines_are_pinned(self):
+        # node counts and root weights to the last printed digit
+        rng = random.Random(61)
+        got = []
+        for _ in range(8):
+            n = rng.randrange(2, 11)
+            got.append(dd.stats(random_circuit(rng, n, rng.randrange(40, 120))))
+        assert got == PINNED_STATS
+
+
+PINNED_STATS = [
+    "nodes=27 root_weight=-0.12500000000000017,-0.30177669529663681",
+    "nodes=3 root_weight=-0.45043249495181925,-0.11892573582431866",
+    "nodes=5 root_weight=-0.30618621784789679,0.53033008588991026",
+    "nodes=25 root_weight=0.036611652351681512,-0.088388347648318391",
+    "nodes=19 root_weight=-0.078018930083296523,-0.015518930083296453",
+    "nodes=17 root_weight=-0.042358142349216692,0.078324885330925784",
+    "nodes=19 root_weight=-6.9388939039072284e-17,-0.15088834764831838",
+    "nodes=12 root_weight=-0.021225004786385684,-0.073450078293249357",
+]
+
+
+class TestDeepDiagrams:
+    def test_whole_diagram_reads_do_not_recurse(self):
+        # |0><0| on each of 2,000 qubits: one node per level, twice as many
+        # levels as the interpreter's default recursion limit
+        n = 2000
+        backend = dd.DDBackend()
+        edge = dd.DDEdge(1 + 0j, None)
+        for level in range(n):
+            edge = backend._make_node(level, [edge, dd.ZERO_EDGE, dd.ZERO_EDGE, dd.ZERO_EDGE])
+        m = dd.MatrixDD(n, edge)
+        assert backend.trace(m) == 1
+        assert backend.least_diagonal(m) == "0" * (n - 1) + "1"
+        assert dd.node_count(m) == n
+
+
+class TestComputeTables:
+    def test_each_product_starts_from_empty_tables(self):
+        rng = random.Random(73)
+        n = 4
+        c1 = random_circuit(rng, n, 20)
+        c2 = Circuit(n, c1.gates + (Gate(GateKind.T, (2,)),))
+        backend = dd.DDBackend()
+        sizes = []
+        mult = backend._mult
+
+        def spy(a, b, level):
+            if level == n - 1:  # only a product's first call is at the top level
+                sizes.append((len(backend._memo_mult), len(backend._memo_add), len(backend._memo_apply)))
+            return mult(a, b, level)
+
+        with mock.patch.object(backend, "_mult", spy):
+            backend.composed_mdd(c1, c2)
+        assert len(sizes) == len(c1.gates) + len(c2.gates)
+        assert set(sizes) == {(0, 0, 0)}
 
 
 class TestApplyGate:

@@ -424,6 +424,30 @@ def bench_statevector_circuit(mp, seed: int) -> Circuit:
     return parse_circuit(gen.render(n, gates))
 
 
+def planned_blocks(c: Circuit) -> list:
+    """(block, the gates fused into it) for each block of dense._plan(c),
+    recorded from its calls to _gate_block and _fuse."""
+    gates = {}  # id(block) -> its gates; a live block's id names no other
+    gate_block, fuse = dense._gate_block, dense._fuse
+
+    def recorded_block(g):
+        b = gate_block(g)
+        gates[id(b)] = [g]
+        return b
+
+    def recorded_fuse(b, g):
+        fused = fuse(b, g)
+        if fused:
+            gates[id(b)] += gates[id(g)]
+        return fused
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense, "_gate_block", recorded_block)
+        mp.setattr(dense, "_fuse", recorded_fuse)
+        blocks = dense._plan(c)[1]
+    return [(b, gates[id(b)]) for b in blocks]
+
+
 class TestFusedPasses:
     """simulate and circuit_unitary run a product start and fused blocks; the
     per-gate kron embedding shares no code with either."""
@@ -445,13 +469,13 @@ class TestFusedPasses:
     @given(c=circuits(n_max=4))
     def test_blocks_are_no_denser_than_their_densest_gate(self, c):
         n = c.num_qubits
-        for b in dense._plan(c)[1]:
+        for b, gates in planned_blocks(c):
             matrix, pattern = b.stack
             got = matrix_embedding(matrix, b.qubits, n)
-            np.testing.assert_allclose(got, per_gate_unitary(b.gates, n), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, per_gate_unitary(gates, n), rtol=0, atol=1e-12)
             assert set(np.unique(pattern)) <= {0, 1}
             assert np.all(pattern[matrix != 0] == 1)  # the pattern holds every nonzero
-            densest = max(np.count_nonzero(gate_matrix(g), axis=1).max() for g in b.gates)
+            densest = max(np.count_nonzero(gate_matrix(g), axis=1).max() for g in gates)
             assert np.count_nonzero(pattern, axis=1).max() <= densest
 
     def test_statevector_bench_circuit_runs_in_few_passes(self, monkeypatch):

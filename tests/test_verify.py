@@ -85,7 +85,7 @@ class TestBackendState:
 # |amplitude of 1> = sin(pi / 2^37), about 2.3e-11: above simulate's compact
 # threshold, below the dd weight grid (ROADMAP item 1)
 TINY_RX = "qubits 1\nrx 1/68719476736 0\n"
-DD_GRID = "dd zeroes weights below 5e-11 (ROADMAP item 1)"
+DD_GRID = "dd zeroes weights below 5e-11 (ROADMAP item 4)"
 
 
 def _table_circuits() -> list[Circuit]:
@@ -239,7 +239,7 @@ class TestOneVerdictRule:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1: with first-nonzero normalization an edge weight can be "
+        reason="ROADMAP item 4: with first-nonzero normalization an edge weight can be "
         "far below the entries of its block, and _make_node drops it as zero",
     )
     def test_dd_keeps_a_block_with_a_small_first_entry(self):
@@ -350,6 +350,22 @@ class TestDdEquivalence:
             if via_dd.phase is not None:
                 assert abs(via_dd.phase - via_dense.phase) < 1e-9
 
+    def test_lines_are_pinned(self):
+        # rewritten, mutated and unrelated pairs, as `verify --method dd` prints them
+        rng = random.Random(67)
+        got = []
+        for k in range(12):
+            n = rng.randrange(2, 9)
+            c1 = random_circuit(rng, n, rng.randrange(10, 40))
+            if k % 3 == 0:
+                c2 = _rewritten(c1)
+            elif k % 3 == 1:
+                c2 = _mutate_or_insert(rng, c1)
+            else:
+                c2 = random_circuit(rng, n, rng.randrange(10, 40))
+            got.append(verify.check_equivalence(c1, c2, BackendId.DD).report())
+        assert got == PINNED_DD_VERDICTS
+
     def test_agrees_with_dense_on_random_pairs(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -359,6 +375,22 @@ class TestDdEquivalence:
             via_dd = verify.check_equivalence(c1, c2, BackendId.DD)
             via_dense = verify.check_equivalence(c1, c2, BackendId.DENSE)
             assert via_dd.status == via_dense.status
+
+
+PINNED_DD_VERDICTS = [
+    "verdict=equivalent method=dd",
+    "verdict=not_equivalent method=dd witness=00000",
+    "verdict=not_equivalent method=dd witness=0000",
+    "verdict=equivalent method=dd",
+    "verdict=not_equivalent method=dd witness=00",
+    "verdict=not_equivalent method=dd witness=00000000",
+    "verdict=equivalent method=dd",
+    "verdict=not_equivalent method=dd witness=0000",
+    "verdict=not_equivalent method=dd witness=0000000",
+    "verdict=equivalent method=dd",
+    "verdict=not_equivalent method=dd witness=00000",
+    "verdict=not_equivalent method=dd witness=01",
+]
 
 
 class TestZxEquivalence:
