@@ -22,12 +22,13 @@ pair that agrees keeps the product near the identity while it is built
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import CapacityError, WidthMismatchError
+from .errors import CapacityError, WidthMismatchError, reserve
 from . import dense
 from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
 
@@ -210,8 +211,6 @@ class DDBackend:
         return VectorDD(n, edge)
 
     def dd_to_vector(self, d: VectorDD) -> dense.StateVector:
-        if d.n > dense.MAX_STATE_QUBITS:
-            raise CapacityError(f"{d.n} qubits exceeds {dense.MAX_STATE_QUBITS}")
         return dense.StateVector(d.n, _expand(d.root, d.n, 1).reshape(-1))
 
     def get_amplitude(self, d: VectorDD, bits: str) -> complex:
@@ -271,8 +270,6 @@ class DDBackend:
         return MatrixDD(n, self._identity_edge(n))
 
     def mdd_to_matrix(self, m: MatrixDD) -> np.ndarray:
-        if m.n > dense.MAX_UNITARY_QUBITS:
-            raise CapacityError(f"{m.n} qubits exceeds {dense.MAX_UNITARY_QUBITS}")
         return _expand(m.root, m.n, 2)
 
     # ---- arithmetic --------------------------------------------------------
@@ -523,12 +520,21 @@ def node_count(d: Union[VectorDD, MatrixDD]) -> int:
 def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
     """Dense 2^n x cols^n array of a DD whose nodes have 2 x cols successors.
 
-    Only the blocks of shared nodes are kept, each until its last use, so the
-    peak stays near two result-sized arrays instead of one per level.
+    Only the blocks of shared nodes are kept, each until its last use. So it
+    holds at most twice the result (the blocks on one path, and a child scaled
+    into its parent) plus the blocks kept while others are built, which it
+    reserves first: all but those whose uses are adjacent edges of one parent.
     """
+    shared, adjacent, above = {}, set(), {}
+    for level in _levels(root.node):
+        shared.update((node, k) for node, k in level.items() if k > 1)
+        adjacent.update(child for node in above for child, run in itertools.groupby(
+            e.node for e in node.edges if e.node is not None) if level[child] == len(list(run)) > 1)
+        above = level
+    kept = sum(2 * cols * (2 * cols) ** node.var for node in shared.keys() - adjacent)
+    reserve(16 * (2 * 2**n * cols**n + kept), f"{n}-qubit DD expansion")
     if root.node is None:  # the zero DD, or a scalar when n == 0
         return np.full((2**n, cols**n), root.w if n == 0 else 0j)
-    shared = {node: k for level in _levels(root.node) for node, k in level.items() if k > 1}
     return root.w * _expand_node(root.node, cols, {}, shared)
 
 

@@ -18,9 +18,11 @@ amplitude to one place. While the leading blocks are such and the product
 start's support (its factors' nonzero counts multiplied) is at most
 _SUPPORT_SHARE of the buffer, they run on the support alone, as (index, value)
 arrays gathered at the Kronecker sum of the factors' nonzero offsets: each
-block flips index bits and scales values as the kernel would, to the bit. They
-take 64 bytes per entry, so peak memory is the buffer plus the larger of the
-kernel's scratch and 64 * _SUPPORT_SHARE bytes per amplitude (half the buffer).
+block flips index bits and scales values as the kernel would, to the bit.
+Before it allocates, _fill reserves (errors.reserve) what it holds at its
+peak: 16 bytes per amplitude of the buffer, plus the larger of the kernel's
+scratch (at most 2^k + 1 blocks of _SLICE >> k amplitudes, so 24 * _SLICE
+bytes) and 64 bytes per support entry (so at most half the buffer again).
 
 format_amplitude_dump takes the printed indices in chunks of at most _SLICE.
 In each chunk it formats every distinct real and imaginary part once
@@ -43,11 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import reserve
 from .ir import Angle, Circuit, Gate, GateKind, check_basis, gate_arity, gate_matrix, index_bits
-
-MAX_STATE_QUBITS = 24
-MAX_UNITARY_QUBITS = 10
 
 _SLICE = 1 << 15  # amplitudes per kernel step
 _SUPPORT_SHARE = 1 / 8  # largest support, as a share of the buffer, run as index arrays
@@ -219,13 +218,21 @@ def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int
                 dst += tmp
 
 
-def _fill(c: Circuit, buf: np.ndarray, basis: int | None) -> None:
-    """Write c's unitary into the zeroed buf, or only its column basis. The
+def _fill(c: Circuit, basis: int | None, what: str) -> np.ndarray:
+    """c's unitary, or only its column basis, in a new buffer of 2^n rows. The
     product start grows level by level: the new blocks are written from the
     block built so far, which is scaled last."""
+    n = c.num_qubits
     factors, blocks = _plan(c)
     if basis is not None:
         factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
+    shape = (2**n,) if basis is not None else (2**n, 2**n)
+    run = list(itertools.takewhile(lambda b: b.density == 1, blocks))
+    support = math.prod(map(np.count_nonzero, factors))
+    if not run or support > math.prod(shape) * _SUPPORT_SHARE:
+        run, support = [], 0
+    reserve(16 * math.prod(shape) + max(24 * _SLICE, 64 * support), what)
+    buf = np.zeros(shape, dtype=complex)
     grid = buf.reshape(len(buf), -1)
     grid[0, 0] = rows = cols = 1
     for f in factors:  # factor q on bit q
@@ -236,17 +243,16 @@ def _fill(c: Circuit, buf: np.ndarray, basis: int | None) -> None:
         if f[0, 0] != 1:
             old *= f[0, 0]
         rows, cols = rows * f.shape[0], cols * f.shape[1]
-    done = _run_on_support(buf.reshape(-1), factors, blocks, c.num_qubits)
-    for b in blocks[done:]:
-        _apply_block(buf, b.qubits, b.stack[0], c.num_qubits)
+    if run:
+        _run_on_support(buf.reshape(-1), factors, run, n)
+    for b in blocks[len(run):]:
+        _apply_block(buf, b.qubits, b.stack[0], n)
+    return buf
 
 
-def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], blocks: list[_Block], n: int) -> int:
-    """Apply the leading monomial blocks to the support of flat, the product
-    start of factors, as the module doc says; returns how many it applied."""
-    run = list(itertools.takewhile(lambda b: b.density == 1, blocks))
-    if not run or math.prod(map(np.count_nonzero, factors)) > flat.size * _SUPPORT_SHARE:
-        return 0
+def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], run: list[_Block], n: int) -> None:
+    """Apply the monomial blocks run to the support of flat, the product start
+    of factors, as the module doc says."""
     shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
     idx = np.zeros(1, dtype=np.intp)
     for q, f in enumerate(factors):
@@ -268,13 +274,13 @@ def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], blocks: list[_B
             # `vals *=` on one entry and `vals * temporary` (numpy may swap it) round apart
             vals = np.multiply(vals, coef[local])
     flat[idx] = vals
-    return len(run)
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
     """The state after g; s itself is left unchanged."""
     if any(q >= s.n for q in g.qubits):
         raise ValueError("gate qubit outside register")
+    reserve(16 * 2**s.n + 24 * _SLICE, f"{s.n}-qubit dense state")
     amps = np.array(s.amps, dtype=complex)
     b = _gate_block(g)
     _apply_block(amps, b.qubits, b.stack[0], s.n)
@@ -284,13 +290,9 @@ def apply_gate(s: StateVector, g: Gate) -> StateVector:
 def simulate(c: Circuit, basis: int = 0) -> StateVector:
     """Run c on the basis state |basis>."""
     n = c.num_qubits
-    if n > MAX_STATE_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds state-vector ceiling {MAX_STATE_QUBITS}")
     if not 0 <= basis < 2**n:
         raise ValueError(f"basis {basis} outside [0, 2^{n})")
-    amps = np.zeros(2**n, dtype=complex)
-    _fill(c, amps, basis)
-    return StateVector(n, amps)
+    return StateVector(n, _fill(c, basis, f"{n}-qubit dense state"))
 
 
 def amplitude(c: Circuit, bits: str) -> complex:
@@ -317,12 +319,7 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """2^n x 2^n unitary of the whole circuit, later gates on the left."""
-    n = c.num_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds unitary ceiling {MAX_UNITARY_QUBITS}")
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    _fill(c, u, None)
-    return u
+    return _fill(c, None, f"{c.num_qubits}-qubit dense unitary")
 
 
 def _bit_labels(n: int):

@@ -15,7 +15,16 @@ class ParseError(QcdeskError):
 
 
 class CapacityError(QcdeskError):
-    """Request exceeds a desk-scale resource ceiling."""
+    """Request exceeds the desk-scale memory budget."""
+
+
+MAX_BYTES = 2**29  # the one budget: a DD expanding a 24-qubit state holds two such states
+
+
+def reserve(nbytes: int, what: str) -> None:
+    """Call before allocating: CapacityError if nbytes, what holds at once, is past MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        raise CapacityError(f"{what} needs {nbytes} bytes; the budget is {MAX_BYTES}")
 
 
 class WidthMismatchError(QcdeskError):

@@ -3,8 +3,8 @@
 An index is a label, a str naming one qubit wire of dimension 2. Gate tensors
 hold the gate unitary reshaped with output indices first, one (out, in) leg
 pair per touched qubit, first listed qubit most significant. A plan is
-checked whole, steps, intermediate sizes and open indices, before anything
-is contracted.
+checked whole, steps, open indices and the bytes it holds at its peak, before
+anything is contracted.
 """
 from __future__ import annotations
 
@@ -16,11 +16,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError, PlanError
+from .errors import PlanError, reserve
 from . import dense
 from .ir import Circuit, check_basis, gate_matrix
 
-MAX_FULL_STATE_QUBITS = 20
 MAX_EXHAUSTIVE_TENSORS = 8
 
 
@@ -86,11 +85,18 @@ def circuit_to_network(c: Circuit) -> TensorNetwork:
 
 class _LabelSim:
     """Label-set cost simulator: each live tensor's label set under pairwise
-    contraction, with every step checked. The planners and plan_cost use it."""
+    contraction (steps, then contract calls), every step checked, with the flops,
+    largest tensor and most entries held at once: the network's own tensors, the
+    live intermediates, and np.tensordot's copies of a step's inputs and output."""
 
-    def __init__(self, net: TensorNetwork):
+    def __init__(self, net: TensorNetwork, steps: list | tuple = ()):
         self.live = {i: frozenset(t.indices) for i, t in enumerate(net.tensors)}
-        self.next_id = len(net.tensors)
+        self.next_id = self.inputs = len(net.tensors)
+        self.flops = 0
+        self.max_size = max(map(self.size, self.live.values()), default=1)
+        self.held = self.peak = sum(map(self.size, self.live.values()))
+        for i, j in steps:
+            self.contract(i, j)
 
     def size(self, labels: frozenset) -> int:
         return 1 << len(labels)
@@ -101,8 +107,15 @@ class _LabelSim:
             raise PlanError(f"step ({i}, {j}) names a missing, consumed or repeated tensor")
         a, b = self.live.pop(i), self.live.pop(j)
         k, self.next_id = self.next_id, self.next_id + 1
-        self.live[k] = a ^ b
-        return k, a & b
+        out, shared = a ^ b, a & b
+        self.live[k] = out
+        size, size_a, size_b = 1 << len(out), 1 << len(a), 1 << len(b)
+        self.flops += size << len(shared)
+        self.max_size = max(self.max_size, size)
+        self.peak = max(self.peak, self.held + size_a + size_b + size)
+        # the network's own tensors stay held; a consumed intermediate is freed
+        self.held += size - (size_a if i >= self.inputs else 0) - (size_b if j >= self.inputs else 0)
+        return k, shared
 
 
 def greedy_plan(net: TensorNetwork) -> ContractionPlan:
@@ -152,22 +165,19 @@ def greedy_plan(net: TensorNetwork) -> ContractionPlan:
 def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
     """Run the plan; the final tensor's indices follow net.open_indices order.
 
-    The whole plan is checked through plan_cost before the first contraction:
+    The whole plan is checked on its label sets before the first contraction:
     a bad step, a plan that leaves other than one tensor or open indices other
-    than the network's dangling labels raise PlanError, an intermediate above
-    2**dense.MAX_STATE_QUBITS entries CapacityError."""
-    _, max_size = plan_cost(net, plan)
-    left = len(net.tensors) - len(plan.steps)
-    if left != 1:
-        raise PlanError(f"plan leaves {left} tensors instead of one")
+    than the network's dangling labels raise PlanError. Then it reserves
+    (errors.reserve) 16 bytes for each entry held at its peak: the network's
+    tensors, the live intermediates, and one step's inputs and output."""
+    sim = _LabelSim(net, plan.steps)
+    if len(sim.live) != 1:
+        raise PlanError(f"plan leaves {len(sim.live)} tensors instead of one")
     # a label on two tensors is summed, so the result keeps those on one
     dangling = reduce(frozenset.symmetric_difference, (frozenset(t.indices) for t in net.tensors))
     if sorted(net.open_indices) != sorted(dangling):
         raise PlanError("open indices do not match the network's dangling labels")
-    if max_size > 1 << dense.MAX_STATE_QUBITS:
-        raise CapacityError(
-            f"plan has a {max_size}-entry intermediate; ceiling 2^{dense.MAX_STATE_QUBITS}"
-        )
+    reserve(16 * sim.peak, f"contraction plan of {len(net.tensors)} tensors")
     live: dict[int, Tensor] = dict(enumerate(net.tensors))
     for k, (i, j) in enumerate(plan.steps, len(net.tensors)):
         live[k] = contract_pair(live.pop(i), live.pop(j))
@@ -178,15 +188,8 @@ def execute_plan(net: TensorNetwork, plan: ContractionPlan) -> Tensor:
 
 def plan_cost(net: TensorNetwork, plan: ContractionPlan) -> tuple[int, int]:
     """(flops, max_intermediate_size); flops per step = output size x contracted dim."""
-    sim = _LabelSim(net)
-    flops = 0
-    max_size = max((sim.size(l) for l in sim.live.values()), default=1)
-    for i, j in plan.steps:
-        k, shared = sim.contract(i, j)
-        out = sim.size(sim.live[k])
-        flops += out * sim.size(shared)
-        max_size = max(max_size, out)
-    return flops, max_size
+    sim = _LabelSim(net, plan.steps)
+    return sim.flops, sim.max_size
 
 
 def exhaustive_optimal_plan(net: TensorNetwork) -> ContractionPlan:
@@ -238,12 +241,10 @@ def amplitude_tn(c: Circuit, bits: str) -> complex:
 
 
 def full_state_tn(c: Circuit) -> dense.StateVector:
-    if c.num_qubits > MAX_FULL_STATE_QUBITS:
-        raise CapacityError(
-            f"{c.num_qubits} qubits exceeds full-state ceiling {MAX_FULL_STATE_QUBITS}"
-        )
+    reserve(32 * 2**c.num_qubits, f"{c.num_qubits}-qubit tn state")  # and its copy in basis order
     net = circuit_to_network(c)
     result = execute_plan(net, greedy_plan(net))
+    del net  # its tensors go before the copy
     return dense.StateVector(c.num_qubits, result.data.reshape(-1))
 
 

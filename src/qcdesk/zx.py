@@ -17,14 +17,12 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import reserve
 from . import tn
 from .ir import Angle, Circuit, GateKind, check_basis, miter
 
 PLAIN = "plain"
 HADAMARD = "hadamard"
-
-MAX_TENSOR_BOUNDARIES = 12
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2.0)
 
@@ -299,33 +297,19 @@ def to_graph_like(d: ZXDiagram) -> ZXDiagram:
 # ---- tensor semantics ------------------------------------------------------
 
 
-def _z_spider_tensor(degree: int, phase: Angle) -> np.ndarray:
-    data = np.zeros((2,) * degree, dtype=complex) if degree else np.zeros((), dtype=complex)
-    p = np.exp(1j * phase.radians)
-    if degree == 0:
-        return np.array(1.0 + p, dtype=complex).reshape(())
-    data[(0,) * degree] = 1.0
-    data[(1,) * degree] = p
-    return data
-
-
 def _spider_tensor(color: SpiderColor, degree: int, phase: Angle) -> np.ndarray:
-    data = _z_spider_tensor(degree, phase)
+    data = np.zeros((2,) * degree, dtype=complex)
+    data[(0,) * degree] += 1.0  # with no legs, both terms land on the one entry
+    data[(1,) * degree] += np.exp(1j * phase.radians)
     if color == SpiderColor.X:
         for axis in range(degree):
-            data = np.moveaxis(
-                np.tensordot(_H_MAT, data, axes=([1], [axis])), 0, axis
-            )
+            data = np.moveaxis(np.tensordot(_H_MAT, data, axes=([1], [axis])), 0, axis)
     return data
 
 
 def zx_to_tensor(d: ZXDiagram) -> tn.Tensor:
-    """Contract the diagram's tensor network; indices boundary_out then boundary_in."""
-    n_boundary = len(d.boundary_in) + len(d.boundary_out)
-    if n_boundary > MAX_TENSOR_BOUNDARIES:
-        raise CapacityError(
-            f"{n_boundary} boundaries exceeds ceiling {MAX_TENSOR_BOUNDARIES}"
-        )
+    """Contract the diagram's tensor network; indices boundary_out then boundary_in.
+    Spider tensors (and np.tensordot's two copies of an X one) are reserved first."""
     labels = itertools.count()
 
     def fresh() -> str:
@@ -344,11 +328,10 @@ def zx_to_tensor(d: ZXDiagram) -> tn.Tensor:
             legs[v].append(ib)
             mat = _H_MAT if kind == HADAMARD else np.eye(2, dtype=complex)
             extra.append(tn.Tensor([ia, ib], mat))
-    tensors = []
-    for v in d.spiders():
-        tensors.append(
-            tn.Tensor(legs[v], _spider_tensor(d.color[v], len(legs[v]), d.phase[v]))
-        )
+    sizes = {v: 2 ** len(legs[v]) for v in d.spiders()}
+    x_copies = max((2 * sizes[v] for v in sizes if d.color[v] == SpiderColor.X), default=0)
+    reserve(16 * (sum(sizes.values()) + x_copies), f"spider tensors of {len(sizes)} spiders")
+    tensors = [tn.Tensor(legs[v], _spider_tensor(d.color[v], len(legs[v]), d.phase[v])) for v in sizes]
     tensors.extend(extra)
     open_indices = []
     for b in d.boundary_out + d.boundary_in:

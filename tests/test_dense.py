@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, dump_amplitudes, format_then_filter, ghz_circuit, random_circuit, random_gate
-from qcdesk.errors import CapacityError
+from qcdesk.errors import MAX_BYTES, CapacityError
 from qcdesk import dense
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits, parse_circuit
 
@@ -22,7 +22,10 @@ _CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=c
 _I2 = np.eye(2, dtype=complex)
 
 
-MAX_Q = dense.MAX_STATE_QUBITS
+# The widest state and unitary whose buffer (16 bytes an amplitude), plus at
+# most half again for the support arrays, fits the budget: 24 and 12 qubits.
+MAX_Q = max(n for n in range(64) if 24 * 2**n <= MAX_BYTES)
+MAX_UNITARY_Q = max(n for n in range(32) if 24 * 4**n <= MAX_BYTES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -55,7 +58,7 @@ class TestInitialState:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            dense.initial_state(25)
+            dense.initial_state(MAX_Q + 1)
 
     @pytest.mark.parametrize("basis", [-1, 8, 2**40])
     def test_basis_outside_register_raises(self, basis):
@@ -265,7 +268,7 @@ class TestCircuitUnitary:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            dense.circuit_unitary(Circuit(11))
+            dense.circuit_unitary(Circuit(MAX_UNITARY_Q + 1))
 
 
 class TestProperties:
@@ -509,7 +512,7 @@ class TestFusedPasses:
 
     @pytest.mark.parametrize("run", [
         lambda: dense.simulate(Circuit(MAX_Q + 1, (Gate(GateKind.H, (0,)),))),
-        lambda: dense.circuit_unitary(Circuit(dense.MAX_UNITARY_QUBITS + 1, (Gate(GateKind.H, (0,)),))),
+        lambda: dense.circuit_unitary(Circuit(MAX_UNITARY_Q + 1, (Gate(GateKind.H, (0,)),))),
     ], ids=["simulate", "circuit_unitary"])
     def test_capacity_is_checked_before_allocation(self, run):
         assert peak_until_raises(run, CapacityError) < 1 << 20

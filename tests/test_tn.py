@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
-from qcdesk.errors import CapacityError, PlanError
+from qcdesk.errors import MAX_BYTES, CapacityError, PlanError
 from qcdesk import dense, tn
 from qcdesk.ir import Angle, Circuit, Gate, GateKind
 
@@ -338,11 +338,13 @@ class TestExecutePlan:
         assert calls == 0
 
     def test_oversized_intermediate_raises_before_allocation(self):
-        # two disjoint rank-13 tensors: their outer product has 2^26 entries
-        ones = np.ones((2,) * 13, dtype=complex)
+        # two disjoint rank-r tensors whose outer product, at 16 bytes an entry,
+        # is past the budget: r = 13, 2^26 entries
+        r = next(r for r in range(32) if 16 * 4**r > MAX_BYTES)
+        ones = np.ones((2,) * r, dtype=complex)
         net = tn.TensorNetwork(
-            [tn.Tensor([f"{side}{q}" for q in range(13)], ones) for side in "ab"],
-            [f"{side}{q}" for side in "ab" for q in range(13)],
+            [tn.Tensor([f"{side}{q}" for q in range(r)], ones) for side in "ab"],
+            [f"{side}{q}" for side in "ab" for q in range(r)],
         )
         plan = tn.ContractionPlan([(0, 1)])
         tracemalloc.start()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bell_circuit, random_circuit
-from qcdesk.errors import CapacityError, WidthMismatchError
+from qcdesk.errors import MAX_BYTES, CapacityError, WidthMismatchError
 from qcdesk import dense, zx
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit
 
@@ -427,8 +427,10 @@ class TestTensorSemantics:
         )
 
     def test_capacity_guard(self):
+        # bare wires: the result alone, 16 bytes times 4^n, is past the budget
+        n = next(n for n in range(32) if 16 * 4**n > MAX_BYTES)
         with pytest.raises(CapacityError):
-            zx.zx_to_tensor(zx.circuit_to_zx(Circuit(7)))
+            zx.zx_to_tensor(zx.circuit_to_zx(Circuit(n)))
 
 
 class TestEquivalence:
