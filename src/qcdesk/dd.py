@@ -15,9 +15,11 @@ serves matrix products and equivalence checking. Reads of a whole diagram
 (node count, trace, magnitudes, the expander's sharing) walk it level by
 level (`_levels`), so no diagram is too deep for them.
 
-Equivalence checking builds the composed matrix U2^dagger U1 from the middle
-outward, alternating gates of the two circuits from their last gates, so a
-pair that agrees keeps the product near the identity while it is built
+Equivalence checking decides on the one miter every method uses: the gate
+pairs that cancel in c1 then c2's inverse are dropped first (`ir.miter_halves`),
+and the composed matrix U2^dagger U1 of the two kept halves is built from the
+middle outward, alternating gates of the two halves from their last gates, so
+a pair that agrees keeps the product near the identity while it is built
 (Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits").
 """
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError, reserve
 from . import dense
-from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, adjoint_circuit, check_basis, gate_matrix
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, adjoint_circuit, check_basis
+from .ir import gate_matrix, miter_halves
 
 # Weights are rounded to this many decimals for unique-table keys, so
 # floating-point drift cannot break node sharing.
@@ -78,6 +81,7 @@ def _key_weight(w: complex) -> tuple[float, float]:
 
 
 _ZERO_KEY = (_key_weight(0j), id(None))  # grid key of a 0-stub
+_ONE_KEY = _key_weight(1 + 0j)  # grid key of a node's normalizing weight
 
 
 def _is_zero(w: complex) -> bool:
@@ -132,7 +136,9 @@ class DDBackend:
     `mult_mm`) starts from empty ones, so a table holds only what the current
     operation computed, keyed by the ids of nodes that live at least as long
     as the operation. Gate DDs are cached per (gate, width) and their block
-    trees per gate.
+    trees per gate. The grid key of each weight `_make_node` has scaled is
+    memoized for the backend's lifetime; equal weights have equal keys, so
+    the memo changes no key.
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -141,6 +147,7 @@ class DDBackend:
 
     def __init__(self):
         self._unique: dict = {}
+        self._keys: dict[complex, tuple[float, float]] = {}  # weight -> _key_weight(weight)
         self._memo_mult: dict = {}
         self._memo_add: dict = {}
         self._memo_apply: dict = {}
@@ -162,18 +169,21 @@ class DDBackend:
         norm = None
         scaled = []
         key = [var]  # its length tells vector nodes from matrix nodes
+        keys = self._keys
         for e in edges:
             if e is ZERO_EDGE or _is_zero(e.w):
                 scaled.append(ZERO_EDGE)
                 key.append(_ZERO_KEY)
                 continue
             if norm is None:
-                norm = e.w
-                e = DDEdge(1 + 0j, e.node)
+                norm, w, k = e.w, 1 + 0j, _ONE_KEY
             else:
-                e = DDEdge(e.w / norm, e.node)
-            scaled.append(e)
-            key.append((_key_weight(e.w), id(e.node)))
+                w = e.w / norm
+                k = keys.get(w)
+                if k is None:
+                    k = keys[w] = _key_weight(w)
+            scaled.append(DDEdge(w, e.node))
+            key.append((k, id(e.node)))
         if norm is None:
             return ZERO_EDGE
         key = tuple(key)
@@ -570,8 +580,10 @@ class DDEquivalence:
 def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     """Equivalence up to global phase via the composed matrix DD U = U2^dagger U1.
 
-    U is built alternately from both circuits' last gates (`composed_mdd`), so
-    it stays near the identity while it is built when the circuits agree.
+    U is the miter's: only the two halves c1' and c2' that `ir.miter_halves`
+    keeps are composed, alternately from their last gates (`composed_mdd`), so
+    U stays near the identity while it is built when the circuits agree, and
+    a miter that cancels completely multiplies nothing.
     The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
     is 0), the circuits are equivalent, with phase conj(t), exactly when
     every entry of U - t I is at most EQUIVALENCE_TOLERANCE in magnitude.
@@ -586,7 +598,7 @@ def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     if n > MAX_EQUIV_QUBITS:
         raise CapacityError(f"{n} qubits exceeds equivalence ceiling {MAX_EQUIV_QUBITS}")
     backend = DDBackend()
-    u = backend.composed_mdd(c1, c2)
+    u = backend.composed_mdd(*miter_halves(c1, c2))
     tr = backend.trace(u)
     t = tr / abs(tr) if tr else 1 + 0j
     backend.clear_memo()

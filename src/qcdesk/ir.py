@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,11 +55,13 @@ class Angle:
     denominator: int = 1
 
     def __post_init__(self):
-        if self.denominator == 0:
+        n, d = self.numerator, self.denominator
+        if d == 0:
             raise ValueError("angle denominator must be nonzero")
-        f = Fraction(self.numerator, self.denominator) % 2
-        object.__setattr__(self, "numerator", f.numerator)
-        object.__setattr__(self, "denominator", f.denominator)
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)  # lowest terms, d > 0
+        d //= g
+        object.__setattr__(self, "numerator", n // g % (2 * d))  # coprime to d still
+        object.__setattr__(self, "denominator", d)
 
     @property
     def radians(self) -> float:
@@ -70,10 +71,8 @@ class Angle:
         return Angle(-self.numerator, self.denominator)
 
     def __add__(self, other: "Angle") -> "Angle":
-        f = Fraction(self.numerator, self.denominator) + Fraction(
-            other.numerator, other.denominator
-        )
-        return Angle(f.numerator, f.denominator)
+        d = self.denominator * other.denominator
+        return Angle(self.numerator * other.denominator + other.numerator * self.denominator, d)
 
     def is_zero(self) -> bool:
         return self.numerator == 0
@@ -271,24 +270,35 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
-def miter(c1: Circuit, c2: Circuit) -> Circuit:
-    """c1 then adjoint_circuit(c2), less each gate g whose nearest earlier kept gate
-    on a shared qubit is exactly g^dagger (both are dropped). The gates between
-    them act on other qubits, so U2^dagger U1 is exactly unchanged."""
+def miter_halves(c1: Circuit, c2: Circuit) -> tuple[Circuit, Circuit]:
+    """(c1', c2'): c1 and c2 less the gates that cancel in c1 then adjoint_circuit(c2),
+    where each gate g whose nearest earlier kept gate on a shared qubit is exactly
+    g^dagger is dropped with it. The gates between them act on other qubits, so
+    c2'^dagger c1' is exactly U2^dagger U1."""
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
-    kept: list[Gate | None] = []
+    kept: list[tuple[int, Gate, Gate] | None] = []  # (side, gate, its inverse)
     latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]  # kept indices per qubit
-    gates = [(g, adjoint_gate(g)) for g in c1.gates]
-    gates += [(adjoint_gate(g), g) for g in reversed(c2.gates)]  # (gate, its inverse)
-    for g, inverse in gates:
+    gates = [(0, g, adjoint_gate(g)) for g in c1.gates]
+    gates += [(1, adjoint_gate(g), g) for g in reversed(c2.gates)]
+    for side, g, inverse in gates:
         near = max((latest[q][-1] for q in g.qubits if latest[q]), default=None)
-        if near is not None and kept[near] == inverse:
+        if near is not None and kept[near][1] == inverse:
             kept[near] = None
             for q in g.qubits:  # same qubits as kept[near], which is last on each
                 latest[q].pop()
             continue
         for q in g.qubits:
             latest[q].append(len(kept))
-        kept.append(g)
-    return Circuit(c1.num_qubits, tuple(g for g in kept if g is not None))
+        kept.append((side, g, inverse))
+    live = [k for k in kept if k is not None]
+    half1 = tuple(g for side, g, _ in live if side == 0)
+    half2 = tuple(inverse for side, _, inverse in reversed(live) if side == 1)  # c2's order
+    return Circuit(c1.num_qubits, half1), Circuit(c1.num_qubits, half2)
+
+
+def miter(c1: Circuit, c2: Circuit) -> Circuit:
+    """c1' then adjoint_circuit(c2') of `miter_halves`: the one circuit of
+    U2^dagger U1 that every equivalence method decides on (dd on its halves)."""
+    h1, h2 = miter_halves(c1, c2)
+    return Circuit(c1.num_qubits, h1.gates + adjoint_circuit(h2).gates)

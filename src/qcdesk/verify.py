@@ -74,8 +74,8 @@ def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
 
 
 def _dense_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
-    # U = U2^dagger U1, built from the miter zx.equivalent_zx rewrites too:
-    # c1 then c2's inverse, with the gate pairs that meet as g g^dagger dropped
+    # U = U2^dagger U1 of the one miter every method decides on (zx rewrites it,
+    # dd composes its two halves): c1 then c2's inverse, less the pairs g g^dagger
     u = dense.circuit_unitary(miter(c1, c2))
     tr = complex(np.trace(u))
     t = tr / abs(tr) if tr else 1 + 0j

@@ -202,6 +202,59 @@ class TestZeroTest:
             assert dd._is_zero(w) == self.grid_zero(w), w
 
 
+class TestNodeKeys:
+    """`_make_node` reads each scaled weight's grid key from a memo that lives
+    with the backend; every key must be `_key_weight`'s, bit for bit."""
+
+    @staticmethod
+    def bits(key):
+        """key with each float as its bytes, so -0.0 and nan compare by bits."""
+        if isinstance(key, float):
+            return struct.pack("<d", key)
+        return tuple(map(TestNodeKeys.bits, key)) if isinstance(key, tuple) else key
+
+    def assert_keys_are_the_grid_keys(self, backend):
+        for w, k in backend._keys.items():
+            assert self.bits(k) == self.bits(dd._key_weight(w)), w
+        for key, node in backend._unique.items():
+            # the key built without a memo, from the node's stored weights
+            fresh = (node.var,) + tuple(
+                dd._ZERO_KEY if e is dd.ZERO_EDGE else (dd._key_weight(e.w), id(e.node))
+                for e in node.edges
+            )
+            assert self.bits(key) == self.bits(fresh)
+
+    def test_edge_values(self):
+        xs = []
+        for k in (-3, -1, 0, 1, 2, 7, 10**9, 10**21):
+            t = (k + 0.5) * 1e-10
+            below, above = math.nextafter(t, -math.inf), math.nextafter(t, math.inf)
+            xs += [math.nextafter(below, -math.inf), below, t, above, math.nextafter(above, math.inf)]
+        tiny = math.ulp(0.0)
+        xs += [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308]
+        xs += [10.0**e for e in range(-12, 13)] + [-1e12, 123456789012.34567, 1e12 + 0.5]
+        xs += [math.inf, -math.inf, math.nan]
+        weights = [w for x in xs for y in (0.0, -0.0, x, -0.3) for w in (complex(x, y), complex(y, x))]
+        backend = dd.DDBackend()
+        for _ in range(2):  # the second round finds every finite weight's key in the memo
+            for w in weights:
+                backend._make_node(0, [dd.DDEdge(1 + 0j, None), dd.DDEdge(w, None)])
+                scaled = w / (1 + 0j)  # what the node stores, if it is not zeroed
+                if scaled == scaled and not dd._is_zero(scaled):  # not nan: a lookup can hit
+                    assert self.bits(backend._keys[scaled]) == self.bits(dd._key_weight(scaled)), w
+        self.assert_keys_are_the_grid_keys(backend)
+
+    def test_seeded_corpus(self):
+        rng = random.Random(113)
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            c1, c2 = random_circuit(rng, n, 20), random_circuit(rng, n, 20)
+            backend = dd.DDBackend()
+            backend.simulate(c1)
+            backend.composed_mdd(c1, c2)
+            self.assert_keys_are_the_grid_keys(backend)
+
+
 class TestAmplitude:
     def test_bell_paths(self):
         v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))

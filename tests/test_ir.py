@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_circuit, random_gate
 from qcdesk.errors import ParseError, WidthMismatchError
@@ -15,9 +16,11 @@ from qcdesk.ir import (
     Gate,
     GateKind,
     adjoint_circuit,
+    adjoint_gate,
     gate_arity,
     gate_matrix,
     miter,
+    miter_halves,
     parse_circuit,
     render_circuit,
 )
@@ -64,6 +67,30 @@ class TestAngle:
     def test_addition_and_negation(self):
         assert Angle(1, 4) + Angle(1, 4) == Angle(1, 2)
         assert -Angle(1, 4) == Angle(7, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(-70, 70), st.integers(-(2**70), 2**70)),
+        d=st.one_of(st.integers(-70, 70), st.integers(-(2**40), 2**40)),
+    )
+    @example(n=0, d=-7)
+    @example(n=3, d=-6)  # -1/2 is 3/2 modulo 2
+    @example(n=-4, d=-8)
+    @example(n=1, d=0)
+    @example(n=0, d=0)
+    def test_matches_the_fraction_definition(self, n, d):
+        # pi * n/d reduced modulo 2 pi is Fraction(n, d) % 2, in lowest terms
+        if d == 0:
+            with pytest.raises(ValueError):
+                Angle(n, d)
+            return
+        f = Fraction(n, d) % 2
+        a = Angle(n, d)
+        assert (a.numerator, a.denominator) == (f.numerator, f.denominator)
+        assert type(a.numerator) is int and type(a.denominator) is int
+        g = (f + Fraction(3, d)) % 2
+        b = a + Angle(3, d)
+        assert (b.numerator, b.denominator) == (g.numerator, g.denominator)
 
 
 class TestParse:
@@ -190,6 +217,46 @@ class TestMiter:
             dense.circuit_unitary(miter(c1, c2)), dense.circuit_unitary(full), rtol=0, atol=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), edits=st.integers(0, 6))
+    def test_halves_are_the_miter(self, seed, n, edits):
+        # c2 is c1 with gates redrawn and inverse pairs inserted, so gates
+        # cancel within each circuit and across the two
+        rng = random.Random(seed)
+        c1 = random_circuit(rng, n, rng.randrange(21))
+        gates = list(c1.gates)
+        for _ in range(edits):
+            i = rng.randrange(len(gates) + 1)
+            if gates and rng.random() < 0.5:
+                gates[min(i, len(gates) - 1)] = random_gate(rng, n)
+            else:
+                g = random_gate(rng, n)
+                gates[i:i] = [g, adjoint_gate(g)]
+        c2 = Circuit(n, gates[:20])
+        h1, h2 = miter_halves(c1, c2)
+        u = dense.circuit_unitary
+        np.testing.assert_allclose(
+            u(h2).conj().T @ u(h1), u(c2).conj().T @ u(c1), rtol=0, atol=1e-12
+        )
+        assert miter(c1, c2).gates == h1.gates + adjoint_circuit(h2).gates
+        for half, whole in ((h1, c1), (h2, c2)):
+            rest = iter(whole.gates)
+            assert all(any(g == h for h in rest) for g in half.gates)  # a subsequence
+
+    def test_halves_of_a_pair_that_cancels_across(self):
+        t, h, cx = Gate(GateKind.T, (0,)), Gate(GateKind.H, (1,)), Gate(GateKind.CX, (0, 1))
+        # c1 = t h cx, c2 = h cx: the cx pair and then h pair cancel across, t stays
+        assert miter_halves(Circuit(2, (t, h, cx)), Circuit(2, (h, cx))) == (
+            Circuit(2, (t,)),
+            Circuit(2),
+        )
+        # c2 = t tdg cx h: h cancels across, then the pair inside c2
+        tdg = Gate(GateKind.TDG, (0,))
+        assert miter_halves(Circuit(2, (h,)), Circuit(2, (t, tdg, cx, h))) == (
+            Circuit(2),
+            Circuit(2, (cx,)),
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(spelled=spelled_circuits())
     def test_circuit_against_itself_is_empty(self, spelled):
@@ -213,3 +280,5 @@ class TestMiter:
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
             miter(Circuit(1), Circuit(2))
+        with pytest.raises(WidthMismatchError):
+            miter_halves(Circuit(2), Circuit(1))

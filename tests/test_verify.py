@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk.errors import MAX_BYTES, CapacityError, WidthMismatchError
-from qcdesk import cli, dense, verify
+from qcdesk import cli, dd, dense, verify
 from qcdesk.ir import (
     Angle,
     Circuit,
@@ -368,6 +369,25 @@ class TestDdEquivalence:
                 c2 = random_circuit(rng, n, rng.randrange(10, 40))
             got.append(verify.check_equivalence(c1, c2, BackendId.DD).report())
         assert got == PINNED_DD_VERDICTS
+
+    def test_a_miter_that_cancels_multiplies_nothing(self, tmp_path, capsys):
+        # c against c with a block and its inverse inserted: every gate of the
+        # miter cancels, so dd composes two empty halves
+        rng = random.Random(101)
+        c = random_circuit(rng, 12, 60)
+        block = random_circuit(rng, 12, 10)
+        k = rng.randrange(len(c.gates) + 1)
+        padded = Circuit(12, c.gates[:k] + block.gates + adjoint_circuit(block).gates + c.gates[k:])
+        a, b = tmp_path / "a.qcf", tmp_path / "b.qcf"
+        a.write_text(render_circuit(c))
+        b.write_text(render_circuit(padded))
+        spy = mock.patch.object(
+            dd.DDBackend, "mult_mm", autospec=True, side_effect=dd.DDBackend.mult_mm
+        )
+        with spy as mult_mm:
+            assert cli.run(["verify", "--method", "dd", str(a), str(b)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "verdict=equivalent method=dd\n"
+        assert mult_mm.call_count == 0
 
     def test_agrees_with_dense_on_random_pairs(self):
         rng = random.Random(7)
