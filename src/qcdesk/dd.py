@@ -15,11 +15,10 @@ serves matrix products and equivalence checking. Reads of a whole diagram
 (node count, trace, magnitudes, the expander's sharing) walk it level by
 level (`_levels`), so no diagram is too deep for them.
 
-Equivalence checking decides on the one miter every method uses: the gate
-pairs that cancel in c1 then c2's inverse are dropped first (`ir.miter_halves`),
-and the composed matrix U2^dagger U1 of the two kept halves is built from the
-middle outward, alternating gates of the two halves from their last gates, so
-a pair that agrees keeps the product near the identity while it is built
+Equivalence checking composes U2^dagger U1 from the two halves of the miter
+every method decides on (`ir.miter_halves`: the gates that do not cancel), from
+the middle outward, alternating gates of the two halves from their last gates,
+so a pair that agrees keeps the product near the identity while it is built
 (Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits").
 """
 from __future__ import annotations
@@ -135,10 +134,9 @@ class DDBackend:
     Every operation that fills the compute tables (`apply_gate`, `mult_mv`,
     `mult_mm`) starts from empty ones, so a table holds only what the current
     operation computed, keyed by the ids of nodes that live at least as long
-    as the operation. Gate DDs are cached per (gate, width) and their block
-    trees per gate. The grid key of each weight `_make_node` has scaled is
-    memoized for the backend's lifetime; equal weights have equal keys, so
-    the memo changes no key.
+    as the operation. Gate DDs are cached per (gate, width), their block trees
+    per gate and `_make_node`'s grid keys per scaled weight, all for the
+    backend's lifetime (equal weights have equal keys, so no key changes).
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -169,7 +167,6 @@ class DDBackend:
         norm = None
         scaled = []
         key = [var]  # its length tells vector nodes from matrix nodes
-        keys = self._keys
         for e in edges:
             if e is ZERO_EDGE or _is_zero(e.w):
                 scaled.append(ZERO_EDGE)
@@ -179,9 +176,9 @@ class DDBackend:
                 norm, w, k = e.w, 1 + 0j, _ONE_KEY
             else:
                 w = e.w / norm
-                k = keys.get(w)
+                k = self._keys.get(w)
                 if k is None:
-                    k = keys[w] = _key_weight(w)
+                    k = self._keys[w] = _key_weight(w)
             scaled.append(DDEdge(w, e.node))
             key.append((k, id(e.node)))
         if norm is None:
@@ -580,10 +577,9 @@ class DDEquivalence:
 def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     """Equivalence up to global phase via the composed matrix DD U = U2^dagger U1.
 
-    U is the miter's: only the two halves c1' and c2' that `ir.miter_halves`
-    keeps are composed, alternately from their last gates (`composed_mdd`), so
-    U stays near the identity while it is built when the circuits agree, and
-    a miter that cancels completely multiplies nothing.
+    U is composed from the miter's halves (`ir.miter_halves`), alternately from
+    their last gates (`composed_mdd`), so it stays near the identity while it
+    is built when the circuits agree; a miter that cancels multiplies nothing.
     The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
     is 0), the circuits are equivalent, with phase conj(t), exactly when
     every entry of U - t I is at most EQUIVALENCE_TOLERANCE in magnitude.

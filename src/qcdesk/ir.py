@@ -270,14 +270,14 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
-def miter_halves(c1: Circuit, c2: Circuit) -> tuple[Circuit, Circuit]:
-    """(c1', c2'): c1 and c2 less the gates that cancel in c1 then adjoint_circuit(c2),
-    where each gate g whose nearest earlier kept gate on a shared qubit is exactly
-    g^dagger is dropped with it. The gates between them act on other qubits, so
-    c2'^dagger c1' is exactly U2^dagger U1."""
+def _cancel(c1: Circuit, c2: Circuit) -> list[tuple[int, Gate, Gate]]:
+    """(side, gate, its inverse) of each gate of c1 then adjoint_circuit(c2) (side 0
+    and 1) that is kept, in order: each gate g whose nearest earlier kept gate on a
+    shared qubit is exactly g^dagger is dropped with it. The gates between them act
+    on other qubits, so the kept gates compose to exactly U2^dagger U1."""
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
-    kept: list[tuple[int, Gate, Gate] | None] = []  # (side, gate, its inverse)
+    kept: list[tuple[int, Gate, Gate] | None] = []
     latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]  # kept indices per qubit
     gates = [(0, g, adjoint_gate(g)) for g in c1.gates]
     gates += [(1, adjoint_gate(g), g) for g in reversed(c2.gates)]
@@ -291,14 +291,19 @@ def miter_halves(c1: Circuit, c2: Circuit) -> tuple[Circuit, Circuit]:
         for q in g.qubits:
             latest[q].append(len(kept))
         kept.append((side, g, inverse))
-    live = [k for k in kept if k is not None]
+    return [k for k in kept if k is not None]
+
+
+def miter_halves(c1: Circuit, c2: Circuit) -> tuple[Circuit, Circuit]:
+    """(c1', c2'): the gates of c1 and of c2 that `miter` keeps, so that
+    c2'^dagger c1' is exactly U2^dagger U1 and `miter` is c1' then c2'^dagger."""
+    live = _cancel(c1, c2)
     half1 = tuple(g for side, g, _ in live if side == 0)
     half2 = tuple(inverse for side, _, inverse in reversed(live) if side == 1)  # c2's order
     return Circuit(c1.num_qubits, half1), Circuit(c1.num_qubits, half2)
 
 
 def miter(c1: Circuit, c2: Circuit) -> Circuit:
-    """c1' then adjoint_circuit(c2') of `miter_halves`: the one circuit of
-    U2^dagger U1 that every equivalence method decides on (dd on its halves)."""
-    h1, h2 = miter_halves(c1, c2)
-    return Circuit(c1.num_qubits, h1.gates + adjoint_circuit(h2).gates)
+    """c1 then adjoint_circuit(c2) less the gate pairs that cancel: the one circuit
+    of U2^dagger U1 that every equivalence method decides on (dd on its halves)."""
+    return Circuit(c1.num_qubits, tuple(g for _, g, _ in _cancel(c1, c2)))
