@@ -51,25 +51,30 @@ def _build_parser() -> _Parser:
     sim.add_argument("--backend", choices=[b.value for b in verify.STATE], required=True)
     sim.add_argument("--full", action="store_true", help="print all 2^n lines")
     sim.add_argument("file")
+    sim.set_defaults(handler=_cmd_simulate)
 
     amp = sub.add_parser("amplitude", help="print one amplitude")
     amp.add_argument("--backend", choices=[b.value for b in verify.AMPLITUDE], required=True)
     amp.add_argument("--basis", required=True, metavar="BITS")
     amp.add_argument("file")
+    amp.set_defaults(handler=_cmd_amplitude)
 
     smp = sub.add_parser("sample", help="seeded measurement sampling (dense backend)")
     smp.add_argument("--shots", type=_at_least(1, _MAX_SHOTS), required=True)
     smp.add_argument("--seed", type=_at_least(0), required=True)
     smp.add_argument("file")
+    smp.set_defaults(handler=_cmd_sample)
 
     ver = sub.add_parser("verify", help="equivalence-check two circuits")
     ver.add_argument("--method", choices=[b.value for b in verify.EQUIVALENCE], required=True)
     ver.add_argument("file1")
     ver.add_argument("file2")
+    ver.set_defaults(handler=_cmd_verify)
 
     st = sub.add_parser("stats", help="backend statistics for a circuit")
     st.add_argument("--backend", choices=[b.value for b in verify.STATS], required=True)
     st.add_argument("file")
+    st.set_defaults(handler=_cmd_stats)
     return p
 
 
@@ -129,21 +134,17 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args leaves the parser as it found it
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "amplitude": _cmd_amplitude,
-        "sample": _cmd_sample,
-        "verify": _cmd_verify,
-        "stats": _cmd_stats,
-    }
     try:
-        return handlers[args.verb](args)
+        return args.handler(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

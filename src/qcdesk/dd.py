@@ -15,11 +15,12 @@ serves matrix products and equivalence checking. Reads of a whole diagram
 (node count, trace, magnitudes, the expander's sharing) walk it level by
 level (`_levels`), so no diagram is too deep for them.
 
-Equivalence checking composes U2^dagger U1 from the two halves of the miter
-every method decides on (`ir.miter_halves`: the gates that do not cancel), from
-the middle outward, alternating gates of the two halves from their last gates,
-so a pair that agrees keeps the product near the identity while it is built
-(Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits").
+Equivalence checking composes U2^dagger U1 from the miter every method
+decides on (`ir.Miter`: c1 then c2's inverse, less the gates that cancel), from
+the middle outward: c1's kept gates multiply onto the right from its last,
+c2's inverses onto the left from its first, alternately, so a pair that agrees
+keeps the product near the identity while it is built (Burgholzer & Wille,
+"Advanced Equivalence Checking for Quantum Circuits").
 """
 from __future__ import annotations
 
@@ -31,8 +32,7 @@ import numpy as np
 
 from .errors import CapacityError, WidthMismatchError, reserve
 from . import dense
-from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, adjoint_circuit, check_basis
-from .ir import gate_matrix, miter_halves
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, Miter, check_basis, gate_matrix
 
 # Weights are rounded to this many decimals for unique-table keys, so
 # floating-point drift cannot break node sharing.
@@ -430,17 +430,18 @@ class DDBackend:
             v = self.apply_gate(g, v)
         return v
 
-    def composed_mdd(self, c1: Circuit, c2: Circuit) -> MatrixDD:
-        """U2^dagger U1 of two equally wide circuits, built from the middle outward.
+    def composed_mdd(self, m: Miter) -> MatrixDD:
+        """U2^dagger U1 of the miter m, built from the middle outward.
 
-        Starting from the identity, left steps multiply c2's adjoint gates onto
-        the left (g2_m^dagger first) and right steps c1's gates onto the right
-        (g1_k first). The two kinds interleave in proportion to the gate counts,
-        so the tails of two circuits that agree cancel as soon as both are in.
+        Starting from the identity, right steps multiply c1's kept gates onto
+        the right (the last, m.circuit.gates[m.split - 1], first) and left steps
+        c2's inverses onto the left (m.circuit.gates[m.split] first). The two
+        kinds interleave in proportion to their counts, so the tails of two
+        circuits that agree cancel as soon as both are in.
         """
-        n = c1.num_qubits
-        left = adjoint_circuit(c2).gates
-        right = c1.gates[::-1]
+        n = m.circuit.num_qubits
+        left = m.circuit.gates[m.split :]
+        right = m.circuit.gates[: m.split][::-1]
         u = self.identity_mdd(n)
         i = j = 0
         while i < len(left) or j < len(right):
@@ -454,7 +455,7 @@ class DDBackend:
         return u
 
     def circuit_mdd(self, c: Circuit) -> MatrixDD:
-        return self.composed_mdd(c, Circuit(c.num_qubits))
+        return self.composed_mdd(Miter(c, len(c.gates)))
 
     def trace(self, m: MatrixDD) -> complex:
         def diagonal_sum(node: _Node, t: dict) -> complex:
@@ -574,12 +575,12 @@ class DDEquivalence:
     witness: str | None = None  # basis input whose two outputs overlap least
 
 
-def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
+def equivalent_dd(m: Miter) -> DDEquivalence:
     """Equivalence up to global phase via the composed matrix DD U = U2^dagger U1.
 
-    U is composed from the miter's halves (`ir.miter_halves`), alternately from
-    their last gates (`composed_mdd`), so it stays near the identity while it
-    is built when the circuits agree; a miter that cancels multiplies nothing.
+    U is composed from the miter m from the middle outward (`composed_mdd`),
+    so it stays near the identity while it is built when the circuits agree;
+    an empty miter multiplies nothing.
     The rule is the dense method's: with t = tr U / |tr U| (1 when the trace
     is 0), the circuits are equivalent, with phase conj(t), exactly when
     every entry of U - t I is at most EQUIVALENCE_TOLERANCE in magnitude.
@@ -588,13 +589,11 @@ def equivalent_dd(c1: Circuit, c2: Circuit) -> DDEquivalence:
     input j whose |U[j, j]| is within EQUIVALENCE_TOLERANCE of the least
     (`least_diagonal`): |U[j, j]| is the overlap of the two outputs on |j>.
     """
-    if c1.num_qubits != c2.num_qubits:
-        raise WidthMismatchError("circuits have different widths")
-    n = c1.num_qubits
+    n = m.circuit.num_qubits
     if n > MAX_EQUIV_QUBITS:
         raise CapacityError(f"{n} qubits exceeds equivalence ceiling {MAX_EQUIV_QUBITS}")
     backend = DDBackend()
-    u = backend.composed_mdd(*miter_halves(c1, c2))
+    u = backend.composed_mdd(m)
     tr = backend.trace(u)
     t = tr / abs(tr) if tr else 1 + 0j
     backend.clear_memo()

@@ -270,40 +270,37 @@ def adjoint_circuit(c: Circuit) -> Circuit:
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
-def _cancel(c1: Circuit, c2: Circuit) -> list[tuple[int, Gate, Gate]]:
-    """(side, gate, its inverse) of each gate of c1 then adjoint_circuit(c2) (side 0
-    and 1) that is kept, in order: each gate g whose nearest earlier kept gate on a
-    shared qubit is exactly g^dagger is dropped with it. The gates between them act
-    on other qubits, so the kept gates compose to exactly U2^dagger U1."""
+@dataclass(frozen=True)
+class Miter:
+    """c1 then adjoint_circuit(c2) less the gate pairs that cancel: the one circuit of
+    U2^dagger U1 that every equivalence method decides on. Its first `split` gates
+    are kept from c1, the rest are inverses of c2's gates."""
+
+    circuit: Circuit
+    split: int
+
+
+def miter(c1: Circuit, c2: Circuit) -> Miter:
+    """Each gate g whose nearest earlier kept gate on a shared qubit is exactly
+    g^dagger is dropped with it. The gates between them act on other qubits, so
+    the kept gates compose to exactly U2^dagger U1."""
     if c1.num_qubits != c2.num_qubits:
         raise WidthMismatchError("circuits have different widths")
-    kept: list[tuple[int, Gate, Gate] | None] = []
-    latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]  # kept indices per qubit
-    gates = [(0, g, adjoint_gate(g)) for g in c1.gates]
-    gates += [(1, adjoint_gate(g), g) for g in reversed(c2.gates)]
-    for side, g, inverse in gates:
+    gates: list[Gate | None] = []  # one per step; None where a pair cancelled
+    latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]  # kept steps per qubit
+    # (gate, its inverse): c2's inverses come with their inverse, c2's own gate;
+    # a c1 gate is inverted only when the kept gate before it is on its qubits
+    steps = [(g, None) for g in c1.gates] + [(adjoint_gate(g), g) for g in reversed(c2.gates)]
+    for g, inverse in steps:
         near = max((latest[q][-1] for q in g.qubits if latest[q]), default=None)
-        if near is not None and kept[near][1] == inverse:
-            kept[near] = None
-            for q in g.qubits:  # same qubits as kept[near], which is last on each
+        paired = near is not None and gates[near].qubits == g.qubits
+        if paired and gates[near] == (adjoint_gate(g) if inverse is None else inverse):
+            for q in g.qubits:  # gates[near] is last on each of them
                 latest[q].pop()
-            continue
-        for q in g.qubits:
-            latest[q].append(len(kept))
-        kept.append((side, g, inverse))
-    return [k for k in kept if k is not None]
-
-
-def miter_halves(c1: Circuit, c2: Circuit) -> tuple[Circuit, Circuit]:
-    """(c1', c2'): the gates of c1 and of c2 that `miter` keeps, so that
-    c2'^dagger c1' is exactly U2^dagger U1 and `miter` is c1' then c2'^dagger."""
-    live = _cancel(c1, c2)
-    half1 = tuple(g for side, g, _ in live if side == 0)
-    half2 = tuple(inverse for side, _, inverse in reversed(live) if side == 1)  # c2's order
-    return Circuit(c1.num_qubits, half1), Circuit(c1.num_qubits, half2)
-
-
-def miter(c1: Circuit, c2: Circuit) -> Circuit:
-    """c1 then adjoint_circuit(c2) less the gate pairs that cancel: the one circuit
-    of U2^dagger U1 that every equivalence method decides on (dd on its halves)."""
-    return Circuit(c1.num_qubits, tuple(g for _, g, _ in _cancel(c1, c2)))
+            gates[near] = g = None
+        else:
+            for q in g.qubits:
+                latest[q].append(len(gates))
+        gates.append(g)
+    split = sum(g is not None for g in gates[: len(c1.gates)])
+    return Miter(Circuit(c1.num_qubits, tuple(g for g in gates if g is not None)), split)

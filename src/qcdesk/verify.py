@@ -6,9 +6,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import WidthMismatchError, reserve
+from .errors import reserve
 from . import dd, dense, tn, zx
-from .ir import EQUIVALENCE_TOLERANCE, Circuit, index_bits, miter
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, Miter, index_bits, miter
 
 # The zx method's dense fallback runs up to this width; past it, zx is INCONCLUSIVE.
 MAX_FALLBACK_QUBITS = 10
@@ -73,38 +73,37 @@ def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
     return CrossCheckReport(max_dev, tolerance, max_dev <= tolerance)
 
 
-def _dense_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
-    # U = U2^dagger U1 of the one miter every method decides on (zx rewrites it,
-    # dd composes its two halves): c1 then c2's inverse, less the pairs g g^dagger
-    u = dense.circuit_unitary(miter(c1, c2))
+def _dense_equivalence(m: Miter) -> EquivalenceVerdict:
+    u = dense.circuit_unitary(m.circuit)  # U = U2^dagger U1
+    n = m.circuit.num_qubits
     tr = complex(np.trace(u))
     t = tr / abs(tr) if tr else 1 + 0j
     overlap = np.abs(np.diagonal(u))  # |<U2 e_j|U1 e_j>| per input j
     u.flat[:: len(u) + 1] -= t  # U - t I in place: no second 2^n x 2^n array
     phase = t.conjugate()  # U2 = p U1 makes U = conj(p) I
-    rows = max(1, dense._SLICE >> c1.num_qubits)  # |U - t I| a slice of rows at a time
+    rows = max(1, dense._SLICE >> n)  # |U - t I| a slice of rows at a time
     worst = max(float(np.abs(u[r : r + rows]).max()) for r in range(0, len(u), rows))
     if worst <= EQUIVALENCE_TOLERANCE:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.DENSE, phase=phase)
     tied = overlap <= overlap.min() + EQUIVALENCE_TOLERANCE  # rounding noise breaks no ties
-    witness = index_bits(int(np.argmax(tied)), c1.num_qubits)
+    witness = index_bits(int(np.argmax(tied)), n)
     return EquivalenceVerdict(
         EquivalenceStatus.NOT_EQUIVALENT, BackendId.DENSE, witness=witness, phase=phase
     )
 
 
-def _dd_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
-    result = dd.equivalent_dd(c1, c2)
+def _dd_equivalence(m: Miter) -> EquivalenceVerdict:
+    result = dd.equivalent_dd(m)
     status = EquivalenceStatus.EQUIVALENT if result.equivalent else EquivalenceStatus.NOT_EQUIVALENT
     return EquivalenceVerdict(status, BackendId.DD, witness=result.witness, phase=result.phase)
 
 
-def _zx_equivalence(c1: Circuit, c2: Circuit) -> EquivalenceVerdict:
-    if zx.equivalent_zx(c1, c2).verdict == zx.ZXVerdict.EQUIVALENT:
+def _zx_equivalence(m: Miter) -> EquivalenceVerdict:
+    if zx.equivalent_zx(m).verdict == zx.ZXVerdict.EQUIVALENT:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.ZX)
-    if c1.num_qubits > MAX_FALLBACK_QUBITS:
+    if m.circuit.num_qubits > MAX_FALLBACK_QUBITS:
         return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, BackendId.ZX)
-    fallback = _dense_equivalence(c1, c2)
+    fallback = _dense_equivalence(m)
     return replace(fallback, method=BackendId.ZX, fallback_used=True)
 
 
@@ -126,8 +125,9 @@ EQUIVALENCE = {
 
 
 def check_equivalence(c1: Circuit, c2: Circuit, method: BackendId) -> EquivalenceVerdict:
-    if c1.num_qubits != c2.num_qubits:
-        raise WidthMismatchError("circuits have different widths")
+    m = miter(c1, c2)  # built once per job, for the method and its fallback
     if method not in EQUIVALENCE:
         raise ValueError(f"unsupported equivalence method {method}")
-    return EQUIVALENCE[method](c1, c2)
+    if not m.circuit.gates:  # U2^dagger U1 = I exactly, at any width
+        return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, method, phase=1 + 0j)
+    return EQUIVALENCE[method](m)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import reserve
 from . import tn
-from .ir import Angle, Circuit, GateKind, check_basis, miter
+from .ir import Angle, Circuit, GateKind, Miter, check_basis
 
 PLAIN = "plain"
 HADAMARD = "hadamard"
@@ -374,13 +374,13 @@ def _reduce(c: Circuit) -> ZXEquivalence:
     return ZXEquivalence(verdict, before, reduced.spider_count(), len(steps))
 
 
-def equivalent_zx(c1: Circuit, c2: Circuit) -> ZXEquivalence:
+def equivalent_zx(m: Miter) -> ZXEquivalence:
     """Rewrite the miter of c1 and c2 (c1 then c2's inverse) down to bare wires, or give up.
 
     The rule set is sound but not complete, so the negative answer is
     Inconclusive rather than NotEquivalent.
     """
-    return _reduce(miter(c1, c2))
+    return _reduce(m.circuit)
 
 
 def stats(c: Circuit) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import bell_circuit, ghz_circuit, random_circuit
 from qcdesk import dd, dense, tn, verify, zx
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate, miter
 from qcdesk.verify import BackendId, EquivalenceStatus
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -218,7 +218,7 @@ def test_criterion_7_equivalence():
         )
         dd_verdict = verify.check_equivalence(base, padded, BackendId.DD)
         assert dd_verdict.status == EquivalenceStatus.EQUIVALENT
-        zx_result = zx.equivalent_zx(base, padded)
+        zx_result = zx.equivalent_zx(miter(base, padded))
         assert zx_result.verdict == zx.ZXVerdict.EQUIVALENT
     for _ in range(50):
         n = rng.randrange(2, 6)
@@ -228,7 +228,7 @@ def test_criterion_7_equivalence():
         assert dense_verdict.status == EquivalenceStatus.NOT_EQUIVALENT
         dd_verdict = verify.check_equivalence(base, mutated, BackendId.DD)
         assert dd_verdict.status == EquivalenceStatus.NOT_EQUIVALENT
-        assert zx.equivalent_zx(base, mutated).verdict != zx.ZXVerdict.EQUIVALENT
+        assert zx.equivalent_zx(miter(base, mutated)).verdict != zx.ZXVerdict.EQUIVALENT
         # the reported witness is a basis input the circuits truly disagree on
         witness = dense_verdict.witness
         assert witness is not None

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,13 +280,18 @@ class TestErrorPaths:
             (verify.STATE, ["simulate", "--backend", "dense"]),
         ],
     )
-    def test_memory_error_is_capacity(self, monkeypatch, capsys, bell_file, table, argv):
+    def test_memory_error_is_capacity(
+        self, monkeypatch, tmp_path, capsys, bell_file, table, argv
+    ):
         # exit 1 would read as NOT_EQUIVALENT
         def exhausted(*args):
             raise MemoryError
 
         monkeypatch.setitem(table, verify.BackendId.DENSE, exhausted)
-        files = [bell_file] * (2 if argv[0] == "verify" else 1)
+        # two equal circuits make an empty miter, which verify decides without a backend
+        files = [bell_file]
+        if argv[0] == "verify":
+            files.append(write(tmp_path, "x.qcf", "qubits 2\nx 0\n"))
         assert cli.run(argv + files) == 70
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -300,6 +309,32 @@ class TestErrorPaths:
     def test_width_mismatch_is_usage(self, tmp_path, capsys, bell_file):
         one = write(tmp_path, "one.qcf", "qubits 1\nx 0\n")
         assert cli.run(["verify", "--method", "dense", bell_file, one]) == 64
+
+
+class TestOneParser:
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, bell_file, capsys):
+        # the parser is built once per process: a usage error and --full must
+        # leave nothing behind for the next call
+        calls = [
+            ["simulate", "--full", "--backend", "dense"],  # no file: a usage error
+            ["simulate", "--backend", "dense", "--full", bell_file],
+            ["simulate", "--backend", "dense", bell_file],
+        ]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        script = "import sys; from qcdesk import cli; sys.exit(cli.run(sys.argv[1:]))"
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            rc = cli.run(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert rc == 0 and captured.out.count("\n") == 2  # compact after --full
 
 
 class TestBackendChoices:

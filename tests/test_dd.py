@@ -20,12 +20,19 @@ from qcdesk.ir import (
     Circuit,
     Gate,
     GateKind,
+    Miter,
     adjoint_circuit,
     gate_arity,
     index_bits,
+    miter,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def uncancelled(c1: Circuit, c2: Circuit) -> Miter:
+    """c1 then adjoint_circuit(c2) with no pair cancelled: composed_mdd multiplies every gate."""
+    return Miter(Circuit(c1.num_qubits, c1.gates + adjoint_circuit(c2).gates), len(c1.gates))
 
 
 def reference_node_count(amps) -> int:
@@ -251,7 +258,7 @@ class TestNodeKeys:
             c1, c2 = random_circuit(rng, n, 20), random_circuit(rng, n, 20)
             backend = dd.DDBackend()
             backend.simulate(c1)
-            backend.composed_mdd(c1, c2)
+            backend.composed_mdd(uncancelled(c1, c2))
             self.assert_keys_are_the_grid_keys(backend)
 
 
@@ -400,9 +407,8 @@ class TestArithmetic:
             c2 = random_circuit(rng, n, 0 if k == 1 else rng.randrange(0, 25))
             backend = dd.DDBackend()
             expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
-            np.testing.assert_allclose(
-                backend.mdd_to_matrix(backend.composed_mdd(c1, c2)), expected, atol=1e-9
-            )
+            u = backend.composed_mdd(uncancelled(c1, c2))
+            np.testing.assert_allclose(backend.mdd_to_matrix(u), expected, atol=1e-9)
 
     def test_gate_dds_are_cached_per_width(self):
         backend = dd.DDBackend()
@@ -421,7 +427,7 @@ class TestArithmetic:
             c2 = random_circuit(rng, n, rng.randrange(0, 30))
             backend = dd.DDBackend()
             with mock.patch.object(backend, "add", wraps=backend.add) as spy:
-                backend.composed_mdd(c1, c2)
+                backend.composed_mdd(uncancelled(c1, c2))
             for (a, b, _), _ in spy.call_args_list:
                 calls += 1
                 zero_operands += dd._is_zero(a.w) or dd._is_zero(b.w)
@@ -553,9 +559,8 @@ class TestFastPaths:
             atol=1e-9,
         )
         expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
-        np.testing.assert_allclose(
-            backend.mdd_to_matrix(backend.composed_mdd(c1, c2)), expected, rtol=0, atol=1e-9
-        )
+        u = backend.composed_mdd(uncancelled(c1, c2))
+        np.testing.assert_allclose(backend.mdd_to_matrix(u), expected, rtol=0, atol=1e-9)
 
 
 class TestSimulateDD:
@@ -632,13 +637,13 @@ class TestEquivalence:
     def test_self_equivalent(self):
         rng = random.Random(67)
         c = random_circuit(rng, 4, 15)
-        result = dd.equivalent_dd(c, c)
+        result = dd.equivalent_dd(miter(c, c))
         assert result.equivalent
         assert result.phase == pytest.approx(1.0, abs=1e-9)
 
     def test_double_hadamard_vs_empty(self):
         h = Gate(GateKind.H, (0,))
-        result = dd.equivalent_dd(Circuit(1, (h, h)), Circuit(1))
+        result = dd.equivalent_dd(miter(Circuit(1, (h, h)), Circuit(1)))
         assert result.equivalent
         assert result.phase == pytest.approx(1.0, abs=1e-9)
 
@@ -647,7 +652,7 @@ class TestEquivalence:
         swapped = Circuit(
             2, (Gate(GateKind.H, (1,)), Gate(GateKind.CX, (0, 1)))
         )
-        assert not dd.equivalent_dd(bell, swapped).equivalent
+        assert not dd.equivalent_dd(miter(bell, swapped)).equivalent
 
     def test_global_phase_detected(self):
         # Z X Z X = -I, so the pair differs from identity only by phase
@@ -660,13 +665,13 @@ class TestEquivalence:
                 Gate(GateKind.X, (0,)),
             ),
         )
-        result = dd.equivalent_dd(seq, Circuit(1))
+        result = dd.equivalent_dd(miter(seq, Circuit(1)))
         assert result.equivalent
         assert result.phase == pytest.approx(-1.0, abs=1e-9)
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
-            dd.equivalent_dd(Circuit(2), Circuit(3))
+            dd.equivalent_dd(miter(Circuit(2), Circuit(3)))
 
     def test_least_diagonal_matches_dense(self):
         rng = random.Random(71)
@@ -691,7 +696,7 @@ class TestEquivalence:
     def test_not_equivalent_carries_witness(self):
         bell = bell_circuit()
         extra = Circuit(2, bell.gates + (Gate(GateKind.X, (0,)),))
-        result = dd.equivalent_dd(bell, extra)
+        result = dd.equivalent_dd(miter(bell, extra))
         assert not result.equivalent
         assert result.phase is None
         assert result.witness == "00"  # x on qubit 0 empties the whole diagonal
@@ -710,7 +715,7 @@ class TestLifetime:
             v = backend.simulate(c1)
             backend.get_amplitude(v, "0101")
             backend.dd_to_vector(backend.vector_to_dd(backend.dd_to_vector(v)))
-            u = backend.composed_mdd(c1, c2)
+            u = backend.composed_mdd(uncancelled(c1, c2))
             backend.trace(u)
             backend.least_diagonal(u)
             backend.mdd_to_matrix(u)
@@ -724,8 +729,8 @@ class TestLifetime:
         [
             lambda c, c2: dd.state(c),
             lambda c, c2: dd.stats(c),
-            lambda c, c2: dd.equivalent_dd(c, c),
-            lambda c, c2: dd.equivalent_dd(c, c2),
+            lambda c, c2: dd.equivalent_dd(miter(c, c)),
+            lambda c, c2: dd.equivalent_dd(miter(c, c2)),
         ],
         ids=["state", "stats", "equivalent_dd-same", "equivalent_dd-differ"],
     )
@@ -734,7 +739,7 @@ class TestLifetime:
         # its memo behind on every call
         rng = random.Random(89)
         c, c2 = random_circuit(rng, 3, 15), random_circuit(rng, 3, 15)
-        assert not dd.equivalent_dd(c, c2).equivalent  # takes the witness walk
+        assert not dd.equivalent_dd(miter(c, c2)).equivalent  # takes the witness walk
         gc.collect()
         gc.disable()
         try:
@@ -802,7 +807,7 @@ class TestComputeTables:
             return mult(a, b, level)
 
         with mock.patch.object(backend, "_mult", spy):
-            backend.composed_mdd(c1, c2)
+            backend.composed_mdd(uncancelled(c1, c2))
         assert len(sizes) == len(c1.gates) + len(c2.gates)
         assert set(sizes) == {(0, 0, 0)}
 

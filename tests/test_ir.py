@@ -15,12 +15,12 @@ from qcdesk.ir import (
     Circuit,
     Gate,
     GateKind,
+    Miter,
     adjoint_circuit,
     adjoint_gate,
     gate_arity,
     gate_matrix,
     miter,
-    miter_halves,
     parse_circuit,
     render_circuit,
 )
@@ -201,6 +201,40 @@ class TestAdjoint:
             np.testing.assert_allclose(s.amps, expected, atol=1e-10)
 
 
+def edited(rng: random.Random, gates: tuple, n: int, edits: int) -> tuple:
+    """gates with `edits` edits: a gate redrawn or an inverse pair g g^dagger inserted."""
+    gates = list(gates)
+    for _ in range(edits):
+        i = rng.randrange(len(gates) + 1)
+        if gates and rng.random() < 0.5:
+            gates[min(i, len(gates) - 1)] = random_gate(rng, n)
+        else:
+            g = random_gate(rng, n)
+            gates[i:i] = [g, adjoint_gate(g)]
+    return tuple(gates[:20])
+
+
+def eager_miter(c1: Circuit, c2: Circuit) -> Miter:
+    """The miter's cancellation rule with every inverse computed up front."""
+    kept: list = []
+    latest: list[list[int]] = [[] for _ in range(c1.num_qubits)]
+    steps = [(0, g, adjoint_gate(g)) for g in c1.gates]
+    steps += [(1, adjoint_gate(g), g) for g in reversed(c2.gates)]
+    for side, g, inverse in steps:
+        near = max((latest[q][-1] for q in g.qubits if latest[q]), default=None)
+        if near is not None and kept[near][1] == inverse:
+            kept[near] = None
+            for q in g.qubits:
+                latest[q].pop()
+            continue
+        for q in g.qubits:
+            latest[q].append(len(kept))
+        kept.append((side, g))
+    live = [k for k in kept if k is not None]
+    split = sum(side == 0 for side, _ in live)
+    return Miter(Circuit(c1.num_qubits, tuple(g for _, g in live)), split)
+
+
 class TestMiter:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), edits=st.integers(0, 20))
@@ -214,7 +248,10 @@ class TestMiter:
         c2 = Circuit(n, gates)
         full = Circuit(n, c1.gates + adjoint_circuit(c2).gates)
         np.testing.assert_allclose(
-            dense.circuit_unitary(miter(c1, c2)), dense.circuit_unitary(full), rtol=0, atol=1e-12
+            dense.circuit_unitary(miter(c1, c2).circuit),
+            dense.circuit_unitary(full),
+            rtol=0,
+            atol=1e-12,
         )
 
     @settings(max_examples=60, deadline=None)
@@ -224,61 +261,69 @@ class TestMiter:
         # cancel within each circuit and across the two
         rng = random.Random(seed)
         c1 = random_circuit(rng, n, rng.randrange(21))
-        gates = list(c1.gates)
-        for _ in range(edits):
-            i = rng.randrange(len(gates) + 1)
-            if gates and rng.random() < 0.5:
-                gates[min(i, len(gates) - 1)] = random_gate(rng, n)
-            else:
-                g = random_gate(rng, n)
-                gates[i:i] = [g, adjoint_gate(g)]
-        c2 = Circuit(n, gates[:20])
-        h1, h2 = miter_halves(c1, c2)
+        c2 = Circuit(n, edited(rng, c1.gates, n, edits))
+        m = miter(c1, c2)
+        h1 = Circuit(n, m.circuit.gates[: m.split])  # the kept gates of c1
+        h2 = adjoint_circuit(Circuit(n, m.circuit.gates[m.split :]))  # of c2, in its order
         u = dense.circuit_unitary
         np.testing.assert_allclose(
             u(h2).conj().T @ u(h1), u(c2).conj().T @ u(c1), rtol=0, atol=1e-12
         )
-        assert miter(c1, c2).gates == h1.gates + adjoint_circuit(h2).gates
+        assert m.circuit.gates == h1.gates + adjoint_circuit(h2).gates
         for half, whole in ((h1, c1), (h2, c2)):
             rest = iter(whole.gates)
             assert all(any(g == h for h in rest) for g in half.gates)  # a subsequence
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), edits=st.integers(0, 8))
+    def test_matches_the_eager_rule(self, seed, n, edits):
+        # inverse pairs, rx and rz among them, inserted into both circuits, so
+        # gates cancel inside c1, inside c2 and across the two
+        rng = random.Random(seed)
+        c1 = Circuit(n, edited(rng, random_circuit(rng, n, rng.randrange(16)).gates, n, edits))
+        c2 = Circuit(n, edited(rng, c1.gates, n, edits))
+        assert miter(c1, c2) == eager_miter(c1, c2)
+
+    def test_rotations_cancel_inside_c2_then_across(self):
+        rx, h = Gate(GateKind.RX, (0,), Angle(1, 4)), Gate(GateKind.H, (1,))
+        rz, rzdg = Gate(GateKind.RZ, (0,), Angle(3, 8)), Gate(GateKind.RZ, (0,), Angle(-3, 8))
+        # rz rz^dagger cancel inside c2, then rx and h across
+        c1, c2 = Circuit(2, (rx, h)), Circuit(2, (h, rx, rz, rzdg))
+        assert miter(c1, c2) == eager_miter(c1, c2) == Miter(Circuit(2), 0)
+        # rx^dagger is not rx: nothing cancels across, and c2's inverses follow c1
+        c2 = Circuit(2, (Gate(GateKind.RX, (0,), Angle(-1, 4)),))
+        assert miter(Circuit(2, (rx,)), c2) == Miter(Circuit(2, (rx, rx)), 1)
+
     def test_halves_of_a_pair_that_cancels_across(self):
         t, h, cx = Gate(GateKind.T, (0,)), Gate(GateKind.H, (1,)), Gate(GateKind.CX, (0, 1))
         # c1 = t h cx, c2 = h cx: the cx pair and then h pair cancel across, t stays
-        assert miter_halves(Circuit(2, (t, h, cx)), Circuit(2, (h, cx))) == (
-            Circuit(2, (t,)),
-            Circuit(2),
-        )
+        assert miter(Circuit(2, (t, h, cx)), Circuit(2, (h, cx))) == Miter(Circuit(2, (t,)), 1)
         # c2 = t tdg cx h: h cancels across, then the pair inside c2
         tdg = Gate(GateKind.TDG, (0,))
-        assert miter_halves(Circuit(2, (h,)), Circuit(2, (t, tdg, cx, h))) == (
-            Circuit(2),
-            Circuit(2, (cx,)),
+        assert miter(Circuit(2, (h,)), Circuit(2, (t, tdg, cx, h))) == Miter(
+            Circuit(2, (cx,)), 0
         )
 
     @settings(max_examples=40, deadline=None)
     @given(spelled=spelled_circuits())
     def test_circuit_against_itself_is_empty(self, spelled):
         c = spelled[1]
-        assert miter(c, c).gates == ()
+        assert miter(c, c).circuit.gates == ()
 
     def test_pair_apart_on_other_qubits_cancels(self):
         t, tdg = Gate(GateKind.T, (0,)), Gate(GateKind.TDG, (0,))
         cx, between = Gate(GateKind.CX, (0, 1)), (Gate(GateKind.H, (2,)), Gate(GateKind.CZ, (1, 2)))
-        assert miter(Circuit(3, (t,) + between), Circuit(3, (t,))).gates == between
-        assert miter(Circuit(3, (cx, between[0], cx)), Circuit(3)).gates == between[:1]
-        assert miter(Circuit(3, (t, between[0], tdg)), Circuit(3)).gates == between[:1]
+        assert miter(Circuit(3, (t,) + between), Circuit(3, (t,))).circuit.gates == between
+        assert miter(Circuit(3, (cx, between[0], cx)), Circuit(3)).circuit.gates == between[:1]
+        assert miter(Circuit(3, (t, between[0], tdg)), Circuit(3)).circuit.gates == between[:1]
 
     def test_gate_in_between_on_the_same_qubit_blocks(self):
         x, z = Gate(GateKind.X, (0,)), Gate(GateKind.Z, (0,))
-        assert miter(Circuit(1, (x, z, x)), Circuit(1)).gates == (x, z, x)
+        assert miter(Circuit(1, (x, z, x)), Circuit(1)).circuit.gates == (x, z, x)
         # cx(0, 1) and cx(1, 0) are different gates
         pair = (Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0)))
-        assert miter(Circuit(2, pair), Circuit(2)).gates == pair
+        assert miter(Circuit(2, pair), Circuit(2)).circuit.gates == pair
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
             miter(Circuit(1), Circuit(2))
-        with pytest.raises(WidthMismatchError):
-            miter_halves(Circuit(2), Circuit(1))

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from qcdesk.ir import (
     Circuit,
     Gate,
     GateKind,
+    Miter,
     adjoint_circuit,
     adjoint_gate,
     index_bits,
@@ -193,8 +195,8 @@ class TestDenseEquivalence:
         c2 = Circuit(3, (Gate(GateKind.X, (1,)),) + c1.gates)
         v = verify.check_equivalence(c1, c2, BackendId.DENSE)
         assert v.status == EquivalenceStatus.NOT_EQUIVALENT
-        assert [c.gates for c in calls] == [miter(c1, c2).gates]
-        assert miter(c1, c2).gates == (Gate(GateKind.X, (1,)),)
+        assert [c.gates for c in calls] == [miter(c1, c2).circuit.gates]
+        assert miter(c1, c2).circuit.gates == (Gate(GateKind.X, (1,)),)
 
     @pytest.mark.parametrize("method", [BackendId.DENSE, BackendId.ZX])
     def test_witness_is_the_lowest_tied_input(self, monkeypatch, method):
@@ -205,7 +207,9 @@ class TestDenseEquivalence:
         c2 = Circuit(5, (Gate(GateKind.CX, (4, 0)),) + c1.gates)
         assert verify.check_equivalence(c1, c2, method).witness == "10000"
         monkeypatch.setattr(
-            verify, "miter", lambda a, b: Circuit(5, a.gates + adjoint_circuit(b).gates)
+            verify,
+            "miter",
+            lambda a, b: Miter(Circuit(5, a.gates + adjoint_circuit(b).gates), len(a.gates)),
         )
         assert verify.check_equivalence(c1, c2, method).witness == "10000"
 
@@ -218,7 +222,7 @@ class TestDenseEquivalence:
         for c2 in (c1, random_circuit(rng, n, 60)):
             tracemalloc.start()
             try:
-                verify._dense_equivalence(c1, c2)
+                verify._dense_equivalence(miter(c1, c2))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -325,7 +329,7 @@ class TestDdEquivalence:
         c1 = random_circuit(rng, n, rng.randrange(1, 25))
         c2 = _rewritten(c1) if rewrite else _mutate_or_insert(rng, c1)
         via_dd = verify.check_equivalence(c1, c2, BackendId.DD)
-        via_dense = verify._dense_equivalence(c1, c2)
+        via_dense = verify._dense_equivalence(miter(c1, c2))
         assert via_dd.status == via_dense.status
         if rewrite:
             assert via_dd.status == EquivalenceStatus.EQUIVALENT
@@ -372,7 +376,7 @@ class TestDdEquivalence:
 
     def test_a_miter_that_cancels_multiplies_nothing(self, tmp_path, capsys):
         # c against c with a block and its inverse inserted: every gate of the
-        # miter cancels, so dd composes two empty halves
+        # miter cancels, so nothing is multiplied
         rng = random.Random(101)
         c = random_circuit(rng, 12, 60)
         block = random_circuit(rng, 12, 10)
@@ -449,6 +453,58 @@ class TestZxEquivalence:
             zx_v = verify.check_equivalence(c1, c2, BackendId.ZX)
             if dense_v.status == EquivalenceStatus.NOT_EQUIVALENT:
                 assert zx_v.status != EquivalenceStatus.EQUIVALENT
+
+
+class TestOneMiter:
+    S, Z = Gate(GateKind.S, (0,)), Gate(GateKind.Z, (0,))
+    RZ3, RZ4 = Gate(GateKind.RZ, (0,), Angle(1, 3)), Gate(GateKind.RZ, (0,), Angle(1, 4))
+
+    @pytest.mark.parametrize(
+        "c1, c2, method, fallback",
+        [
+            (Circuit(1, (S, S)), Circuit(1, (Z,)), BackendId.DENSE, False),
+            (Circuit(1, (S, S)), Circuit(1, (Z,)), BackendId.DD, False),
+            (Circuit(1, (S, S)), Circuit(1, (Z,)), BackendId.ZX, False),  # zx decides
+            (Circuit(1, (RZ3,)), Circuit(1, (RZ4,)), BackendId.ZX, True),  # zx falls back
+            (bell_circuit(), bell_circuit(), BackendId.DD, False),  # empty miter
+        ],
+    )
+    def test_each_job_builds_it_once(self, monkeypatch, c1, c2, method, fallback):
+        calls = []
+        real = verify.miter
+
+        def counted(a: Circuit, b: Circuit) -> Miter:
+            calls.append((a, b))
+            return real(a, b)
+
+        for name, module in list(sys.modules.items()):  # wherever qcdesk binds it
+            if name.startswith("qcdesk") and getattr(module, "miter", None) is real:
+                monkeypatch.setattr(module, "miter", counted)
+        v = verify.check_equivalence(c1, c2, method)
+        assert v.fallback_used == fallback
+        assert calls == [(c1, c2)]
+
+    @pytest.mark.parametrize("n", [13, 40])
+    @pytest.mark.parametrize("method", ["dense", "dd", "zx"])
+    def test_an_empty_miter_is_equivalent_at_any_width(self, tmp_path, capsys, n, method):
+        # past dd's ceiling and dense's memory budget: decided before either runs
+        rng = random.Random(n)
+        c = Circuit(n, ghz_circuit(n).gates + random_circuit(rng, n, 30).gates)
+        block = random_circuit(rng, n, 8)
+        padded = Circuit(n, c.gates[:5] + block.gates + adjoint_circuit(block).gates + c.gates[5:])
+        a, b = tmp_path / "a.qcf", tmp_path / "b.qcf"
+        a.write_text(render_circuit(c))
+        b.write_text(render_circuit(padded))
+        for files in ([a, a], [a, b]):
+            assert cli.run(["verify", "--method", method, *map(str, files)]) == cli.EXIT_OK
+            assert capsys.readouterr().out == f"verdict=equivalent method={method}\n"
+        v = verify.check_equivalence(c, padded, BackendId(method))
+        assert (v.status, v.phase, v.witness, v.fallback_used) == (
+            EquivalenceStatus.EQUIVALENT,
+            1,
+            None,
+            False,
+        )
 
 
 class TestVerdictReport:

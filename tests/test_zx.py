@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bell_circuit, random_circuit
 from qcdesk.errors import MAX_BYTES, CapacityError, WidthMismatchError
 from qcdesk import dense, zx
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit
+from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit, miter
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -436,27 +436,27 @@ class TestTensorSemantics:
 class TestEquivalence:
     def test_circuit_vs_itself(self):
         c = bell_circuit()
-        res = zx.equivalent_zx(c, c)
+        res = zx.equivalent_zx(miter(c, c))
         assert res.verdict == zx.ZXVerdict.EQUIVALENT
         assert res.spiders_after == 0
 
     def test_double_hadamard_vs_empty(self):
         c = Circuit(1, (Gate(GateKind.H, (0,)), Gate(GateKind.H, (0,))))
-        assert zx.equivalent_zx(c, Circuit(1)).verdict == zx.ZXVerdict.EQUIVALENT
+        assert zx.equivalent_zx(miter(c, Circuit(1))).verdict == zx.ZXVerdict.EQUIVALENT
 
     def test_cx_pair_vs_empty(self):
         g = Gate(GateKind.CX, (1, 0))
         c = Circuit(2, (g, g))
-        assert zx.equivalent_zx(c, Circuit(2)).verdict == zx.ZXVerdict.EQUIVALENT
+        assert zx.equivalent_zx(miter(c, Circuit(2))).verdict == zx.ZXVerdict.EQUIVALENT
 
     def test_different_circuits_inconclusive(self):
         c1 = Circuit(1, (Gate(GateKind.X, (0,)),))
-        res = zx.equivalent_zx(c1, Circuit(1))
+        res = zx.equivalent_zx(miter(c1, Circuit(1)))
         assert res.verdict == zx.ZXVerdict.INCONCLUSIVE
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
-            zx.equivalent_zx(Circuit(1), Circuit(2))
+            zx.equivalent_zx(miter(Circuit(1), Circuit(2)))
 
     def test_gate_inverse_insertions(self):
         rng = random.Random(31)
@@ -471,11 +471,11 @@ class TestEquivalence:
                 n,
                 base.gates[:pos] + (g, adjoint_gate(g)) + base.gates[pos:],
             )
-            res = zx.equivalent_zx(base, padded)
+            res = zx.equivalent_zx(miter(base, padded))
             assert res.verdict == zx.ZXVerdict.EQUIVALENT
 
     def test_stats_format(self):
-        res = zx.equivalent_zx(bell_circuit(), Circuit(2))
+        res = zx.equivalent_zx(miter(bell_circuit(), Circuit(2)))
         line = zx.stats(bell_circuit())
         assert line == (
             f"spiders_before={res.spiders_before} "
