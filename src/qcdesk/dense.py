@@ -17,12 +17,18 @@ A block with one nonzero per row (a permutation times phases) sends each
 amplitude to one place. While the leading blocks are such and the product
 start's support (its factors' nonzero counts multiplied) is at most
 _SUPPORT_SHARE of the buffer, they run on the support alone, as (index, value)
-arrays gathered at the Kronecker sum of the factors' nonzero offsets: each
-block flips index bits and scales values as the kernel would, to the bit.
-Before it allocates, _fill reserves (errors.reserve) what it holds at its
-peak: 16 bytes per amplitude of the buffer, plus the larger of the kernel's
-scratch (at most 2^k + 1 blocks of _SLICE >> k amplitudes, so 24 * _SLICE
-bytes) and 64 bytes per support entry (so at most half the buffer again).
+arrays gathered at the Kronecker sum of the factors' nonzero offsets. Every
+permutation of one or two bits is an affine map over GF(2), so the run moves
+each index bit to an affine function of the start's bits. Each qubit's bit is
+kept as such a form, an int, and a block's permutation rewrites the forms of
+its qubits: O(n) bookkeeping, with no pass over the support. A block with a
+phase other than 1 reads its qubits' current bits from their forms, one pass,
+and scales the values as the kernel would, to the bit. The final index array
+is built once and the values scattered once. Before it allocates, _fill
+reserves (errors.reserve) what it holds at its peak: 16 bytes per amplitude of
+the buffer, plus the larger of the kernel's scratch (at most 2^k + 1 blocks of
+_SLICE >> k amplitudes, so 24 * _SLICE bytes) and 64 bytes per support entry
+(so at most half the buffer again; the support arrays take 56).
 
 format_amplitude_dump takes the printed indices in chunks of at most _SLICE.
 In each chunk it formats every distinct real and imaginary part once
@@ -41,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,26 +261,67 @@ def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], run: list[_Bloc
     """Apply the monomial blocks run to the support of flat, the product start
     of factors, as the module doc says."""
     shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
-    idx = np.zeros(1, dtype=np.intp)
-    for q, f in enumerate(factors):
-        i, j = np.nonzero(f)
-        idx = (idx[:, None] + ((i << (q + shift)) | (j << q))).ravel()
+    # factor q's nonzeros, in the order the support lists them: (row bit, column offset)
+    starts = [[(i, j << q) for i, j in zip(*np.nonzero(f))] for q, f in enumerate(factors)]
+    forms = [2 << q for q in range(n)]  # each qubit's bit is the start's
+    idx = _read(starts, forms, np.empty(math.prod(map(len, starts)), dtype=np.intp), shift)
     vals, flat[idx] = flat[idx], 0
+    # every phase block reuses these: a new array per block, its pages faulted
+    # in afresh, took longer than the multiply itself
+    scaled, spare = np.empty_like(vals), np.empty_like(vals)
     for b in run:
-        m, pattern = b.stack
-        cols = np.arange(len(m))
-        perm = pattern.real.argmax(0)  # column -> the row of its one nonzero
-        bits = [q + shift for q in b.qubits]  # most significant first
-        flips = sum((((perm ^ cols) >> k) & 1) << p for k, p in enumerate(reversed(bits)))
-        local = (idx >> bits[0]) & 1
-        for p in bits[1:]:
-            local = (local << 1) | ((idx >> p) & 1)
-        idx ^= flips[local]
-        coef = m[perm, cols]
-        if np.any(coef != 1):  # vals first and a new array, as the kernel's src * coeff:
+        cols = b.stack[0].T.tolist()
+        perm = [next(r for r, x in enumerate(col) if x) for col in cols]  # local value -> its row
+        coef = [col[r] for col, r in zip(cols, perm)]
+        old = [forms[q] for q in reversed(b.qubits)]  # local bit t is old[t]
+        if coef != [1] * len(coef):  # vals first and a separate output, as the kernel's src * coeff:
             # `vals *=` on one entry and `vals * temporary` (numpy may swap it) round apart
-            vals = np.multiply(vals, coef[local])
-    flat[idx] = vals
+            # the indices are in range; "clip" skips the copy that take's bounds check makes
+            np.take(coef, _read(starts, old, idx), out=scaled, mode="clip")
+            vals, spare = np.multiply(vals, scaled, out=spare), vals
+        # perm is affine: bit t of perm[x] is bit t of perm[0], plus x_s for each
+        # s whose unit vector perm moves onto a value with bit t set
+        for t, q in enumerate(reversed(b.qubits)):
+            forms[q] = perm[0] >> t & 1
+            for s, form in enumerate(old):
+                if (perm[1 << s] ^ perm[0]) >> t & 1:
+                    forms[q] ^= form
+    flat[_read(starts, forms, idx, shift)] = vals
+
+
+def _read(starts: list[list[tuple[int, int]]], forms: list[int], out: np.ndarray, shift: int | None = None) -> np.ndarray:
+    """Evaluate forms on every support entry, into out: bit t of an entry's
+    result is forms[t] (bit 0 a constant, bit q + 1 the coefficient of the
+    start's row bit q) over GF(2). With a shift, bit t goes to bit t + shift and
+    the entry's column offset is added: its flat index. Each factor's nonzeros
+    contribute offsets that are XORed, in the support's Kronecker order."""
+    at = 0 if shift is None else shift
+    spread = functools.reduce(operator.or_, forms, 0) >> 1  # the start bits any form reads
+    value = sum((form & 1) << (t + at) for t, form in enumerate(forms))
+    steps = []  # (count, offsets) per factor; all-zero offsets repeat the entries
+    for q, nonzeros in enumerate(starts):
+        offsets = [0] * len(nonzeros)
+        if spread >> q & 1 or shift is not None:
+            image = sum((form >> (q + 1) & 1) << (t + at) for t, form in enumerate(forms))
+            offsets = [(image if i else 0) | (0 if shift is None else col) for i, col in nonzeros]
+        if len(offsets) == 1:
+            value ^= offsets[0]
+        elif steps and not any(offsets) and not any(steps[-1][1]):  # repeat once for both
+            steps[-1] = (steps[-1][0] * len(offsets), [0])
+        else:
+            steps.append((len(offsets), offsets))
+    out[0], size = value, 1
+    for count, offsets in steps:  # the first factor's nonzeros vary fastest
+        rest = out[size : size * count].reshape(count - 1, size)
+        if any(offsets):
+            for row, offset in zip(rest, offsets[1:]):
+                np.bitwise_xor(out[:size], offset, out=row)
+            if offsets[0]:
+                out[:size] ^= offsets[0]
+        else:
+            rest[...] = out[:size]
+        size *= count
+    return out
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
@@ -301,7 +349,8 @@ def amplitude(c: Circuit, bits: str) -> complex:
 
 
 def measure_probabilities(s: StateVector) -> np.ndarray:
-    return np.abs(s.amps) ** 2
+    probs = np.abs(s.amps)
+    return np.square(probs, out=probs)  # as ** 2, without a second array
 
 
 def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:

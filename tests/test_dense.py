@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -200,6 +201,17 @@ class TestSample:
         got = dense.sample(s, shots, seed)
         assert got == reference_sample(s, shots, seed)
         assert sum(got.values()) == shots
+
+    def test_peak_is_one_probability_array(self):
+        # at 2^14 amplitudes numpy does not elide the temporary of a ** 2, so
+        # squaring into a second array would peak at 16 bytes an amplitude
+        n = 14
+        amps = np.zeros(2**n, dtype=complex)
+        amps[np.random.default_rng(3).choice(2**n, 8, replace=False)] = 0.5 - 0.5j
+        s = dense.StateVector(n, amps / np.linalg.norm(amps))
+        peak = traced_peak(lambda: dense.sample(s, 100, 1))
+        # the probabilities (8 bytes an amplitude) and the nonzero mask (1)
+        assert peak <= 9 * 2**n + (1 << 14)
 
     def test_statevector_bench_circuit(self, monkeypatch):
         s = dense.simulate(bench_statevector_circuit(monkeypatch, 1))
@@ -593,3 +605,92 @@ class TestSupportPhase:
         assert len(passes) == len(dense._plan(c)[1]) == n - 1
         # the kernel's scratch is O(_SLICE); the support phase would add 40 bytes an amplitude
         assert peak <= 16 * 2**n + 16 * 4 * dense._SLICE + (1 << 18)
+
+    # Exhaustive blocks on a start that _plan is patched to return. The kernel
+    # also multiplies the entries outside the support, which the support path
+    # never writes, so neither path may make a zero of negative sign: 0 * (-1)
+    # is -0.0. The factors' phases add up to less than pi/2, so no product in
+    # the start has a negative part (an anti-diagonal factor multiplies the
+    # start so far by 0), and the blocks' phases are in the first quadrant.
+    START = [
+        np.array([[0.6, 0.8], [0.8, 0.6]]),  # dense
+        np.array([[np.exp(0.1j), 0], [0, 0.5]]),  # diagonal
+        np.array([[0.28, 0.96 * np.exp(0.2j)], [0.96, 0.28]]),  # dense
+        np.array([[0, np.exp(0.3j)], [1, 0]]),  # anti-diagonal
+        np.array([[np.exp(0.4j), 0], [0, 1]]),  # diagonal
+        np.array([[0.8, 0.6], [0.6, 0.8 * np.exp(0.5j)]]),  # dense
+    ]
+    BASIS = 0b101011  # the state's column: one nonzero on qubits 1, 3, 4, two on 0, 2, 5
+    PHASES = [np.exp(1j * math.pi * k / 16) for k in (1, 8, 3, 5)]  # the first quadrant
+
+    @classmethod
+    def block_matrix(cls, perm: list[int], pattern: str) -> np.ndarray:
+        """perm (local value -> local value) times phases, by pattern: none, every
+        entry (a diagonal after perm), only the entries perm fixes, or only the
+        ones it moves."""
+        phases = {
+            "none": [1] * len(perm),
+            "diagonal": cls.PHASES[: len(perm)],
+            "fixed": [p if perm[x] == x else 1 for x, p in enumerate(cls.PHASES[: len(perm)])],
+            "moved": [p if perm[x] != x else 1 for x, p in enumerate(cls.PHASES[: len(perm)])],
+        }[pattern]
+        m = np.zeros((len(perm), len(perm)), dtype=complex)
+        m[perm, range(len(perm))] = phases
+        return m
+
+    def check_block(self, listed: tuple[int, ...], m: np.ndarray, label: str) -> None:
+        """The block m over the qubits listed (the first one's bit most
+        significant, as gate_matrix puts it), on the patched start: the support
+        path equals the kernel-only path bit for bit, on a state and a unitary."""
+        if len(listed) == 2 and listed[0] < listed[1]:  # as _local_stack reorders it
+            m = m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+        block = dense._Block(tuple(sorted(listed, reverse=True)), np.stack([m, m != 0]), 1)
+        c = Circuit(len(self.START))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_plan", lambda _: (list(self.START), [block]))
+            passes = count_kernel_passes(mp)
+            got = dense.simulate(c, self.BASIS).amps, dense.circuit_unitary(c)
+            assert passes == [], label  # both starts are at most an eighth of their buffer
+            mp.setattr(dense, "_SUPPORT_SHARE", 0)
+            want = dense.simulate(c, self.BASIS).amps, dense.circuit_unitary(c)
+        for g, w, start in zip(got, want, ("state", "unitary")):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), f"{label} on the {start}"
+
+    @pytest.mark.parametrize("pattern", ["none", "diagonal", "fixed", "moved"])
+    @pytest.mark.parametrize("listed", [(3, 2), (2, 3), (5, 0), (0, 5), (4, 1)])
+    def test_every_two_bit_permutation_matches_the_kernel(self, listed, pattern):
+        for perm in itertools.permutations(range(4)):
+            self.check_block(listed, self.block_matrix(list(perm), pattern), f"perm {perm}, {pattern}")
+
+    @pytest.mark.parametrize("pattern", ["none", "diagonal", "fixed", "moved"])
+    @pytest.mark.parametrize("qubit", [0, 3, 5])
+    def test_every_one_bit_permutation_matches_the_kernel(self, qubit, pattern):
+        for perm in ([0, 1], [1, 0]):
+            self.check_block((qubit,), self.block_matrix(perm, pattern), f"perm {perm}, {pattern}")
+
+    @pytest.mark.parametrize("blocks", [1, 10, 40])
+    def test_a_permutation_reads_no_entry(self, monkeypatch, blocks):
+        # 2^15 entries: the start index and the final index are the only reads,
+        # and each block with a phase adds one, whatever the run's length
+        n, superposed = 18, 15
+        rng = random.Random(blocks)
+        gates = [Gate(GateKind.H, (q,)) for q in range(superposed)]
+        for kind in rng.choices([GateKind.CX, GateKind.SWAP, GateKind.X], k=3 * blocks):
+            gates.append(Gate(kind, tuple(rng.sample(range(n), gate_arity(kind)))))
+        reads = []
+        read = dense._read
+        monkeypatch.setattr(dense, "_read", lambda *args: reads.append(args[1]) or read(*args))
+        passes = count_kernel_passes(monkeypatch)
+        permuted = Circuit(n, tuple(gates))
+        assert dense._plan(permuted)[1] and 2**superposed <= 2**n * dense._SUPPORT_SHARE
+        dense.simulate(permuted)
+        assert (len(reads), passes) == (2, [])
+
+        phased = Circuit(n, tuple(gates) + tuple(Gate(GateKind.T, (q,)) for q in range(0, n, 3)))
+        blocks_with_phase = sum(np.any(b.stack[0][b.stack[1].astype(bool)] != 1) for b in dense._plan(phased)[1])
+        reads.clear()
+        dense.simulate(phased)
+        assert blocks_with_phase > 0
+        assert (len(reads), passes) == (2 + blocks_with_phase, [])
+        # a phase block reads the bits of its own qubits only: one form each
+        assert all(len(forms) <= 2 for forms in reads[1:-1])

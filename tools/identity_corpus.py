@@ -16,6 +16,10 @@ hash), stderr and the exit code are compared per job. Sections, per seed:
   simulate     simulate --backend dense|dd|tn, compact and --full, on 64
                gen.random_circuit circuits (n = 2..12, 0-60 gates, half of them
                without branching gates)
+  statevector  every job of gen.statevector (simulate --backend dense, sample,
+               amplitude --backend dense): n = 20 with 2^15 nonzeros, all of
+               whose blocks run on the support; the amplitude's basis is a
+               seeded nonzero of bench/reference.py's state
 
 Prints identical/total per section and the first differing job of each, and
 exits 1 if any job differs.
@@ -36,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (bench/ is not a package)
+import reference  # noqa: E402
 
 SEEDS = (1, 2, 3, 11, 17)
 SIMULATE_CIRCUITS = 64  # per seed
@@ -67,6 +72,15 @@ def corpus(seed: int, d: Path) -> list[tuple[str, list[str]]]:
         for backend in ("dense", "dd", "tn"):
             for full in ([], ["--full"]):
                 jobs.append(("simulate", ["simulate", "--backend", backend, *full, str(path)]))
+
+    w = gen.statevector(seed)
+    w.write(d)
+    n, gates = w.circuits["sv.qcf"]
+    support = reference.simulate_basis(n, gates).nonzero()[0]
+    for job in w.jobs:
+        if job.verb == "amplitude.dense":
+            job.basis = format(int(support[rng.randrange(len(support))]), f"0{n}b")
+        jobs.append(("statevector", job.argv(d)))
     return jobs
 
 
