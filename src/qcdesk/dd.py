@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import CapacityError, WidthMismatchError, reserve
+from .errors import WidthMismatchError, reserve
 from . import dense
 from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, Miter, check_basis, gate_matrix
 
@@ -40,8 +40,6 @@ _GRID_DECIMALS = 10
 # The smallest double that round(x, _GRID_DECIMALS) sends away from 0: a part
 # below it in magnitude is exactly a part the grid rounds to 0.
 _ZERO_BELOW = 5e-11
-
-MAX_EQUIV_QUBITS = 12
 
 
 class _Node:
@@ -590,8 +588,6 @@ def equivalent_dd(m: Miter) -> DDEquivalence:
     (`least_diagonal`): |U[j, j]| is the overlap of the two outputs on |j>.
     """
     n = m.circuit.num_qubits
-    if n > MAX_EQUIV_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds equivalence ceiling {MAX_EQUIV_QUBITS}")
     backend = DDBackend()
     u = backend.composed_mdd(m)
     tr = backend.trace(u)

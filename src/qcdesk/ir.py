@@ -149,7 +149,9 @@ def parse_circuit(text: str) -> Circuit:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise ParseError(lineno, "expected 'qubits <n>' header")
             try:
-                num_qubits = int(tokens[1])
+                if not (tokens[1].isascii() and tokens[1].isdigit()):
+                    raise ValueError
+                num_qubits = int(tokens[1])  # also ValueError past Python's 4,300-digit limit
             except ValueError:
                 raise ParseError(lineno, f"bad qubit count {tokens[1]!r}") from None
             if num_qubits < 1:
@@ -169,11 +171,14 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(
                 lineno, f"{kind.value} expects {gate_arity(kind)} qubit index(es)"
             )
+        digits = "".join(rest)  # every token is nonempty, so all are digits iff this is
         try:
-            qubits = tuple(int(t) for t in rest)
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            qubits = tuple(map(int, rest))  # also ValueError past Python's 4,300-digit limit
         except ValueError:
             raise ParseError(lineno, "bad qubit index") from None
-        if any(q < 0 or q >= num_qubits for q in qubits):
+        if any(q >= num_qubits for q in qubits):
             raise ParseError(lineno, f"qubit index out of range for width {num_qubits}")
         try:
             gates.append(Gate(kind, qubits, angle))
@@ -185,12 +190,14 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _parse_angle(token: str, lineno: int) -> Angle:
+    num, slash, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Angle(int(num), int(den))
-        return Angle(int(token))
-    except (ValueError, ZeroDivisionError):
+        # each part ASCII digits after at most one '-': int() also takes '+', '_' and other digits
+        if not (token.isascii() and num.removeprefix("-").isdigit()
+                and (not slash or den.removeprefix("-").isdigit())):
+            raise ValueError
+        return Angle(int(num), int(den) if slash else 1)
+    except ValueError:  # also a zero denominator, or past int()'s digit limit
         raise ParseError(lineno, f"malformed angle {token!r}") from None
 
 

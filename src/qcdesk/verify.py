@@ -10,9 +10,6 @@ from .errors import reserve
 from . import dd, dense, tn, zx
 from .ir import EQUIVALENCE_TOLERANCE, Circuit, Miter, index_bits, miter
 
-# The zx method's dense fallback runs up to this width; past it, zx is INCONCLUSIVE.
-MAX_FALLBACK_QUBITS = 10
-
 
 class BackendId(Enum):
     DENSE = "dense"
@@ -43,7 +40,7 @@ class EquivalenceVerdict:
         if self.witness is not None:
             parts.append(f"witness={self.witness}")
         if self.fallback_used:
-            parts.append("fallback=dense")
+            parts.append("fallback=dd")
         return " ".join(parts)
 
 
@@ -101,10 +98,7 @@ def _dd_equivalence(m: Miter) -> EquivalenceVerdict:
 def _zx_equivalence(m: Miter) -> EquivalenceVerdict:
     if zx.equivalent_zx(m).verdict == zx.ZXVerdict.EQUIVALENT:
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, BackendId.ZX)
-    if m.circuit.num_qubits > MAX_FALLBACK_QUBITS:
-        return EquivalenceVerdict(EquivalenceStatus.INCONCLUSIVE, BackendId.ZX)
-    fallback = _dense_equivalence(m)
-    return replace(fallback, method=BackendId.ZX, fallback_used=True)
+    return replace(_dd_equivalence(m), method=BackendId.ZX, fallback_used=True)
 
 
 # Which backend serves which verb, keyed in BackendId order; the CLI's choices are
@@ -125,9 +119,9 @@ EQUIVALENCE = {
 
 
 def check_equivalence(c1: Circuit, c2: Circuit, method: BackendId) -> EquivalenceVerdict:
-    m = miter(c1, c2)  # built once per job, for the method and its fallback
     if method not in EQUIVALENCE:
         raise ValueError(f"unsupported equivalence method {method}")
+    m = miter(c1, c2)  # built once per job, for the method and its fallback
     if not m.circuit.gates:  # U2^dagger U1 = I exactly, at any width
         return EquivalenceVerdict(EquivalenceStatus.EQUIVALENT, method, phase=1 + 0j)
     return EQUIVALENCE[method](m)

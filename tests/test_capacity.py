@@ -246,12 +246,15 @@ class TestNewReach:
         assert results[0] == results[1]
         assert results[0][0] == cli.EXIT_NOT_EQUIVALENT
 
-    def test_zx_does_not_fall_back_past_10_qubits(self, tmp_path, capsys):
+    def test_zx_falls_back_to_dd_past_10_qubits(self, tmp_path, capsys):
         c1 = random_circuit(random.Random(12), 11, 20)
         c2 = Circuit(11, c1.gates + (Gate(GateKind.T, (0,)),))
         files = []
         for name, c in (("a.qcf", c1), ("b.qcf", c2)):
             (tmp_path / name).write_text(render_circuit(c))
             files.append(str(tmp_path / name))
-        assert cli.run(["verify", "--method", "zx", *files]) == cli.EXIT_INCONCLUSIVE
-        assert capsys.readouterr().out == "verdict=inconclusive method=zx\n"
+        assert cli.run(["verify", "--method", "dd", *files]) == cli.EXIT_NOT_EQUIVALENT
+        dd_line = capsys.readouterr().out
+        assert cli.run(["verify", "--method", "zx", *files]) == cli.EXIT_NOT_EQUIVALENT
+        zx_line = capsys.readouterr().out
+        assert zx_line == dd_line.replace("method=dd", "method=zx").replace("\n", " fallback=dd\n")

@@ -190,7 +190,19 @@ class TestVerify:
         code = cli.run(["verify", "--method", "zx", a, b])
         out = capsys.readouterr().out
         assert code == 1
-        assert "fallback=dense" in out
+        assert "fallback=dd" in out
+
+    @pytest.mark.parametrize("method", ["dd", "zx"])
+    @pytest.mark.parametrize("tail, code", [("", cli.EXIT_OK), ("x 5\n", cli.EXIT_NOT_EQUIVALENT)])
+    def test_ghz40_pair_is_decided(self, tmp_path, capsys, method, tail, code):
+        # the second circuit writes each cx as h, cz, h on the target
+        ladder = range(39, 0, -1)
+        a = write(tmp_path, "a.qcf", "qubits 40\nh 39\n" + "".join(f"cx {q} {q - 1}\n" for q in ladder))
+        hczh = "".join(f"h {q - 1}\ncz {q} {q - 1}\nh {q - 1}\n" for q in ladder)
+        b = write(tmp_path, "b.qcf", "qubits 40\nh 39\n" + hczh + tail)
+        assert cli.run(["verify", "--method", method, a, b]) == code
+        verdict = "equivalent" if code == cli.EXIT_OK else "not_equivalent"
+        assert capsys.readouterr().out.startswith(f"verdict={verdict} method={method}")
 
 
 class TestStats:
@@ -259,6 +271,14 @@ class TestErrorPaths:
         bad = write(tmp_path, "bad.qcf", "qubits 1\nfoo 0\n")
         assert cli.run(["simulate", "--backend", "dense", bad]) == 65
         assert "error:" in capsys.readouterr().err
+
+    # a fullwidth digit, and more digits than int() converts: exit 1 would read as a verdict
+    @pytest.mark.parametrize("count", ["\uff12", "2" * 4301])
+    def test_bad_qubit_count_is_parse_error(self, tmp_path, capsys, bell_file, count):
+        bad = tmp_path / "wide.qcf"
+        bad.write_bytes(f"qubits {count}\nh 1\ncx 1 0\n".encode())
+        assert cli.run(["verify", "--method", "dd", bell_file, str(bad)]) == 65
+        assert capsys.readouterr().err == f"error: {bad}: line 1: bad qubit count {count!r}\n"
 
     @pytest.mark.parametrize("content", [b"\xff\xfe", b"qubits 2\nfoo 0\n"])
     def test_bad_second_input_is_named(self, tmp_path, capsys, bell_file, content):

@@ -126,6 +126,39 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_circuit("qubits 1\nrz pi/2 0")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("qubits \uff13\nh 0", 1),  # fullwidth digit
+            ("qubits +3\nh 0", 1),
+            ("qubits 1_0\nh 0", 1),
+            ("qubits -3\nh 0", 1),
+            ("qubits 3\nh \uff12", 2),
+            ("qubits 3\nh +2", 2),
+            ("qubits 3\nh -0", 2),
+            ("qubits 12\ncx 1 1_0", 2),
+            ("qubits 3\nh \u0662", 2),  # Arabic-Indic digit
+            ("qubits 1\nrz 1_0/4 0", 2),
+            ("qubits 1\nrz 1/+4 0", 2),
+            ("qubits 1\nrz +1 0", 2),
+            ("qubits 1\nrz --1/4 0", 2),
+            ("qubits 1\nrz 1/-\uff14 0", 2),
+            ("qubits 1\nrz \u00b9/4 0", 2),  # superscript one
+            ("qubits 1\nrz -/4 0", 2),
+            ("qubits " + "1" * 4301 + "\nh 0", 1),  # past int()'s digit limit
+            ("qubits 3\nh " + "1" * 4301, 2),
+            ("qubits 1\nrz " + "1" * 4301 + "/4 0", 2),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(text)
+        assert exc.value.line == line
+
+    def test_angle_parts_keep_one_minus(self):
+        c = parse_circuit("qubits 1\nrz -1/4 0\nrx 1/-4 0\nrz -3 0\nrz 007/008 0")
+        assert [g.angle for g in c.gates] == [Angle(-1, 4), Angle(1, -4), Angle(-3), Angle(7, 8)]
+
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ParseError):
             parse_circuit("qubits 2\ncx 0 0")

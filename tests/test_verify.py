@@ -420,6 +420,22 @@ PINNED_DD_VERDICTS = [
 ]
 
 
+class TestWideWitness:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dd_witness_at_16_qubits_is_certified_by_dense(self, seed):
+        # an inserted h or x leaves U2^dagger U1 off-diagonal, so some input's
+        # two outputs overlap by less than 1, and the witness must be one of them
+        rng = random.Random(seed)
+        c1 = random_circuit(rng, 16, 60)
+        c2 = _insert_one(rng, c1, (GateKind.H, GateKind.X))
+        v = verify.check_equivalence(c1, c2, BackendId.DD)
+        assert v.status == EquivalenceStatus.NOT_EQUIVALENT
+        b = int(v.witness, 2)
+        fidelity = abs(np.vdot(dense.simulate(c1, b).amps, dense.simulate(c2, b).amps)) ** 2
+        assert fidelity < 1 - 1e-9
+        assert verify.check_equivalence(c1, c2, BackendId.ZX).witness == v.witness
+
+
 class TestZxEquivalence:
     def test_direct_success_without_fallback(self):
         v = verify.check_equivalence(bell_circuit(), bell_circuit(), BackendId.ZX)
@@ -459,6 +475,21 @@ class TestOneMiter:
     S, Z = Gate(GateKind.S, (0,)), Gate(GateKind.Z, (0,))
     RZ3, RZ4 = Gate(GateKind.RZ, (0,), Angle(1, 3)), Gate(GateKind.RZ, (0,), Angle(1, 4))
 
+    @pytest.fixture
+    def miter_calls(self, monkeypatch) -> list:
+        """The (c1, c2) of every miter call, wherever qcdesk binds it."""
+        calls = []
+        real = verify.miter
+
+        def counted(a: Circuit, b: Circuit) -> Miter:
+            calls.append((a, b))
+            return real(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcdesk") and getattr(module, "miter", None) is real:
+                monkeypatch.setattr(module, "miter", counted)
+        return calls
+
     @pytest.mark.parametrize(
         "c1, c2, method, fallback",
         [
@@ -469,25 +500,21 @@ class TestOneMiter:
             (bell_circuit(), bell_circuit(), BackendId.DD, False),  # empty miter
         ],
     )
-    def test_each_job_builds_it_once(self, monkeypatch, c1, c2, method, fallback):
-        calls = []
-        real = verify.miter
-
-        def counted(a: Circuit, b: Circuit) -> Miter:
-            calls.append((a, b))
-            return real(a, b)
-
-        for name, module in list(sys.modules.items()):  # wherever qcdesk binds it
-            if name.startswith("qcdesk") and getattr(module, "miter", None) is real:
-                monkeypatch.setattr(module, "miter", counted)
+    def test_each_job_builds_it_once(self, miter_calls, c1, c2, method, fallback):
         v = verify.check_equivalence(c1, c2, method)
         assert v.fallback_used == fallback
-        assert calls == [(c1, c2)]
+        assert miter_calls == [(c1, c2)]
+
+    @pytest.mark.parametrize("c2", [Circuit(3), bell_circuit()], ids=["other-width", "same-width"])
+    def test_an_unsupported_method_is_refused_before_it(self, miter_calls, c2):
+        with pytest.raises(ValueError, match="unsupported equivalence method"):
+            verify.check_equivalence(bell_circuit(), c2, BackendId.TN)
+        assert miter_calls == []
 
     @pytest.mark.parametrize("n", [13, 40])
     @pytest.mark.parametrize("method", ["dense", "dd", "zx"])
     def test_an_empty_miter_is_equivalent_at_any_width(self, tmp_path, capsys, n, method):
-        # past dd's ceiling and dense's memory budget: decided before either runs
+        # past dense's memory budget: decided before any backend runs
         rng = random.Random(n)
         c = Circuit(n, ghz_circuit(n).gates + random_circuit(rng, n, 30).gates)
         block = random_circuit(rng, n, 8)
@@ -521,7 +548,7 @@ class TestVerdictReport:
         c1 = Circuit(1, (Gate(GateKind.RZ, (0,), Angle(1, 3)),))
         v = verify.check_equivalence(c1, Circuit(1), BackendId.ZX)
         if v.fallback_used:
-            assert v.report().endswith("fallback=dense")
+            assert v.report().endswith("fallback=dd")
 
 
 class TestInsertionPairs:

@@ -22,7 +22,9 @@ hash), stderr and the exit code are compared per job. Sections, per seed:
                seeded nonzero of bench/reference.py's state
 
 Prints identical/total per section and the first differing job of each, and
-exits 1 if any job differs.
+exits 1 if any job differs. The first SHOW differing jobs are then run again on
+both sides with stdout kept, and each is printed with both sides' exit codes,
+stderr and first differing stdout line.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ import reference  # noqa: E402
 
 SEEDS = (1, 2, 3, 11, 17)
 SIMULATE_CIRCUITS = 64  # per seed
+SHOW = 5  # differing jobs printed in full
 
 
 def corpus(seed: int, d: Path) -> list[tuple[str, list[str]]]:
@@ -84,9 +87,9 @@ def corpus(seed: int, d: Path) -> list[tuple[str, list[str]]]:
     return jobs
 
 
-def worker(src: str, jobs_file: str) -> None:
+def worker(src: str, jobs_file: str, full: bool) -> None:
     """Runs each job of jobs_file with qcdesk from src; prints one JSON list of
-    [exit code, stdout hash, stderr] per job."""
+    [exit code, stdout hash (stdout itself if full), stderr] per job."""
     sys.path.insert(0, src)
     from qcdesk import cli
 
@@ -95,16 +98,33 @@ def worker(src: str, jobs_file: str) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.run(argv)
-        results.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()])
+        text = out.getvalue()
+        results.append([rc, text if full else hashlib.sha256(text.encode()).hexdigest(), err.getvalue()])
     print(json.dumps(results))
 
 
-def outputs(tree: Path, jobs_file: Path) -> list:
+def outputs(tree: Path, jobs_file: Path, full: bool = False) -> list:
     proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(tree / "src"), str(jobs_file)],
+        [sys.executable, __file__, "--worker", str(tree / "src"), str(jobs_file), *(["--full"] * full)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def show(jobs: list, parent: Path, jobs_file: Path, tmp: str) -> None:
+    """Runs jobs on both sides with stdout kept; prints how each differs."""
+    jobs_file.write_text(json.dumps(jobs))
+    for (section, job), (rc, out, err), (prc, pout, perr) in zip(
+        jobs, outputs(ROOT, jobs_file, True), outputs(parent, jobs_file, True)
+    ):
+        print(f"[{section}] {' '.join(job).replace(tmp + '/', '')}")
+        print(f"  exit: {rc}, parent {prc}")
+        print(f"  stderr: {err!r}, parent {perr!r}")
+        end = ["<end of output>"]  # so a side that stops early differs there
+        ours, theirs = out.splitlines() + end, pout.splitlines() + end
+        k = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), None)
+        if k is not None:
+            print(f"  stdout line {k + 1}: {ours[k]!r}, parent {theirs[k]!r}")
 
 
 def main(argv=None) -> int:
@@ -112,9 +132,10 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, help="checkout to compare with (its src/ is imported)")
     p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     p.add_argument("--worker", nargs=2, metavar=("SRC", "JOBS"), help=argparse.SUPPRESS)
+    p.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        worker(*args.worker)
+        worker(*args.worker, args.full)
         return 0
     if args.parent is None:
         p.error("--parent is required")
@@ -128,14 +149,19 @@ def main(argv=None) -> int:
         jobs_file.write_text(json.dumps(jobs))
         ours, theirs = outputs(ROOT, jobs_file), outputs(args.parent.resolve(), jobs_file)
         sections: dict[str, list] = {}
+        differing = []
         for (section, job), a, b in zip(jobs, ours, theirs):
             tally = sections.setdefault(section, [0, 0, None])
             tally[0] += a == b
             tally[1] += 1
-            if a != b and tally[2] is None:
-                tally[2] = f"{' '.join(job).replace(tmp + '/', '')}: {a} != parent {b}"
-    for section, (same, total, first) in sections.items():
-        print(f"{section}: {same}/{total} identical" + (f"; first differing: {first}" if first else ""))
+            if a != b:
+                differing.append((section, job))
+                if tally[2] is None:
+                    tally[2] = f"{' '.join(job).replace(tmp + '/', '')}: {a} != parent {b}"
+        for section, (same, total, first) in sections.items():
+            print(f"{section}: {same}/{total} identical" + (f"; first differing: {first}" if first else ""))
+        if differing:
+            show(differing[:SHOW], args.parent.resolve(), jobs_file, tmp)
     return 0 if all(same == total for same, total, _ in sections.values()) else 1
 
 
