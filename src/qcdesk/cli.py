@@ -13,7 +13,6 @@ from .verify import BackendId, EquivalenceStatus, backend_state, check_equivalen
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_CAPACITY = 70
@@ -122,11 +121,7 @@ def _cmd_verify(args) -> int:
     c2 = _load(args.file2)
     verdict = check_equivalence(c1, c2, BackendId(args.method))
     print(verdict.report())
-    if verdict.status == EquivalenceStatus.EQUIVALENT:
-        return EXIT_OK
-    if verdict.status == EquivalenceStatus.NOT_EQUIVALENT:
-        return EXIT_NOT_EQUIVALENT
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if verdict.status == EquivalenceStatus.EQUIVALENT else EXIT_NOT_EQUIVALENT
 
 
 def _cmd_stats(args) -> int:

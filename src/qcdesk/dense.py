@@ -69,11 +69,6 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def initial_state(n: int, basis: int = 0) -> StateVector:
-    """The basis state |basis> on n qubits."""
-    return simulate(Circuit(n), basis)
-
-
 @dataclass
 class _Block:  # gates fused into one kernel pass
     qubits: tuple[int, ...]  # descending; the first one's bit is most significant

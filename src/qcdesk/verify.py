@@ -21,7 +21,6 @@ class BackendId(Enum):
 class EquivalenceStatus(Enum):
     EQUIVALENT = "equivalent"
     NOT_EQUIVALENT = "not_equivalent"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass

@@ -3,27 +3,28 @@
 Each test prints a single `[PASS]`/`[FAIL]` line (visible with `pytest -s`)
 in addition to the usual pytest outcome.
 """
+import functools
 import itertools
-import math
 import random
 import time
 
 import numpy as np
 import pytest
 
-from conftest import bell_circuit, ghz_circuit, random_circuit
+from conftest import (
+    BELL_AMPS, H_MAT, INV_SQRT2, all_plans, bell_circuit, ghz_circuit, mutate_one_gate, random_circuit,
+    reference_node_count,
+)
 from qcdesk import dd, dense, tn, verify, zx
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate, miter
 from qcdesk.verify import BackendId, EquivalenceStatus
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-BELL_AMPS = np.array([1, 0, 0, 1]) * INV_SQRT2
 
 
 def _report(label):
     """Decorator printing one pass/fail line per criterion."""
 
     def wrap(fn):
+        @functools.wraps(fn)  # pytest reads fn's fixtures through __wrapped__
         def run(*args, **kwargs):
             try:
                 fn(*args, **kwargs)
@@ -32,56 +33,9 @@ def _report(label):
                 raise
             print(f"[PASS] {label}")
 
-        run.__name__ = fn.__name__
         return run
 
     return wrap
-
-
-def reference_node_count(amps: np.ndarray) -> int:
-    """Distinct-subvector count: the node count a canonical diagram must have."""
-    total = 0
-    level_amps = [amps]
-    while len(level_amps[0]) > 1:
-        signatures = {}
-        next_level = []
-        for v in level_amps:
-            nz = np.flatnonzero(np.abs(v) > 1e-12)
-            if len(nz) == 0:
-                continue
-            scaled = v / v[nz[0]]
-            key = tuple(
-                (round(x.real, 10), round(x.imag, 10)) for x in scaled
-            )
-            if key not in signatures:
-                signatures[key] = True
-                total += 1
-                half = len(v) // 2
-                next_level.append(v[:half])
-                next_level.append(v[half:])
-        level_amps = next_level
-    return total
-
-
-def mutate_one_gate(rng: random.Random, c: Circuit) -> Circuit:
-    """Swap a random gate for one with a provably different unitary."""
-    i = rng.randrange(len(c.gates))
-    g = c.gates[i]
-    kind = GateKind.X if g.kind == GateKind.H else GateKind.H
-    repl = Gate(kind, (g.qubits[0],))
-    return Circuit(c.num_qubits, c.gates[:i] + (repl,) + c.gates[i + 1 :])
-
-
-def all_plans(num_tensors: int):
-    def rec(ids, next_id):
-        if len(ids) == 1:
-            yield []
-            return
-        for x, y in itertools.combinations(sorted(ids), 2):
-            for tail in rec((ids - {x, y}) | {next_id}, next_id + 1):
-                yield [(x, y)] + tail
-
-    yield from rec(set(range(num_tensors)), num_tensors)
 
 
 @_report("1 bell amplitudes agree across dense/dd/tn within 1e-10 in under 1s")
@@ -175,33 +129,28 @@ def test_criterion_5_zx_fixtures():
         ),
     )
     mat = zx.zx_to_tensor(zx.circuit_to_zx(c)).data
-    h = np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
-    phase = mat[0, 0] / h[0, 0]
+    phase = mat[0, 0] / H_MAT[0, 0]
     assert abs(abs(phase) - 1) < 1e-9
-    np.testing.assert_allclose(mat, phase * h, atol=1e-9)
+    np.testing.assert_allclose(mat, phase * H_MAT, atol=1e-9)
 
 
 @_report("6 differential suite: 200 random circuits agree across backends")
-def test_criterion_6_differential():
+def test_criterion_6_differential(differential_corpus):
+    # every pair of STATE backends, zx tensors up to n = 4, and cross_check's
+    # own deviation on the first 15 circuits
     start = time.perf_counter()
-    rng = random.Random(6)
-    for _ in range(200):
-        n = rng.randrange(1, 7)
-        c = random_circuit(rng, n, rng.randrange(0, 21))
-        states = [
-            verify.backend_state(c, b).amps
-            for b in (BackendId.DENSE, BackendId.DD, BackendId.TN)
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert float(np.max(np.abs(states[i] - states[j]))) <= 1e-8
-        if n <= 4:
+    for k, (c, states) in enumerate(differential_corpus):
+        deviation = max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(states.values(), 2))
+        assert deviation <= 1e-9
+        if k < 15:
+            assert verify.cross_check(c, 1e-9) == verify.CrossCheckReport(deviation, 1e-9, True)
+        if c.num_qubits <= 4:
             u = dense.circuit_unitary(c)
             t = zx.zx_to_tensor(zx.circuit_to_zx(c)).data.reshape(u.shape)
-            k = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-            scale = t[k] / u[k]
+            top = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+            scale = t[top] / u[top]
             assert abs(scale) > 1e-9
-            assert float(np.max(np.abs(t - scale * u))) <= 1e-8
+            assert float(np.max(np.abs(t - scale * u))) <= 1e-9
     assert time.perf_counter() - start < 120.0
 
 

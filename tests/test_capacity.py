@@ -6,35 +6,16 @@ at most the bytes it reserved plus 1 MiB. One width past each boundary raises
 CapacityError with a traced peak under 1 MiB, and the widths the budget admits
 beyond the old qubit ceilings run."""
 import random
-import tracemalloc
 
 import pytest
 
-from conftest import ghz_circuit, random_circuit
+from conftest import ghz_circuit, peak_until_raises, random_circuit, traced_peak
 from qcdesk import cli, dd, dense, errors, tn, verify, zx
-from qcdesk.errors import MAX_BYTES, CapacityError
+from qcdesk.errors import MAX_BYTES
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, render_circuit
 
 MIB = 1 << 20
 H, CX, T, SWAP = GateKind.H, GateKind.CX, GateKind.T, GateKind.SWAP
-
-
-def traced_peak(fn) -> int:
-    """Traced peak bytes while fn() runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def peak_until_raises(fn) -> int:
-    def raising():
-        with pytest.raises(CapacityError):
-            fn()
-
-    return traced_peak(raising)
 
 
 @pytest.fixture

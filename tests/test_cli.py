@@ -1,6 +1,5 @@
 import contextlib
 import io
-import math
 import os
 import random
 import subprocess
@@ -11,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dump_amplitudes, format_then_filter, random_circuit
+from conftest import INV_SQRT2, dump_amplitudes, format_then_filter, random_circuit
 from qcdesk import cli, dense, verify
 from qcdesk.ir import render_circuit
 
 BELL = "qubits 2\nh 1\ncx 1 0\n"
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @pytest.fixture

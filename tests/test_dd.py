@@ -2,7 +2,6 @@ import gc
 import math
 import random
 import struct
-import tracemalloc
 import weakref
 from unittest import mock
 
@@ -10,61 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_circuit, ghz_circuit, random_circuit, random_gate
+from conftest import (
+    BELL_AMPS, DD_POWER, H_MAT, INV_SQRT2, bell_circuit, circuits_on, draw_gate, ghz_circuit, random_circuit,
+    random_gate, reference_node_count, traced_peak, uncancelled,
+)
 from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
 from qcdesk.ir import (
     EQUIVALENCE_TOLERANCE,
-    PARAMETRIC_KINDS,
-    Angle,
     Circuit,
     Gate,
     GateKind,
-    Miter,
-    adjoint_circuit,
     gate_arity,
     index_bits,
     miter,
 )
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def uncancelled(c1: Circuit, c2: Circuit) -> Miter:
-    """c1 then adjoint_circuit(c2) with no pair cancelled: composed_mdd multiplies every gate."""
-    return Miter(Circuit(c1.num_qubits, c1.gates + adjoint_circuit(c2).gates), len(c1.gates))
-
-
-def reference_node_count(amps) -> int:
-    """Independent oracle: recursive halving with first-nonzero normalization,
-    counting distinct (level, normalized successor) signatures."""
-    amps = np.asarray(amps, dtype=complex)
-    n = int(math.log2(len(amps)))
-    nodes: dict = {}
-
-    def build(vec, level):
-        if level < 0:
-            w = complex(vec[0])
-            return (w, None) if abs(w) > 1e-12 else (0j, None)
-        half = len(vec) // 2
-        w0, k0 = build(vec[:half], level - 1)
-        w1, k1 = build(vec[half:], level - 1)
-        if w0 == 0 and w1 == 0:
-            return (0j, None)
-        norm = w0 if w0 != 0 else w1
-        sig = (
-            level,
-            round((w0 / norm).real, 10),
-            round((w0 / norm).imag, 10),
-            k0,
-            round((w1 / norm).real, 10),
-            round((w1 / norm).imag, 10),
-            k1,
-        )
-        return (norm, nodes.setdefault(sig, len(nodes)))
-
-    build(amps, n - 1)
-    return len(nodes)
 
 
 class TestVectorDD:
@@ -83,7 +42,7 @@ class TestVectorDD:
     def test_zero_state_one_node_per_level(self):
         backend = dd.DDBackend()
         for n in (1, 4, 8):
-            v = backend.vector_to_dd(dense.initial_state(n))
+            v = backend.vector_to_dd(dense.simulate(Circuit(n)))
             assert dd.node_count(v) == n
             node = v.root.node
             while node is not None:
@@ -104,9 +63,7 @@ class TestVectorDD:
     def test_round_trip_bell(self):
         v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
         out = dd.DDBackend().dd_to_vector(v)
-        np.testing.assert_allclose(
-            out.amps, np.array([1, 0, 0, 1]) * INV_SQRT2, atol=1e-12
-        )
+        np.testing.assert_allclose(out.amps, BELL_AMPS, atol=1e-12)
 
     def test_round_trip_single_qubit(self):
         v = dd.DDBackend().vector_to_dd(dense.StateVector(1, np.array([1, 0], dtype=complex)))
@@ -149,12 +106,9 @@ class TestExpand:
         backend = dd.DDBackend()
         v = backend.vector_to_dd(dense.StateVector(n, amps))
         assert dd.node_count(v) == 2**n - 1
-        tracemalloc.start()
-        try:
-            out = backend.dd_to_vector(v).amps
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result = []
+        peak = traced_peak(lambda: result.append(backend.dd_to_vector(v).amps))
+        out = result[0]
         assert out.nbytes == 16 * 2**n
         assert peak < 4 * out.nbytes
         assert np.array_equal(out, plain_expand(v.root, n, 1).reshape(-1))
@@ -302,8 +256,7 @@ class TestMatrixDD:
     def test_embedded_hadamard_kron_oracle(self):
         backend = dd.DDBackend()
         m = backend.gate_to_mdd(Gate(GateKind.H, (1,)), 3)
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        expected = np.kron(np.kron(np.eye(2), h), np.eye(2))
+        expected = np.kron(np.kron(np.eye(2), H_MAT), np.eye(2))
         np.testing.assert_allclose(backend.mdd_to_matrix(m), expected, atol=1e-12)
 
     def test_random_embeddings_match_dense(self):
@@ -316,6 +269,14 @@ class TestMatrixDD:
             np.testing.assert_allclose(
                 got, dense.circuit_unitary(Circuit(n, (g,))), atol=1e-12
             )
+
+    def test_trace_is_the_dense_trace(self):
+        # its two diagonal blocks differ in general, unlike the near-identity U of a verdict
+        rng = random.Random(31)
+        for _ in range(20):
+            c = random_circuit(rng, rng.randrange(1, 6), 20)
+            backend = dd.DDBackend()
+            assert abs(backend.trace(backend.circuit_mdd(c)) - np.trace(dense.circuit_unitary(c))) <= 1e-9
 
 
 class TestArithmetic:
@@ -483,24 +444,6 @@ class TestArithmetic:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
-def draw_angle(draw, kind: GateKind):
-    """An angle for rx/rz (odd denominators and 0 too), None for the rest."""
-    if kind not in PARAMETRIC_KINDS:
-        return None
-    return Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])))
-
-
-@st.composite
-def circuits_on(draw, n, max_gates=25):
-    """Circuits on n qubits over every gate kind that fits, angles with odd denominators too."""
-    kinds = [k for k in GateKind if gate_arity(k) <= n]
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
-        qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
-        gates.append(Gate(kind, qubits, draw_angle(draw, kind)))
-    return Circuit(n, tuple(gates))
-
-
 def weight_bits(w: complex) -> bytes:
     return struct.pack("<dd", w.real, w.imag)
 
@@ -550,7 +493,7 @@ class TestFastPaths:
     @given(data=st.data())
     def test_simulate_and_composed_mdd_match_dense(self, data):
         n = data.draw(st.integers(1, 6))
-        c1, c2 = data.draw(circuits_on(n)), data.draw(circuits_on(n))
+        c1, c2 = data.draw(circuits_on(n, power=DD_POWER)), data.draw(circuits_on(n, power=DD_POWER))
         backend = dd.DDBackend()
         np.testing.assert_allclose(
             backend.dd_to_vector(backend.simulate(c1)).amps,
@@ -569,24 +512,12 @@ class TestSimulateDD:
         v = backend.simulate(bell_circuit())
         assert dd.node_count(v) == 3
         assert v.root.w == pytest.approx(INV_SQRT2, abs=1e-12)
-        np.testing.assert_allclose(
-            backend.dd_to_vector(v).amps,
-            np.array([1, 0, 0, 1]) * INV_SQRT2,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(backend.dd_to_vector(v).amps, BELL_AMPS, atol=1e-12)
 
     def test_empty_circuit(self):
         backend = dd.DDBackend()
         v = backend.simulate(Circuit(4))
         assert v.root.node is backend.zero_state_dd(4).root.node
-
-    def test_random_matches_dense(self):
-        rng = random.Random(53)
-        for _ in range(10):
-            c = random_circuit(rng, 6, 20)
-            backend = dd.DDBackend()
-            got = backend.dd_to_vector(backend.simulate(c)).amps
-            np.testing.assert_allclose(got, dense.simulate(c).amps, atol=1e-9)
 
     def test_unitarity_preserved(self):
         rng = random.Random(59)
@@ -831,8 +762,8 @@ class TestApplyGate:
     @given(data=st.data())
     def test_one_qubit_gates_match_the_product(self, kind, data):
         n = data.draw(st.integers(1, 6))
-        g = Gate(kind, (data.draw(st.integers(0, n - 1)),), draw_angle(data.draw, kind))
-        self.assert_matches_product(n, g, data.draw(circuits_on(n, max_gates=15)))
+        prefix = data.draw(circuits_on(n, max_gates=15, power=DD_POWER))
+        self.assert_matches_product(n, draw_gate(data.draw, kind, n, DD_POWER), prefix)
 
     @pytest.mark.parametrize("adjacent", [True, False], ids=["adjacent", "apart"])
     @pytest.mark.parametrize("first_above", [True, False], ids=["first_above", "first_below"])
@@ -844,7 +775,7 @@ class TestApplyGate:
         n = data.draw(st.integers(gap + 1, 6))
         low = data.draw(st.integers(0, n - 1 - gap))
         qubits = (low + gap, low) if first_above else (low, low + gap)
-        self.assert_matches_product(n, Gate(kind, qubits), data.draw(circuits_on(n, max_gates=15)))
+        self.assert_matches_product(n, Gate(kind, qubits), data.draw(circuits_on(n, max_gates=15, power=DD_POWER)))
 
     def test_rejects_a_qubit_outside_the_register(self):
         backend = dd.DDBackend()

@@ -3,22 +3,22 @@ import importlib
 import itertools
 import math
 import random
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_circuit, dump_amplitudes, format_then_filter, ghz_circuit, random_circuit, random_gate
+from conftest import (
+    BELL_AMPS, H_MAT, INV_SQRT2, bell_circuit, circuits, dump_amplitudes, format_then_filter, gates_on, ghz_circuit,
+    monomial_prefixed_circuits, peak_until_raises, random_circuit, random_gate, traced_peak,
+)
 from qcdesk.errors import MAX_BYTES, CapacityError
 from qcdesk import dense
-from qcdesk.ir import Angle, Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits, parse_circuit
+from qcdesk.ir import Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits, parse_circuit
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # hand-built kron oracle, kept independent of the strided kernel
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
@@ -30,42 +30,22 @@ MAX_UNITARY_Q = max(n for n in range(32) if 24 * 4**n <= MAX_BYTES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def traced_peak(fn) -> int:
-    """Traced peak bytes while fn() runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def peak_until_raises(fn, exc) -> int:
-    """Traced peak bytes of fn(), which must raise exc."""
-
-    def raising():
-        with pytest.raises(exc):
-            fn()
-
-    return traced_peak(raising)
-
-
 class TestInitialState:
     def test_one_qubit(self):
-        np.testing.assert_array_equal(dense.initial_state(1).amps, [1, 0])
+        np.testing.assert_array_equal(dense.simulate(Circuit(1)).amps, [1, 0])
 
     def test_two_qubits(self):
-        np.testing.assert_array_equal(dense.initial_state(2).amps, [1, 0, 0, 0])
+        np.testing.assert_array_equal(dense.simulate(Circuit(2)).amps, [1, 0, 0, 0])
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            dense.initial_state(MAX_Q + 1)
+            dense.simulate(Circuit(MAX_Q + 1))
 
     @pytest.mark.parametrize("basis", [-1, 8, 2**40])
     def test_basis_outside_register_raises(self, basis):
         # amps[-1] would wrap to |111>, and the product start would drop high bits
         with pytest.raises(ValueError):
-            dense.initial_state(3, basis)
+            dense.simulate(Circuit(3), basis)
         with pytest.raises(ValueError):
             dense.simulate(Circuit(3, (Gate(GateKind.H, (0,)),)), basis)
 
@@ -79,9 +59,7 @@ class TestApplyGate:
         # control on the more significant qubit, target on the less significant
         s = dense.StateVector(2, np.array([1, 0, 1, 0], dtype=complex) * INV_SQRT2)
         out = dense.apply_gate(s, Gate(GateKind.CX, (1, 0)))
-        np.testing.assert_allclose(
-            out.amps, np.array([1, 0, 0, 1]) * INV_SQRT2, atol=1e-15
-        )
+        np.testing.assert_allclose(out.amps, BELL_AMPS, atol=1e-15)
 
     def test_not(self):
         s = dense.StateVector(1, np.array([1, 0], dtype=complex))
@@ -98,9 +76,7 @@ class TestApplyGate:
 class TestSimulate:
     def test_bell(self):
         s = dense.simulate(bell_circuit())
-        np.testing.assert_allclose(
-            s.amps, np.array([1, 0, 0, 1]) * INV_SQRT2, atol=1e-15
-        )
+        np.testing.assert_allclose(s.amps, BELL_AMPS, atol=1e-15)
 
     def test_empty_circuit(self):
         s = dense.simulate(Circuit(3))
@@ -112,7 +88,7 @@ class TestSimulate:
         # H on q2, CX(2,1), CX(1,0) as explicit matrix-vector products
         v = np.zeros(8, dtype=complex)
         v[0] = 1
-        v = np.kron(np.kron(_H, _I2), _I2) @ v
+        v = np.kron(np.kron(H_MAT, _I2), _I2) @ v
         v = np.kron(_CX, _I2) @ v
         v = np.kron(_I2, _CX) @ v
         s = dense.simulate(ghz_circuit(3))
@@ -135,7 +111,7 @@ class TestMeasurement:
         np.testing.assert_array_equal(p, [1, 0])
 
     def test_hadamard_half_half(self):
-        s = dense.apply_gate(dense.initial_state(1), Gate(GateKind.H, (0,)))
+        s = dense.apply_gate(dense.simulate(Circuit(1)), Gate(GateKind.H, (0,)))
         np.testing.assert_allclose(
             dense.measure_probabilities(s), [0.5, 0.5], atol=1e-15
         )
@@ -324,17 +300,6 @@ def matrix_embedding(m: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarr
     return out
 
 
-@st.composite
-def gates_on(draw, kind, n_max=6):
-    """(gate, n): a gate of this kind, qubits in either order, rational angles."""
-    n = draw(st.integers(gate_arity(kind), n_max))
-    qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
-    angle = None
-    if kind in (GateKind.RX, GateKind.RZ):
-        angle = Angle(draw(st.integers(-16, 16)), draw(st.sampled_from([1, 2, 3, 4, 8, 16])))
-    return Gate(kind, qubits, angle), n
-
-
 class TestInPlaceKernel:
     """The in-place kernel against the kron embedding, which shares no code with it."""
 
@@ -372,39 +337,6 @@ class TestInPlaceKernel:
         out = dense.apply_gate(dense.StateVector(n, amps), g)
         np.testing.assert_array_equal(amps, before)
         np.testing.assert_allclose(out.amps, kron_embedding(g, n) @ before, rtol=0, atol=1e-12)
-
-
-MONOMIAL_KINDS = [GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CZ, GateKind.S, GateKind.T, GateKind.RZ]
-
-
-def draw_gates(draw, n, kinds, max_gates):
-    """Gates of the given kinds, qubits in either order, rotation angles
-    k pi / 2^m down to pi / 2^60."""
-    kinds = [k for k in kinds if gate_arity(k) <= n]
-    gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from(kinds))
-        qubits = tuple(draw(st.permutations(range(n)))[: gate_arity(kind)])
-        angle = None
-        if kind in (GateKind.RX, GateKind.RZ):
-            angle = Angle(draw(st.integers(-16, 16)), 2 ** draw(st.integers(0, 60)))
-        gates.append(Gate(kind, qubits, angle))
-    return gates
-
-
-@st.composite
-def circuits(draw, n_max=6, max_gates=30):
-    """Circuits of every gate kind (see draw_gates)."""
-    n = draw(st.integers(1, n_max))
-    return Circuit(n, tuple(draw_gates(draw, n, list(GateKind), max_gates)))
-
-
-@st.composite
-def monomial_prefixed_circuits(draw, n_max=6):
-    """Permutation and phase gates, then gates of every kind."""
-    n = draw(st.integers(1, n_max))
-    gates = draw_gates(draw, n, MONOMIAL_KINDS, 20) + draw_gates(draw, n, list(GateKind), 10)
-    return Circuit(n, tuple(gates))
 
 
 def per_gate_unitary(gates, n: int) -> np.ndarray:
@@ -527,7 +459,7 @@ class TestFusedPasses:
         lambda: dense.circuit_unitary(Circuit(MAX_UNITARY_Q + 1, (Gate(GateKind.H, (0,)),))),
     ], ids=["simulate", "circuit_unitary"])
     def test_capacity_is_checked_before_allocation(self, run):
-        assert peak_until_raises(run, CapacityError) < 1 << 20
+        assert peak_until_raises(run) < 1 << 20
 
 
 class TestSupportPhase:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_circuit, random_gate
+from conftest import H_MAT, random_circuit, random_gate
 from qcdesk.errors import ParseError, WidthMismatchError
 from qcdesk.ir import (
     PARAMETRIC_KINDS,
@@ -182,9 +182,7 @@ class TestParse:
 class TestGateMatrix:
     def test_hadamard(self):
         m = gate_matrix(Gate(GateKind.H, (0,)))
-        np.testing.assert_allclose(
-            m, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15
-        )
+        np.testing.assert_allclose(m, H_MAT, atol=1e-15)
 
     def test_not(self):
         m = gate_matrix(Gate(GateKind.X, (0,)))

@@ -1,17 +1,13 @@
 import itertools
-import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import bell_circuit, ghz_circuit, random_circuit
-from qcdesk.errors import MAX_BYTES, CapacityError, PlanError
+from conftest import BELL_AMPS, INV_SQRT2, all_plans, bell_circuit, ghz_circuit, peak_until_raises, random_circuit
+from qcdesk.errors import MAX_BYTES, PlanError
 from qcdesk import dense, tn
 from qcdesk.ir import Angle, Circuit, Gate, GateKind
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -27,21 +23,6 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matrix_tensors(a: np.ndarray, b: np.ndarray):
     return tn.Tensor(["i", "k"], a), tn.Tensor(["k", "j"], b)
-
-
-def all_plans(num_tensors: int):
-    """Every valid pairwise contraction order over the given tensor ids."""
-
-    def rec(ids, next_id):
-        if len(ids) == 1:
-            yield []
-            return
-        for x, y in itertools.combinations(sorted(ids), 2):
-            rest = (ids - {x, y}) | {next_id}
-            for tail in rec(rest, next_id + 1):
-                yield [(x, y)] + tail
-
-    yield from rec(set(range(num_tensors)), num_tensors)
 
 
 def rescan_greedy_steps(net: tn.TensorNetwork) -> list[tuple[int, int]]:
@@ -286,9 +267,7 @@ class TestExecutePlan:
     def test_bell_contracts_to_state(self):
         net = tn.circuit_to_network(bell_circuit())
         out = tn.execute_plan(net, tn.greedy_plan(net))
-        np.testing.assert_allclose(
-            out.data.reshape(-1), np.array([1, 0, 0, 1]) * INV_SQRT2, atol=1e-12
-        )
+        np.testing.assert_allclose(out.data.reshape(-1), BELL_AMPS, atol=1e-12)
 
     def test_plan_order_independent(self):
         rng = random.Random(5)
@@ -306,36 +285,25 @@ class TestExecutePlan:
         with pytest.raises(PlanError):
             tn.execute_plan(net, tn.ContractionPlan([(0, 1), (0, 2)]))
 
-    def test_bad_last_step_raises_before_any_contraction(self, monkeypatch):
-        calls = 0
-        contract = tn.contract_pair
+    @pytest.fixture
+    def contractions(self, monkeypatch) -> list:
+        """The pairs of every contract_pair call."""
+        calls, contract = [], tn.contract_pair
+        monkeypatch.setattr(tn, "contract_pair", lambda a, b: calls.append((a, b)) or contract(a, b))
+        return calls
 
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return contract(a, b)
-
-        monkeypatch.setattr(tn, "contract_pair", counting)
+    def test_bad_last_step_raises_before_any_contraction(self, contractions):
         net = tn.circuit_to_network(bell_circuit())
         with pytest.raises(PlanError):
             tn.execute_plan(net, tn.ContractionPlan([(0, 2), (1, 3), (4, 4)]))
-        assert calls == 0
+        assert contractions == []
 
-    def test_wrong_open_indices_raise_before_any_contraction(self, monkeypatch):
-        calls = 0
-        contract = tn.contract_pair
-
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return contract(a, b)
-
-        monkeypatch.setattr(tn, "contract_pair", counting)
+    def test_wrong_open_indices_raise_before_any_contraction(self, contractions):
         net = tn.circuit_to_network(bell_circuit())
         net.open_indices = ["x", "y"]
         with pytest.raises(PlanError, match="dangling"):
             tn.execute_plan(net, tn.greedy_plan(net))
-        assert calls == 0
+        assert contractions == []
 
     def test_oversized_intermediate_raises_before_allocation(self):
         # two disjoint rank-r tensors whose outer product, at 16 bytes an entry,
@@ -346,29 +314,13 @@ class TestExecutePlan:
             [tn.Tensor([f"{side}{q}" for q in range(r)], ones) for side in "ab"],
             [f"{side}{q}" for side in "ab" for q in range(r)],
         )
-        plan = tn.ContractionPlan([(0, 1)])
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                tn.execute_plan(net, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert peak_until_raises(lambda: tn.execute_plan(net, tn.ContractionPlan([(0, 1)]))) < 2**20
 
     def test_self_pair_step_raises(self):
         net = tn.circuit_to_network(bell_circuit())
         for run in (tn.execute_plan, tn.plan_cost):
             with pytest.raises(PlanError):
                 run(net, tn.ContractionPlan([(1, 1)]))
-
-    def test_matches_dense(self):
-        rng = random.Random(7)
-        for _ in range(5):
-            c = random_circuit(rng, 5, 10)
-            np.testing.assert_allclose(
-                tn.full_state_tn(c).amps, dense.simulate(c).amps, atol=1e-9
-            )
 
 
 class TestAmplitude:
@@ -394,11 +346,7 @@ class TestAmplitude:
 
 class TestFullState:
     def test_bell(self):
-        np.testing.assert_allclose(
-            tn.full_state_tn(bell_circuit()).amps,
-            np.array([1, 0, 0, 1]) * INV_SQRT2,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(tn.full_state_tn(bell_circuit()).amps, BELL_AMPS, atol=1e-12)
 
     def test_empty(self):
         np.testing.assert_array_equal(

@@ -1,13 +1,14 @@
+import contextlib
+import io
 import random
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import bell_circuit, ghz_circuit, random_circuit
+from conftest import BELL_AMPS, bell_circuit, ghz_circuit, mutate_one_gate, random_circuit, traced_peak, uncancelled
 from qcdesk.errors import MAX_BYTES, CapacityError, WidthMismatchError
 from qcdesk import cli, dd, dense, verify
 from qcdesk.ir import (
@@ -28,12 +29,8 @@ from qcdesk.verify import BackendId, EquivalenceStatus
 
 def _mutate_or_insert(rng: random.Random, c: Circuit) -> Circuit:
     """c with one gate replaced, or with one z, s or cz inserted."""
-    n = c.num_qubits
     if rng.random() < 0.5:
-        i = rng.randrange(len(c.gates))
-        g = c.gates[i]
-        kind = GateKind.X if g.kind == GateKind.H else GateKind.H
-        return Circuit(n, c.gates[:i] + (Gate(kind, (g.qubits[0],)),) + c.gates[i + 1 :])
+        return mutate_one_gate(rng, c)
     return _insert_one(rng, c, (GateKind.Z, GateKind.S, GateKind.CZ))
 
 
@@ -76,9 +73,7 @@ class TestBackendState:
     @pytest.mark.parametrize("backend", [BackendId.DENSE, BackendId.DD, BackendId.TN])
     def test_bell_agrees(self, backend):
         s = verify.backend_state(bell_circuit(), backend)
-        np.testing.assert_allclose(
-            s.amps, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-10
-        )
+        np.testing.assert_allclose(s.amps, BELL_AMPS, atol=1e-10)
 
     def test_zx_rejected(self):
         with pytest.raises(ValueError):
@@ -86,31 +81,37 @@ class TestBackendState:
 
 
 # |amplitude of 1> = sin(pi / 2^37), about 2.3e-11: above simulate's compact
-# threshold, below the dd weight grid (ROADMAP item 1)
+# threshold, below the dd weight grid (ROADMAP item 4)
 TINY_RX = "qubits 1\nrx 1/68719476736 0\n"
 DD_GRID = "dd zeroes weights below 5e-11 (ROADMAP item 4)"
 
 
-def _table_circuits() -> list[Circuit]:
-    rng = random.Random(41)
-    return [random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 25)) for _ in range(30)]
-
-
-def _compact_dump(tmp_path, capsys, text: str, backend: str) -> dict[str, complex]:
-    """The lines `simulate --backend <backend>` prints for text, by basis string."""
-    path = tmp_path / "c.qcf"
-    path.write_text(text)
-    assert cli.run(["simulate", "--backend", backend, str(path)]) == 0
-    rows = (line.split() for line in capsys.readouterr().out.splitlines())
+def _compact_dump(path, backend: str) -> dict[str, complex]:
+    """The lines `simulate --backend <backend>` prints for the file at path, by basis string."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["simulate", "--backend", backend, str(path)]) == 0
+    rows = (line.split() for line in out.getvalue().splitlines())
     return {bits: complex(float(re), float(im)) for bits, re, im in rows}
+
+
+@pytest.fixture(scope="module")
+def table_files(differential_corpus, tmp_path_factory):
+    """The first 30 corpus circuits as files, each with the lines dense prints for it."""
+    d = tmp_path_factory.mktemp("tables")
+    files = []
+    for k, (c, _) in enumerate(differential_corpus[:30]):
+        path = d / f"c{k}.qcf"
+        path.write_text(render_circuit(c))
+        files.append((path, _compact_dump(path, "dense")))
+    return files
 
 
 class TestBackendTables:
     @pytest.mark.parametrize("backend", [b.value for b in verify.STATE])
-    def test_simulate_prints_the_dense_line_set(self, tmp_path, capsys, backend):
-        for c in _table_circuits():
-            want = _compact_dump(tmp_path, capsys, render_circuit(c), "dense")
-            got = _compact_dump(tmp_path, capsys, render_circuit(c), backend)
+    def test_simulate_prints_the_dense_line_set(self, table_files, backend):
+        for path, want in table_files:
+            got = _compact_dump(path, backend)
             assert got.keys() == want.keys()
             for bits, a in want.items():
                 assert abs(got[bits] - a) <= 1e-9
@@ -120,16 +121,16 @@ class TestBackendTables:
         [b.value for b in verify.STATE if b != BackendId.DD]
         + [pytest.param("dd", marks=pytest.mark.xfail(strict=True, reason=DD_GRID))],
     )
-    def test_tiny_amplitude_is_printed(self, tmp_path, capsys, backend):
-        assert _compact_dump(tmp_path, capsys, TINY_RX, backend).keys() == {"0", "1"}
+    def test_tiny_amplitude_is_printed(self, tmp_path, backend):
+        (tmp_path / "c.qcf").write_text(TINY_RX)
+        assert _compact_dump(tmp_path / "c.qcf", backend).keys() == {"0", "1"}
 
     @pytest.mark.parametrize("backend", list(verify.AMPLITUDE), ids=lambda b: b.value)
-    def test_amplitude_matches_state(self, backend):
-        for c in _table_circuits():
-            amps = verify.STATE[backend](c).amps
-            for i, a in enumerate(amps):
-                bits = index_bits(i, c.num_qubits)
-                assert abs(verify.AMPLITUDE[backend](c, bits) - a) <= 1e-9
+    def test_amplitude_matches_state(self, differential_corpus, backend):
+        # every basis string of the first 30 corpus circuits, against the dense state
+        for c, states in differential_corpus[:30]:
+            for i, a in enumerate(states[BackendId.DENSE]):
+                assert abs(verify.AMPLITUDE[backend](c, index_bits(i, c.num_qubits)) - a) <= 1e-9
 
 
 class TestCrossCheck:
@@ -137,12 +138,6 @@ class TestCrossCheck:
         report = verify.cross_check(bell_circuit(), 1e-10)
         assert report.passed
         assert report.max_deviation <= 1e-10
-
-    def test_random_circuits_pass(self):
-        rng = random.Random(3)
-        for _ in range(15):
-            c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 21))
-            assert verify.cross_check(c, 1e-8).passed
 
     def test_capacity_guard(self):
         # one state per backend and one pair's difference and magnitudes: 72
@@ -206,11 +201,7 @@ class TestDenseEquivalence:
         c1 = random_circuit(random.Random(5), 5, 40)
         c2 = Circuit(5, (Gate(GateKind.CX, (4, 0)),) + c1.gates)
         assert verify.check_equivalence(c1, c2, method).witness == "10000"
-        monkeypatch.setattr(
-            verify,
-            "miter",
-            lambda a, b: Miter(Circuit(5, a.gates + adjoint_circuit(b).gates), len(a.gates)),
-        )
+        monkeypatch.setattr(verify, "miter", uncancelled)
         assert verify.check_equivalence(c1, c2, method).witness == "10000"
 
     def test_peak_memory_is_near_one_unitary(self):
@@ -220,13 +211,7 @@ class TestDenseEquivalence:
         rng = random.Random(41)
         c1 = random_circuit(rng, n, 60)
         for c2 in (c1, random_circuit(rng, n, 60)):
-            tracemalloc.start()
-            try:
-                verify._dense_equivalence(miter(c1, c2))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.1 * 16 * 4**n
+            assert traced_peak(lambda: verify._dense_equivalence(miter(c1, c2))) <= 1.1 * 16 * 4**n
 
 
 class TestOneVerdictRule:
@@ -244,6 +229,11 @@ class TestOneVerdictRule:
         want = EquivalenceStatus.NOT_EQUIVALENT if k <= 30 else EquivalenceStatus.EQUIVALENT
         for method in (BackendId.DENSE, BackendId.DD, BackendId.ZX):
             assert verify.check_equivalence(c1, c2, method).status == want, method
+
+    def test_a_zero_trace_takes_t_as_1(self):
+        # U = x has trace 0, so t = 1 and the verdict's phase is conj(t) = 1
+        v = verify.check_equivalence(Circuit(1, (Gate(GateKind.X, (0,)),)), Circuit(1), BackendId.DENSE)
+        assert (v.status, v.phase) == (EquivalenceStatus.NOT_EQUIVALENT, 1)
 
     @pytest.mark.xfail(
         strict=True,

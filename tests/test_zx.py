@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bell_circuit, random_circuit
+from conftest import H_MAT, bell_circuit, random_circuit
 from qcdesk.errors import MAX_BYTES, CapacityError, WidthMismatchError
 from qcdesk import dense, zx
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_circuit, miter
-
-H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def assert_proportional(a: np.ndarray, b: np.ndarray, atol: float = 1e-9):
