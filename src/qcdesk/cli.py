@@ -17,8 +17,11 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_CAPACITY = 70
 
-# printed amplitudes below this magnitude are suppressed without --full
+# without --full, a line is printed when its correctly rounded magnitude exceeds
+# this. np.abs can read a few ulps low, so it only picks the candidates, from a
+# threshold about 9 ulps lower, and np.hypot (correctly rounded) decides on them.
 _COMPACT_EPS = 1e-12
+_CANDIDATE_EPS = _COMPACT_EPS * (1 - 2**-49)
 # numpy's multinomial counts shots in an int64
 _MAX_SHOTS = 2**63 - 1
 
@@ -91,7 +94,10 @@ def _load(path: str) -> Circuit:
 
 def _cmd_simulate(args) -> int:
     s = backend_state(_load(args.file), BackendId(args.backend))
-    keep = None if args.full else np.flatnonzero(np.abs(s.amps) > _COMPACT_EPS)
+    keep = None
+    if not args.full:
+        keep = np.flatnonzero(np.abs(s.amps) > _CANDIDATE_EPS)
+        keep = keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]
     sys.stdout.write(dense.format_amplitude_dump(s, keep))
     return EXIT_OK
 

@@ -291,12 +291,13 @@ def _read(starts: list[list[tuple[int, int]]], forms: list[int], out: np.ndarray
     the entry's column offset is added: its flat index. Each factor's nonzeros
     contribute offsets that are XORed, in the support's Kronecker order."""
     at = 0 if shift is None else shift
-    spread = functools.reduce(operator.or_, forms, 0) >> 1  # the start bits any form reads
+    # the start bits any form reads; all of them with a shift, whose forms are invertible
+    spread = functools.reduce(operator.or_, forms, 0) >> 1
     value = sum((form & 1) << (t + at) for t, form in enumerate(forms))
     steps = []  # (count, offsets) per factor; all-zero offsets repeat the entries
     for q, nonzeros in enumerate(starts):
         offsets = [0] * len(nonzeros)
-        if spread >> q & 1 or shift is not None:
+        if spread >> q & 1:
             image = sum((form >> (q + 1) & 1) << (t + at) for t, form in enumerate(forms))
             offsets = [(image if i else 0) | (0 if shift is None else col) for i, col in nonzeros]
         if len(offsets) == 1:

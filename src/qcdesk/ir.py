@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -35,8 +36,36 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
-PARAMETRIC_KINDS = frozenset({GateKind.RX, GateKind.RZ})
-TWO_QUBIT_KINDS = frozenset({GateKind.CX, GateKind.CZ, GateKind.SWAP})
+def _phase(p: complex) -> np.ndarray:
+    return np.array([[1, 0], [0, p]], dtype=complex)
+
+
+def _rx(p: complex) -> np.ndarray:
+    # H . diag(1, p) . H -- 2*pi-periodic in the angle, so reduced angles stay exact
+    return 0.5 * np.array([[1 + p, 1 - p], [1 - p, 1 + p]], dtype=complex)
+
+
+# one row per kind: its inverse, and its unitary over the local 2^k space with the
+# first listed qubit most significant. An angle-taking kind's inverse negates the
+# angle, and its unitary is a function of p = e^{i angle}.
+_GATES: dict[GateKind, tuple[GateKind, np.ndarray | Callable[[complex], np.ndarray]]] = {
+    GateKind.X: (GateKind.X, np.array([[0, 1], [1, 0]], dtype=complex)),
+    GateKind.Y: (GateKind.Y, np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    GateKind.Z: (GateKind.Z, _phase(-1)),
+    GateKind.H: (GateKind.H, np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV),
+    GateKind.S: (GateKind.SDG, _phase(1j)),
+    GateKind.SDG: (GateKind.S, _phase(-1j)),
+    GateKind.T: (GateKind.TDG, _phase(np.exp(1j * math.pi / 4))),
+    GateKind.TDG: (GateKind.T, _phase(np.exp(-1j * math.pi / 4))),
+    GateKind.RX: (GateKind.RX, _rx),
+    GateKind.RZ: (GateKind.RZ, _phase),
+    GateKind.CX: (GateKind.CX, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)),
+    GateKind.CZ: (GateKind.CZ, np.diag([1, 1, 1, -1]).astype(complex)),
+    GateKind.SWAP: (GateKind.SWAP, np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)),
+}
+
+PARAMETRIC_KINDS = frozenset(k for k, (_, m) in _GATES.items() if callable(m))
+TWO_QUBIT_KINDS = frozenset(k for k, (_, m) in _GATES.items() if not callable(m) and len(m) == 4)
 
 
 def gate_arity(kind: GateKind) -> int:
@@ -215,56 +244,12 @@ def render_circuit(c: Circuit) -> str:
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Unitary of the gate over its local 2^k space, first listed qubit most significant."""
-    k = g.kind
-    if k == GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if k == GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if k == GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if k == GateKind.H:
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-    if k == GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    if k == GateKind.SDG:
-        return np.array([[1, 0], [0, -1j]], dtype=complex)
-    if k == GateKind.T:
-        return np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
-    if k == GateKind.TDG:
-        return np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex)
-    if k == GateKind.RX:
-        # H . diag(1, e^{i t}) . H -- 2*pi-periodic, so reduced angles stay exact
-        p = np.exp(1j * g.angle.radians)
-        return 0.5 * np.array([[1 + p, 1 - p], [1 - p, 1 + p]], dtype=complex)
-    if k == GateKind.RZ:
-        return np.array([[1, 0], [0, np.exp(1j * g.angle.radians)]], dtype=complex)
-    if k == GateKind.CX:
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if k == GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if k == GateKind.SWAP:
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-    raise AssertionError(f"unhandled gate kind {k}")
-
-
-_ADJOINT_KIND = {
-    GateKind.S: GateKind.SDG,
-    GateKind.SDG: GateKind.S,
-    GateKind.T: GateKind.TDG,
-    GateKind.TDG: GateKind.T,
-}
+    m = _GATES[g.kind][1]
+    return m(np.exp(1j * g.angle.radians)) if callable(m) else m.copy()
 
 
 def adjoint_gate(g: Gate) -> Gate:
-    if g.kind in _ADJOINT_KIND:
-        return Gate(_ADJOINT_KIND[g.kind], g.qubits)
-    if g.kind in PARAMETRIC_KINDS:
-        return Gate(g.kind, g.qubits, -g.angle)
-    return g
+    return Gate(_GATES[g.kind][0], g.qubits, None if g.angle is None else -g.angle)
 
 
 def adjoint_circuit(c: Circuit) -> Circuit:

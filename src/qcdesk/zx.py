@@ -142,7 +142,7 @@ def _toggle(kind: str) -> str:
     return HADAMARD if kind == PLAIN else PLAIN
 
 
-# fixed-phase one-qubit gates: their spiders, input side first
+# one-qubit gates: their spiders, input side first; a None phase is the gate's angle
 _GADGETS = {
     GateKind.Z: ((SpiderColor.Z, _PI),),
     GateKind.X: ((SpiderColor.X, _PI),),
@@ -150,12 +150,21 @@ _GADGETS = {
     GateKind.SDG: ((SpiderColor.Z, Angle(-1, 2)),),
     GateKind.T: ((SpiderColor.Z, Angle(1, 4)),),
     GateKind.TDG: ((SpiderColor.Z, Angle(-1, 4)),),
+    GateKind.RZ: ((SpiderColor.Z, None),),
+    GateKind.RX: ((SpiderColor.X, None),),
     # Y = S X Sdg, a palindromic gadget so Y meets its mirror cleanly
     GateKind.Y: (
         (SpiderColor.Z, Angle(-1, 2)),
         (SpiderColor.X, _PI),
         (SpiderColor.Z, Angle(1, 2)),
     ),
+}
+
+# cx and cz: a phase-0 Z spider on the first qubit, joined to a phase-0 spider
+# of this colour on the second by an edge of this kind
+_CONTROLLED = {
+    GateKind.CX: (SpiderColor.X, PLAIN),
+    GateKind.CZ: (SpiderColor.Z, HADAMARD),
 }
 
 
@@ -165,13 +174,8 @@ def circuit_to_zx(c: Circuit) -> ZXDiagram:
     Boundary lists are ordered q_{n-1}..q_0 to match the global bit order.
     """
     d = ZXDiagram()
-    cur: dict[int, int] = {}
-    pend: dict[int, str] = {}
-    inputs: dict[int, int] = {}
-    for q in range(c.num_qubits - 1, -1, -1):
-        inputs[q] = d.add_boundary("in")
-        cur[q] = inputs[q]
-        pend[q] = PLAIN
+    cur = {q: d.add_boundary("in") for q in range(c.num_qubits - 1, -1, -1)}
+    pend = dict.fromkeys(cur, PLAIN)
 
     def put_spider(q: int, color: SpiderColor, phase: Angle) -> int:
         s = d.add_spider(color, phase)
@@ -181,35 +185,21 @@ def circuit_to_zx(c: Circuit) -> ZXDiagram:
         return s
 
     for g in c.gates:
-        k = g.kind
-        if k == GateKind.H:
-            pend[g.qubits[0]] = _toggle(pend[g.qubits[0]])
-        elif k in _GADGETS:
-            for color, phase in _GADGETS[k]:
-                put_spider(g.qubits[0], color, phase)
-        elif k == GateKind.RZ:
-            put_spider(g.qubits[0], SpiderColor.Z, g.angle)
-        elif k == GateKind.RX:
-            put_spider(g.qubits[0], SpiderColor.X, g.angle)
-        elif k == GateKind.CX:
-            ctrl, tgt = g.qubits
-            zc = put_spider(ctrl, SpiderColor.Z, Angle(0))
-            xt = put_spider(tgt, SpiderColor.X, Angle(0))
-            d.add_edge(zc, xt, PLAIN)
-        elif k == GateKind.CZ:
-            a, b = g.qubits
-            za = put_spider(a, SpiderColor.Z, Angle(0))
-            zb = put_spider(b, SpiderColor.Z, Angle(0))
-            d.add_edge(za, zb, HADAMARD)
-        elif k == GateKind.SWAP:
-            a, b = g.qubits
+        q = g.qubits
+        if g.kind == GateKind.H:
+            pend[q[0]] = _toggle(pend[q[0]])
+        elif g.kind == GateKind.SWAP:
+            a, b = q
             cur[a], cur[b] = cur[b], cur[a]
             pend[a], pend[b] = pend[b], pend[a]
+        elif g.kind in _GADGETS:
+            for color, phase in _GADGETS[g.kind]:
+                put_spider(q[0], color, g.angle if phase is None else phase)
         else:
-            raise AssertionError(f"unhandled gate kind {k}")
-    for q in range(c.num_qubits - 1, -1, -1):
-        out = d.add_boundary("out")
-        d.add_edge(cur[q], out, pend[q])
+            color, kind = _CONTROLLED[g.kind]
+            d.add_edge(put_spider(q[0], SpiderColor.Z, Angle(0)), put_spider(q[1], color, Angle(0)), kind)
+    for q in cur:  # q_{n-1} first, as the inputs
+        d.add_edge(cur[q], d.add_boundary("out"), pend[q])
     return d
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import INV_SQRT2, dump_amplitudes, format_then_filter, random_circuit
 from qcdesk import cli, dense, verify
@@ -83,7 +83,19 @@ class TestAmplitudeDump:
         # the input holds -0.0 components, which the old format printed as -0
         assert any(np.signbit(amps.real[amps.real == 0]))
 
+    @pytest.mark.parametrize("re, im", [(r * 1e-12, i * 1.585e-20) for r in (1, -1) for i in (1, -1)])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_magnitude_just_above_the_threshold_is_printed(self, tmp_path, capsys, monkeypatch, re, im, swap):
+        # np.abs reads these magnitudes as 1e-12, not above it; correctly rounded
+        # (abs(), np.hypot) they are 1.0000000000000002e-12
+        a = complex(im, re) if swap else complex(re, im)
+        assert abs(a) > cli._COMPACT_EPS
+        monkeypatch.setattr(cli, "backend_state", lambda c, b: dense.StateVector(1, np.array([0, a])))
+        assert cli.run(["simulate", "--backend", "dense", write(tmp_path, "one.qcf", "qubits 1\n")]) == 0
+        assert capsys.readouterr().out == f"1 {a.real:.17g} {a.imag:.17g}\n"
+
     @settings(max_examples=60, deadline=None)
+    @example(n=2, seed=813772289, distinct=1, chunk=4, full=False)  # np.abs read one line's magnitude low
     @given(
         n=st.integers(1, 7),
         seed=st.integers(0, 2**32 - 1),

@@ -180,19 +180,39 @@ class TestParse:
 
 
 class TestGateMatrix:
-    def test_hadamard(self):
-        m = gate_matrix(Gate(GateKind.H, (0,)))
-        np.testing.assert_allclose(m, H_MAT, atol=1e-15)
+    # each fixed kind's matrix, bit for bit
+    LITERALS = {
+        GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+        GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+        GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+        GateKind.H: H_MAT,
+        GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
+        GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
+        GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+        GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
+        GateKind.CX: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+        GateKind.CZ: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]], dtype=complex),
+        GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    }
 
-    def test_not(self):
-        m = gate_matrix(Gate(GateKind.X, (0,)))
-        np.testing.assert_array_equal(m, np.array([[0, 1], [1, 0]]))
-
-    def test_cnot(self):
-        m = gate_matrix(Gate(GateKind.CX, (0, 1)))
-        np.testing.assert_array_equal(
-            m, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-        )
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_table_row(self, kind):
+        """The adjoint inverts the gate, the matrix's side is 2^arity, and a
+        fixed kind's matrix is its literal; rx and rz on seeded angles."""
+        rng = random.Random(kind.value)
+        angles = [Angle(rng.randint(-999, 999), rng.choice([1, 2, 3, 8, 7, 2**30])) for _ in range(20)]
+        qubits = tuple(range(gate_arity(kind)))
+        assert set(self.LITERALS) == set(GateKind) - PARAMETRIC_KINDS
+        for angle in angles if kind in PARAMETRIC_KINDS else [None]:
+            g = Gate(kind, qubits, angle)
+            m = gate_matrix(g)
+            assert m.shape == (2 ** gate_arity(kind),) * 2
+            # an angle and its negation reach radians apart, each within about
+            # 2 ulps of 2 pi: their product is 1 within a few 1e-16 (worst seen 1.2e-15)
+            atol = 1e-15 if angle is None else 4e-15
+            np.testing.assert_allclose(gate_matrix(adjoint_gate(g)) @ m, np.eye(len(m)), rtol=0, atol=atol)
+            if angle is None:
+                assert m.dtype == complex and m.tobytes() == self.LITERALS[kind].tobytes()
 
     def test_all_kinds_unitary(self):
         rng = random.Random(3)

@@ -84,6 +84,17 @@ MUTANTS = [
      "        if old == kind:\n            self.phase[u] += _PI"),
     ("zx.py", "g.nbrs[v][w] = g.nbrs[w][v] = _toggle(kind)", "g.nbrs[v][w] = g.nbrs[w][v] = kind"),
     ("zx.py", "+= np.exp(1j * phase.radians)", "+= np.exp(-1j * phase.radians)"),
+    # the gate tables: ir's rows, zx's gadgets and two-qubit entries
+    ("ir.py", "GateKind.S: (GateKind.SDG,", "GateKind.S: (GateKind.S,"),
+    ("ir.py", "np.diag([1, 1, 1, -1])", "np.diag([1, 1, -1, 1])"),
+    ("ir.py", "None if g.angle is None else -g.angle", "g.angle"),
+    ("zx.py", "GateKind.RX: ((SpiderColor.X, None),)", "GateKind.RX: ((SpiderColor.Z, None),)"),
+    ("zx.py", "GateKind.CZ: (SpiderColor.Z, HADAMARD)", "GateKind.CZ: (SpiderColor.Z, PLAIN)"),
+    ("zx.py", "GateKind.CX: (SpiderColor.X, PLAIN)", "GateKind.CX: (SpiderColor.Z, PLAIN)"),
+    # the compact rule: candidates from np.abs, confirmed by np.hypot
+    ("cli.py", "keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]",
+     "keep[np.abs(s.amps[keep]) > _COMPACT_EPS]"),
+    ("cli.py", "        keep = keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]\n", ""),
 ]
 
 
