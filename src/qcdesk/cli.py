@@ -92,13 +92,19 @@ def _load(path: str) -> Circuit:
         raise _BadInput(f"{path}: {exc}") from exc
 
 
+def _printed(pieces):
+    """The entries of pieces that the compact dump prints, a piece at a time."""
+    for idx, vals in pieces:
+        keep = np.flatnonzero(np.abs(vals) > _CANDIDATE_EPS)
+        keep = keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]
+        yield idx[keep], vals[keep]
+
+
 def _cmd_simulate(args) -> int:
     s = backend_state(_load(args.file), BackendId(args.backend))
-    keep = None
-    if not args.full:
-        keep = np.flatnonzero(np.abs(s.amps) > _CANDIDATE_EPS)
-        keep = keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]
-    sys.stdout.write(dense.format_amplitude_dump(s, keep))
+    # --full lists every basis state: a support state scatters into its buffer
+    pieces = dense.every_amplitude(s.amps) if args.full else _printed(s.entries())
+    sys.stdout.write(dense.format_amplitude_dump(s.n, pieces))
     return EXIT_OK
 
 

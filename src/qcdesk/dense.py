@@ -1,46 +1,73 @@
 """Ground-truth array backend: state vectors and strided gate kernels.
 
-simulate and circuit_unitary fill one buffer of 2^n rows (one column for a
-state, 2^n for a unitary) in few passes. It starts as the Kronecker product of
-one 2x2 factor per qubit, the one-qubit gates before its first two-qubit gate
-(for a state, the column at the input's bit). A later gate joins the latest
-block on its qubits (no later block touches them) if the two span at most two
-qubits and their structural product has at most the denser one's nonzeros per row.
+A StateVector holds the amplitudes of n qubits in one of two forms: a buffer
+of all 2^n of them, or a support, its indices (ascending) and their values,
+every other amplitude 0. entries(lo, hi) reads both forms alike: it yields
+(ascending index, values) pieces of at most _SLICE entries that list every
+nonzero amplitude with index in [lo, hi), a buffer's nonzeros or a support's
+entries; an index it does not list is 0. The compact dump, sample and
+amplitude read states through it alone. amps builds a support's buffer once
+and keeps it, for --full (every_amplitude), cross_check and the DD import.
 
-The kernel applies one block in place. A block on k qubits views the buffer
-as 2^k strided blocks, one per basis value of its qubits, and rewrites each as
-the combination of blocks that the nonzeros of its matrix row name: diagonal
-blocks only scale, permutation blocks only copy. The blocks are walked in
-slices of at most _SLICE amplitudes, so the kernel needs O(_SLICE) scratch.
+simulate returns a support when every block of its plan is monomial (one
+nonzero per row: a permutation times phases) and the product start's support
+is at most _SUPPORT_SHARE of the buffer. No buffer is built then. Any other
+state, and circuit_unitary always, fills a buffer.
 
-A block with one nonzero per row (a permutation times phases) sends each
-amplitude to one place. While the leading blocks are such and the product
-start's support (its factors' nonzero counts multiplied) is at most
-_SUPPORT_SHARE of the buffer, they run on the support alone, as (index, value)
-arrays gathered at the Kronecker sum of the factors' nonzero offsets. Every
-permutation of one or two bits is an affine map over GF(2), so the run moves
-each index bit to an affine function of the start's bits. Each qubit's bit is
-kept as such a form, an int, and a block's permutation rewrites the forms of
-its qubits: O(n) bookkeeping, with no pass over the support. A block with a
-phase other than 1 reads its qubits' current bits from their forms, one pass,
-and scales the values as the kernel would, to the bit. The final index array
-is built once and the values scattered once. Before it allocates, _fill
-reserves (errors.reserve) what it holds at its peak: 16 bytes per amplitude of
-the buffer, plus the larger of the kernel's scratch (at most 2^k + 1 blocks of
-_SLICE >> k amplitudes, so 24 * _SLICE bytes) and 64 bytes per support entry
-(so at most half the buffer again; the support arrays take 56).
+The plan. simulate and circuit_unitary start from the Kronecker product of one
+2x2 factor per qubit, the one-qubit gates before its first two-qubit gate (for
+a state, the column at the input's bit). A later gate joins the latest block
+on its qubits (no later block touches them) if the two span at most two qubits
+and their structural product has at most the denser one's nonzeros per row.
+That product is worked out on the blocks' 0/1 patterns (_fused_pattern), and
+the matrices are multiplied only when the rule allows it.
 
-format_amplitude_dump takes the printed indices in chunks of at most _SLICE.
-In each chunk it formats every distinct real and imaginary part once
-(np.unique) and gathers the strings back, and it gathers the bit labels from
-two tables of 2^(n/2) halves, so its scratch is O(_SLICE) beyond the text.
-sample draws the multinomial over the support (the nonzero probabilities),
-each divided by the full array's sum, so each is the full draw's to the bit.
-numpy's binomial step draws nothing for a zero probability, so the counts
-equal the full draw's, with one exception: that draw gives its last category
-the remainder, so when the last basis state has probability 0 it could land
-there the shots that rounding (about 1e-16 per shot) held back from the last
-nonzero one, which gets them here.
+The kernel applies one block to a buffer in place. A block on k qubits views
+the buffer as 2^k strided blocks, one per basis value of its qubits, and
+rewrites each as the combination of blocks that the nonzeros of its matrix row
+name: diagonal blocks only scale, permutation blocks only copy. The blocks are
+walked in slices of at most _SLICE amplitudes, so its scratch is O(_SLICE).
+
+The support. Monomial blocks send each amplitude to one place, so they run on
+(index, value) arrays of the product start's support, its factors' nonzero
+counts multiplied. Every permutation of one or two bits is an affine map over
+GF(2), so the run moves each index bit to an affine function of the start's
+bits. Each qubit's bit is kept as such a form, an int, and a block's
+permutation rewrites the forms of its qubits: O(n) bookkeeping, with no pass
+over the support. A block with a phase other than 1 reads its qubits' current
+bits from their forms, one pass, and scales the values as the kernel would, to
+the bit. The final indices are built once. A support state's start values are
+grown from the factors with the multiplications of the buffer's level-by-level
+growth, in the same order, and its indices are then sorted once. A buffer
+state whose leading blocks are monomial runs them the same way on values read
+from its buffer, and scatters them back for the kernel.
+
+Reservations (errors.reserve), each before its allocation:
+- simulate and circuit_unitary, 16 bytes per amplitude of the buffer plus the
+  larger of the kernel's scratch (at most 2^k + 1 blocks of _SLICE >> k
+  amplitudes, so 24 * _SLICE bytes) and 64 bytes per support entry (the
+  support arrays take at most 56). A support state reserves the same as the
+  buffer would, so a state has one width limit in either form;
+- amps of a support, its buffer beside the support's arrays;
+- sample, the state and 2^n probabilities with their nonzero mask, then 24
+  bytes per nonzero probability (index, probability, count) and 200 per
+  outcome it can return (at most shots of them: a label, a count, a dict
+  entry).
+Reading entries allocates O(_SLICE) beyond the state (a piece's mask,
+indices and values), so the compact dump's filter, which works a piece at a
+time, allocates nothing the size of the state.
+
+format_amplitude_dump formats every distinct real and imaginary part of a
+piece once (np.unique) and gathers the strings back, and it gathers the bit
+labels from two tables of 2^(n/2) halves, so its scratch is O(_SLICE) beyond
+the text. sample draws the multinomial over the nonzero probabilities, each
+divided by the pairwise sum of all 2^n (numpy's, zeros included, which a sum
+over the support alone misses in the last bits), so each is the full draw's
+to the bit. numpy's binomial step draws nothing for a zero probability, so
+the counts equal the full draw's, with one exception: that draw gives its
+last category the remainder, so when the last basis state has probability 0
+it could land there the shots that rounding (about 1e-16 per shot) held back
+from the last nonzero one, which gets them here.
 """
 from __future__ import annotations
 
@@ -53,17 +80,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import reserve
-from .ir import Angle, Circuit, Gate, GateKind, check_basis, gate_arity, gate_matrix, index_bits
+from .ir import Angle, Circuit, Gate, GateKind, check_basis, gate_arity, gate_matrix
 
-_SLICE = 1 << 15  # amplitudes per kernel step
+_SLICE = 1 << 15  # amplitudes per kernel step, entries per piece
 _SUPPORT_SHARE = 1 / 8  # largest support, as a share of the buffer, run as index arrays
 _I2 = np.eye(2, dtype=complex)
 
 
-@dataclass
 class StateVector:
-    n: int
-    amps: np.ndarray  # 2^n complex amplitudes, index = basis value with q_{n-1} msb
+    """The amplitudes of n qubits, index = basis value with q_{n-1} msb: all 2^n
+    in amps, or a support (ascending indices, their values) with 0 elsewhere."""
+
+    def __init__(self, n: int, amps: np.ndarray | None = None, support: tuple[np.ndarray, np.ndarray] | None = None):
+        self.n = n
+        self._amps = amps
+        self._support = support
+
+    @property
+    def amps(self) -> np.ndarray:
+        """All 2^n amplitudes; a support scatters into a buffer once and keeps it."""
+        if self._amps is None:
+            idx, vals = self._support
+            reserve(16 * 2**self.n + idx.nbytes + vals.nbytes, f"{self.n}-qubit dense state")
+            self._amps = np.zeros(2**self.n, dtype=complex)
+            self._amps[idx] = vals
+        return self._amps
+
+    @property
+    def nbytes(self) -> int:
+        held = [self._amps, *(self._support or ())]
+        return sum(a.nbytes for a in held if a is not None)
+
+    def entries(self, lo: int = 0, hi: int | None = None):
+        """(ascending index, values) pieces of at most _SLICE entries that list
+        every nonzero amplitude with index in [lo, hi): a buffer's nonzeros, or
+        the support's entries, which may hold a zero. The rest are 0."""
+        hi = 2**self.n if hi is None else hi
+        if self._support is None:
+            for a in range(lo, hi, _SLICE):
+                part = self._amps[a : min(a + _SLICE, hi)]
+                nz = np.flatnonzero(part != 0)  # a bool mask scans faster than complex
+                if len(nz):
+                    yield nz + a, part[nz]
+            return
+        idx, vals = self._support
+        a, b = np.searchsorted(idx, (lo, hi)).tolist()
+        for k in range(a, b, _SLICE):
+            yield idx[k : min(k + _SLICE, b)], vals[k : min(k + _SLICE, b)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -72,32 +135,55 @@ class StateVector:
 @dataclass
 class _Block:  # gates fused into one kernel pass
     qubits: tuple[int, ...]  # descending; the first one's bit is most significant
-    stack: np.ndarray  # [the product of the gates, its structural nonzeros as 0/1]
-    density: int  # most nonzeros in a row of stack[1]
+    matrix: np.ndarray  # the product of the gates
+    pattern: tuple[int, ...]  # its structural nonzeros: per row, a bit mask of the columns
+    density: int  # most nonzeros in a row of pattern
 
 
 @functools.lru_cache(maxsize=1024)
-def _local_stack(kind: GateKind, angle: Angle | None, first_is_lower: bool):
-    """(stack, density) of a gate with the higher qubit's bit most significant;
-    gate_matrix puts the first listed qubit's there."""
+def _local_block(kind: GateKind, angle: Angle | None, first_is_lower: bool):
+    """(matrix, pattern, density) of a gate with the higher qubit's bit most
+    significant; gate_matrix puts the first listed qubit's there."""
     m = gate_matrix(Gate(kind, tuple(range(gate_arity(kind))), angle))
     m = m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])] if first_is_lower else m
-    stack = np.stack([m, m != 0])
-    stack.flags.writeable = False  # cached: every block of this gate shares it
-    return stack, int(np.count_nonzero(m, axis=1).max())
+    m.flags.writeable = False  # cached: every block of this gate shares it
+    pattern = tuple(sum(1 << c for c in np.flatnonzero(row).tolist()) for row in m)
+    return m, pattern, max(map(int.bit_count, pattern))
 
 
 def _gate_block(g: Gate) -> _Block:
-    stack, density = _local_stack(g.kind, g.angle, g.qubits[0] < g.qubits[-1])
-    return _Block(tuple(sorted(g.qubits, reverse=True)), stack, density)
+    return _Block(tuple(sorted(g.qubits, reverse=True)), *_local_block(g.kind, g.angle, g.qubits[0] < g.qubits[-1]))
 
 
-def _embed(b: _Block, onto: tuple[int, ...]) -> np.ndarray:
-    """b's stack over onto, a superset of its qubits: kron(B, I) or kron(I, B)."""
-    if b.qubits == onto:
-        return b.stack
-    x, y = (b.stack, _I2) if b.qubits[0] == onto[0] else (_I2, b.stack)
-    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(2, 4, 4)
+def _side(qubits: tuple[int, ...], onto: tuple[int, ...]) -> int:
+    """Where a block on qubits sits in onto: 0 on all of it, 1 on its high qubit
+    (kron(B, I)), 2 on its low one (kron(I, B))."""
+    return 0 if qubits == onto else 1 if qubits[0] == onto[0] else 2
+
+
+def _embed(m: np.ndarray, side: int) -> np.ndarray:
+    """m over two qubits, placed as _side says."""
+    if side == 0:
+        return m
+    x, y = (m, _I2) if side == 1 else (_I2, m)
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+
+
+def _embed_pattern(p: tuple[int, ...], side: int) -> tuple[int, ...]:
+    """A pattern over two qubits, placed as _side says."""
+    if side == 0:
+        return p
+    if side == 1:  # row 2i + k holds columns 2j + k, j in row i
+        return tuple(((p[i] & 1) | (p[i] & 2) << 1) << k for i in (0, 1) for k in (0, 1))
+    return tuple(p[i] << 2 * k for k in (0, 1) for i in (0, 1))  # row 2k + i: columns 2k + j
+
+
+@functools.lru_cache(maxsize=4096)
+def _fused_pattern(b: tuple[int, ...], b_side: int, g: tuple[int, ...], g_side: int) -> tuple[int, ...]:
+    """The structural product of g's pattern after b's, each placed as _side says:
+    row r holds every column of the rows of b that row r of g names."""
+    b, g = _embed_pattern(b, b_side), _embed_pattern(g, g_side)
+    return tuple(functools.reduce(operator.or_, (b[k] for k in range(len(b)) if row >> k & 1), 0) for row in g)
 
 
 def _fuse(b: _Block, g: _Block) -> bool:
@@ -105,12 +191,13 @@ def _fuse(b: _Block, g: _Block) -> bool:
     onto = tuple(sorted({*b.qubits, *g.qubits}, reverse=True))
     if len(onto) > 2:
         return False
-    stack = _embed(g, onto) @ _embed(b, onto)
-    stack[1] = stack[1] != 0
-    density = int(stack[1].real.sum(1).max())
+    b_side, g_side = _side(b.qubits, onto), _side(g.qubits, onto)
+    pattern = _fused_pattern(b.pattern, b_side, g.pattern, g_side)
+    density = max(map(int.bit_count, pattern))
     if density > max(b.density, g.density):
         return False
-    b.qubits, b.stack, b.density = onto, stack, density
+    b.matrix = _embed(g.matrix, g_side) @ _embed(b.matrix, b_side)
+    b.qubits, b.pattern, b.density = onto, pattern, density
     return True
 
 
@@ -122,7 +209,7 @@ def _plan(c: Circuit) -> tuple[list[np.ndarray], list[_Block]]:
     for g in c.gates:
         b = _gate_block(g)
         if len(b.qubits) == 1 and b.qubits[0] not in last:
-            factors[b.qubits[0]] = b.stack[0] @ factors[b.qubits[0]]
+            factors[b.qubits[0]] = b.matrix @ factors[b.qubits[0]]
             continue
         j = max((last[q] for q in b.qubits if q in last), default=None)
         if j is None or not _fuse(blocks[j], b):
@@ -220,15 +307,12 @@ def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int
                 dst += tmp
 
 
-def _fill(c: Circuit, basis: int | None, what: str) -> np.ndarray:
-    """c's unitary, or only its column basis, in a new buffer of 2^n rows. The
-    product start grows level by level: the new blocks are written from the
-    block built so far, which is scaled last."""
-    n = c.num_qubits
-    factors, blocks = _plan(c)
-    if basis is not None:
-        factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
-    shape = (2**n,) if basis is not None else (2**n, 2**n)
+def _fill(factors: list[np.ndarray], blocks: list[_Block], shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The product start of factors (2x1 columns for a state, 2x2 for a unitary)
+    with blocks applied, in a new buffer of shape. The start grows level by
+    level: the new blocks are written from the block built so far, which is
+    scaled last."""
+    n = len(factors)
     run = list(itertools.takewhile(lambda b: b.density == 1, blocks))
     support = math.prod(map(np.count_nonzero, factors))
     if not run or support > math.prod(shape) * _SUPPORT_SHARE:
@@ -246,26 +330,75 @@ def _fill(c: Circuit, basis: int | None, what: str) -> np.ndarray:
             old *= f[0, 0]
         rows, cols = rows * f.shape[0], cols * f.shape[1]
     if run:
-        _run_on_support(buf.reshape(-1), factors, run, n)
+        flat = buf.reshape(-1)
+        shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
+        starts = _starts(factors)
+        idx = _read(starts, [2 << q for q in range(n)], np.empty(support, dtype=np.intp), shift)
+        vals, flat[idx] = flat[idx], 0
+        forms, vals = _run(starts, n, run, idx, vals, np.empty_like(vals))
+        flat[_read(starts, forms, idx, shift)] = vals
     for b in blocks[len(run):]:
-        _apply_block(buf, b.qubits, b.stack[0], n)
+        _apply_block(buf, b.qubits, b.matrix, n)
     return buf
 
 
-def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], run: list[_Block], n: int) -> None:
-    """Apply the monomial blocks run to the support of flat, the product start
-    of factors, as the module doc says."""
-    shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
-    # factor q's nonzeros, in the order the support lists them: (row bit, column offset)
-    starts = [[(i, j << q) for i, j in zip(*np.nonzero(f))] for q, f in enumerate(factors)]
+def _starts(factors: list[np.ndarray]) -> list[list[tuple[int, int]]]:
+    """Each factor's nonzeros, in the order the support lists them: (row bit,
+    column offset); factor q's column is bit q of the column."""
+    return [[(i, j << q) for i, j in zip(*np.nonzero(f))] for q, f in enumerate(factors)]
+
+
+def _start_values(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The product start of column factors on its support, in _read's order
+    (factor 0's nonzeros vary fastest), and a spare array of the same size.
+    Each value is multiplied as _fill grows it: a factor's second entry times
+    the start so far, and its first entry too unless it is 1."""
+    vals, spare = (np.empty(math.prod(map(np.count_nonzero, factors)), dtype=complex) for _ in range(2))
+    vals[0], size = 1, 1
+    for f in factors:
+        first, second = f[0, 0], f[1, 0]
+        if first == 1 and second == 0:
+            continue
+        at = 0
+        if first != 0:
+            if first != 1:
+                np.multiply(vals[:size], first, out=spare[:size])
+            else:
+                np.copyto(spare[:size], vals[:size])
+            at = size
+        if second != 0:
+            np.multiply(vals[:size], second, out=spare[at : at + size])
+            at += size
+        vals, spare, size = spare, vals, at
+    return vals, spare
+
+
+def _support_state(factors: list[np.ndarray], blocks: list[_Block], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state of column factors and monomial blocks as (ascending index, values)."""
+    starts = _starts(factors)
+    idx = np.empty(math.prod(map(len, starts)), dtype=np.intp)
+    forms, vals = _run(starts, n, blocks, idx, *_start_values(factors))
+    _read(starts, forms, idx, 0)
+    # each index sorted with its position in its low bits: cheaper than an argsort
+    width = len(idx).bit_length()
+    idx <<= width
+    idx |= np.arange(len(idx))
+    idx.sort()
+    order = idx & ((1 << width) - 1)
+    idx >>= width
+    return idx, vals[order]
+
+
+def _run(starts, n: int, run: list[_Block], idx: np.ndarray, vals: np.ndarray, spare: np.ndarray):
+    """Apply the monomial blocks run to vals, the values of the start whose
+    nonzeros are starts, as the module doc says: (the qubits' forms, the
+    values). idx and spare are scratch of the support's size."""
     forms = [2 << q for q in range(n)]  # each qubit's bit is the start's
-    idx = _read(starts, forms, np.empty(math.prod(map(len, starts)), dtype=np.intp), shift)
-    vals, flat[idx] = flat[idx], 0
     # every phase block reuses these: a new array per block, its pages faulted
     # in afresh, took longer than the multiply itself
-    scaled, spare = np.empty_like(vals), np.empty_like(vals)
+    scaled = np.empty_like(vals)
     for b in run:
-        cols = b.stack[0].T.tolist()
+        cols = b.matrix.T.tolist()
         perm = [next(r for r, x in enumerate(col) if x) for col in cols]  # local value -> its row
         coef = [col[r] for col, r in zip(cols, perm)]
         old = [forms[q] for q in reversed(b.qubits)]  # local bit t is old[t]
@@ -281,7 +414,7 @@ def _run_on_support(flat: np.ndarray, factors: list[np.ndarray], run: list[_Bloc
             for s, form in enumerate(old):
                 if (perm[1 << s] ^ perm[0]) >> t & 1:
                     forms[q] ^= form
-    flat[_read(starts, forms, idx, shift)] = vals
+    return forms, vals
 
 
 def _read(starts: list[list[tuple[int, int]]], forms: list[int], out: np.ndarray, shift: int | None = None) -> np.ndarray:
@@ -294,28 +427,30 @@ def _read(starts: list[list[tuple[int, int]]], forms: list[int], out: np.ndarray
     # the start bits any form reads; all of them with a shift, whose forms are invertible
     spread = functools.reduce(operator.or_, forms, 0) >> 1
     value = sum((form & 1) << (t + at) for t, form in enumerate(forms))
-    steps = []  # (count, offsets) per factor; all-zero offsets repeat the entries
+    steps = []  # (count, offsets) per factor with several nonzeros; None repeats the entries
     for q, nonzeros in enumerate(starts):
-        offsets = [0] * len(nonzeros)
         if spread >> q & 1:
             image = sum((form >> (q + 1) & 1) << (t + at) for t, form in enumerate(forms))
             offsets = [(image if i else 0) | (0 if shift is None else col) for i, col in nonzeros]
-        if len(offsets) == 1:
-            value ^= offsets[0]
-        elif steps and not any(offsets) and not any(steps[-1][1]):  # repeat once for both
-            steps[-1] = (steps[-1][0] * len(offsets), [0])
-        else:
-            steps.append((len(offsets), offsets))
+            if len(offsets) == 1:
+                value ^= offsets[0]
+            else:
+                steps.append((len(offsets), offsets))
+        elif len(nonzeros) > 1:  # a factor no form reads
+            if steps and steps[-1][1] is None:  # repeat once for both
+                steps[-1] = (steps[-1][0] * len(nonzeros), None)
+            else:
+                steps.append((len(nonzeros), None))
     out[0], size = value, 1
     for count, offsets in steps:  # the first factor's nonzeros vary fastest
         rest = out[size : size * count].reshape(count - 1, size)
-        if any(offsets):
+        if offsets is None:
+            rest[...] = out[:size]
+        else:
             for row, offset in zip(rest, offsets[1:]):
                 np.bitwise_xor(out[:size], offset, out=row)
             if offsets[0]:
                 out[:size] ^= offsets[0]
-        else:
-            rest[...] = out[:size]
         size *= count
     return out
 
@@ -327,21 +462,30 @@ def apply_gate(s: StateVector, g: Gate) -> StateVector:
     reserve(16 * 2**s.n + 24 * _SLICE, f"{s.n}-qubit dense state")
     amps = np.array(s.amps, dtype=complex)
     b = _gate_block(g)
-    _apply_block(amps, b.qubits, b.stack[0], s.n)
+    _apply_block(amps, b.qubits, b.matrix, s.n)
     return StateVector(s.n, amps)
 
 
 def simulate(c: Circuit, basis: int = 0) -> StateVector:
-    """Run c on the basis state |basis>."""
+    """Run c on the basis state |basis>: a support or a buffer, as the module doc says."""
     n = c.num_qubits
     if not 0 <= basis < 2**n:
         raise ValueError(f"basis {basis} outside [0, 2^{n})")
-    return StateVector(n, _fill(c, basis, f"{n}-qubit dense state"))
+    what = f"{n}-qubit dense state"
+    factors, blocks = _plan(c)
+    factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
+    support = math.prod(map(np.count_nonzero, factors))
+    if support > 2**n * _SUPPORT_SHARE or any(b.density > 1 for b in blocks):
+        return StateVector(n, _fill(factors, blocks, (2**n,), what))
+    reserve(16 * 2**n + max(24 * _SLICE, 64 * support), what)  # as _fill would: one width limit
+    return StateVector(n, support=_support_state(factors, blocks, n))
 
 
 def amplitude(c: Circuit, bits: str) -> complex:
     check_basis(bits, c.num_qubits)
-    return complex(simulate(c).amps[int(bits, 2)])
+    i = int(bits, 2)
+    listed = [vals for _, vals in simulate(c).entries(i, i + 1)]
+    return complex(listed[0][0]) if listed else 0j
 
 
 def measure_probabilities(s: StateVector) -> np.ndarray:
@@ -353,10 +497,20 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
     """Seeded i.i.d. measurement outcomes; returns only basis states that occur."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = measure_probabilities(s)
-    support = np.flatnonzero(probs != 0)  # a bool mask scans faster than floats
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs[support] / probs.sum())
+    what = f"sampling a {s.n}-qubit dense state"
+    reserve(s.nbytes + 9 * 2**s.n + 41 * _SLICE, what)  # and a piece with its mask and |values|^2
+    probs = np.zeros(2**s.n)  # all of them: the full draw divides by their sum
+    for idx, vals in s.entries():
+        p = np.abs(vals)
+        probs[idx] = np.square(p, out=p)
+    nonzero = probs != 0  # a bool mask scans faster than floats
+    count = np.count_nonzero(nonzero)
+    reserve(s.nbytes + 9 * 2**s.n + 24 * count + 200 * min(shots, count), what)
+    support = np.flatnonzero(nonzero)
+    del nonzero  # before the arrays of the draw
+    pvals = probs[support]
+    pvals /= probs.sum()  # as probs[support] / probs.sum(), without a second array
+    counts = np.random.default_rng(seed).multinomial(shots, pvals)
     hit = np.flatnonzero(counts)
     high, low = _bit_labels(s.n)(support[hit])
     return dict(zip((high + low).tolist(), counts[hit].tolist()))
@@ -364,7 +518,8 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """2^n x 2^n unitary of the whole circuit, later gates on the left."""
-    return _fill(c, None, f"{c.num_qubits}-qubit dense unitary")
+    n = c.num_qubits
+    return _fill(*_plan(c), (2**n, 2**n), f"{n}-qubit dense unitary")
 
 
 def _bit_labels(n: int):
@@ -372,8 +527,10 @@ def _bit_labels(n: int):
     arrays (high and low bits) that sum elementwise to the labels. Both are
     gathered from tables of at most 2^ceil(n/2) strings."""
     low = n // 2
-    high = np.array([index_bits(i, n - low) for i in range(1 << (n - low))], dtype=object)
-    lows = np.array([index_bits(i, low)[:low] for i in range(1 << low)], dtype=object)
+    tables = [[""]]  # tables[k][i] is index_bits(i, k), grown a leading bit at a time
+    for _ in range(n - low):
+        tables.append(["0" + x for x in tables[-1]] + ["1" + x for x in tables[-1]])
+    high, lows = (np.array(tables[k], dtype=object) for k in (n - low, low))
     return lambda idx: (high[idx >> low], lows[idx & ((1 << low) - 1)])
 
 
@@ -383,15 +540,19 @@ def _formatted(parts: np.ndarray, end: str) -> np.ndarray:
     return np.array([f" {x:.17g}{end}" for x in values.tolist()], dtype=object)[inverse]
 
 
-def format_amplitude_dump(s: StateVector, keep: np.ndarray | None = None) -> str:
-    """One '<bits> <re> <im>' line per basis state, or per index in keep
-    (ascending), 17 significant digits. Zeros print as 0, never -0."""
-    size = len(s.amps) if keep is None else len(keep)
-    labels = _bit_labels(s.n)
+def every_amplitude(amps: np.ndarray):
+    """(index, values) pieces of at most _SLICE over all of amps, zeros included."""
+    for a in range(0, len(amps), _SLICE):
+        yield np.arange(a, min(a + _SLICE, len(amps))), amps[a : a + _SLICE]
+
+
+def format_amplitude_dump(n: int, pieces) -> str:
+    """One '<bits> <re> <im>' line per entry of pieces, (ascending index, values)
+    pairs of an n-qubit state as StateVector.entries yields them, 17
+    significant digits. Zeros print as 0, never -0."""
+    labels = _bit_labels(n)
     chunks = []
-    for lo in range(0, size, _SLICE):
-        idx = np.arange(lo, min(lo + _SLICE, size)) if keep is None else keep[lo : lo + _SLICE]
-        amps = s.amps[idx]
+    for idx, amps in pieces:
         cells = np.empty((len(idx), 4), dtype=object)  # a line is its cells joined
         cells[:, 0], cells[:, 1] = labels(idx)
         cells[:, 2] = _formatted(amps.real, "")

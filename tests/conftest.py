@@ -150,6 +150,20 @@ MONOMIAL_KINDS = [GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CZ, GateKind.
 
 
 @st.composite
+def product_then_monomial_circuits(draw, n_max: int = 12):
+    """h or rx on k of n qubits (k drawn from 0..n, so the product start's
+    support falls on both sides of an eighth), one-qubit gates of every kind,
+    then permutation and phase gates only: every block after the start is
+    monomial."""
+    n = draw(st.integers(1, n_max))
+    superposed = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    gates = [draw_gate(draw, draw(st.sampled_from([GateKind.H, GateKind.RX])), 1) for _ in superposed]
+    gates = [Gate(g.kind, (q,), g.angle) for g, q in zip(gates, superposed)]
+    one_qubit = [k for k in GateKind if gate_arity(k) == 1]
+    return Circuit(n, tuple(gates + draw_gates(draw, n, one_qubit, n) + draw_gates(draw, n, MONOMIAL_KINDS, 30)))
+
+
+@st.composite
 def monomial_prefixed_circuits(draw, n_max: int = 6):
     """Permutation and phase gates, then gates of every kind."""
     n = draw(st.integers(1, n_max))

@@ -83,6 +83,41 @@ class TestReservationsCoverThePeak:
         peak = traced_peak(lambda: dense.circuit_unitary(c))
         assert peak <= reserved[0] + MIB
 
+    @pytest.mark.parametrize("name", ["ghz20", "support20"])
+    def test_dense_support_state(self, reserved, name):
+        # the reservation is the buffer's, which amps would build, but only the
+        # support's arrays exist: at most 64 bytes an entry
+        states = []
+        peak = traced_peak(lambda: states.append(dense.simulate(STATES[name])))
+        s = states[0]
+        support = len(s._support[0])
+        assert reserved == [16 * 2**20 + max(24 * dense._SLICE, 64 * support)]
+        assert peak <= 64 * support + MIB
+        peak = traced_peak(lambda: s.amps)
+        assert len(reserved) == 2 and peak <= reserved[1] + MIB
+
+    @pytest.mark.parametrize("c, shots", [
+        (STATES["ghz20"], 10_000), (STATES["support20"], 10_000), (STATES["plus20"], 10_000),
+        (plus_state(16), 2**63 - 1),
+    ], ids=["ghz20", "support20", "plus20", "plus16-every-outcome"])
+    def test_dense_sample(self, reserved, c, shots):
+        s = dense.simulate(c)
+        reserved.clear()
+        peak = traced_peak(lambda: dense.sample(s, shots, 1))
+        # each reservation counts the state, which exists before tracing starts
+        assert len(reserved) == 2
+        assert peak <= max(reserved) - s.nbytes + MIB
+
+    @pytest.mark.parametrize("backend", ["dd", "dense"])
+    def test_compact_filter_works_a_piece_at_a_time(self, backend):
+        # 2^20 amplitudes, 2 printed: a filter over the whole state would take
+        # 9 bytes an amplitude (9 MiB), one piece at a time takes O(_SLICE)
+        s = verify.STATE[verify.BackendId(backend)](STATES["ghz20"])
+        text = []
+        peak = traced_peak(lambda: text.append(dense.format_amplitude_dump(s.n, cli._printed(s.entries()))))
+        assert text[0].count("\n") == 2
+        assert peak <= 64 * dense._SLICE
+
     @pytest.mark.parametrize("name", ["ghz20", "plus20", "random14", "random16"])
     def test_dd_state(self, reserved, name):
         backend = dd.DDBackend()

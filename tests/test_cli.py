@@ -117,6 +117,41 @@ class TestAmplitudeDump:
         assert out.getvalue() == format_then_filter(amps + 0.0, n, full)
 
 
+class TestSupportStates:
+    """h on 9 of 12 qubits, then permutations and phases: dense holds the state
+    as its support (an eighth of the buffer). Every verb prints what it prints
+    with _SUPPORT_SHARE 0, where the state is the kernel's buffer."""
+
+    @staticmethod
+    def circuit() -> str:
+        rng = random.Random(12)
+        lines = ["qubits 12"] + [f"h {q}" for q in range(9)]
+        for _ in range(60):
+            kind = rng.choice(["cx", "swap", "cz", "t", "x", "rz 3/8"])
+            qubits = rng.sample(range(12), 2 if kind in ("cx", "swap", "cz") else 1)
+            lines.append(f"{kind} {' '.join(map(str, qubits))}")
+        return "\n".join(lines) + "\n"
+
+    def test_every_verb_prints_what_the_buffer_path_prints(self, tmp_path, capsys):
+        path = write(tmp_path, "support.qcf", self.circuit())
+        state = dense.simulate(cli._load(path))
+        support = set(state._support[0].tolist())
+        assert len(support) == 2**9
+        bases = sorted(support)[:: 2**7] + sorted(set(range(2**12)) - support)[:3]  # inside and outside
+        argvs = [["simulate", "--backend", "dense", path], ["simulate", "--backend", "dense", "--full", path]]
+        argvs += [["sample", "--shots", str(shots), "--seed", "3", path] for shots in (1000, 2**63 - 1)]
+        argvs += [["amplitude", "--backend", "dense", "--basis", format(i, "012b"), path] for i in bases]
+        outs = {}
+        for share in (dense._SUPPORT_SHARE, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dense, "_SUPPORT_SHARE", share)
+                for argv in argvs:
+                    assert cli.run(argv) == 0
+                    outs.setdefault(share, []).append(capsys.readouterr().out)
+        assert outs[dense._SUPPORT_SHARE] == outs[0]
+        assert outs[0][0].count("\n") == 2**9 and outs[0][1].count("\n") == 2**12
+
+
 class TestAmplitude:
     @pytest.mark.parametrize("backend", ["dense", "dd", "tn"])
     def test_bell_amplitude(self, bell_file, capsys, backend):

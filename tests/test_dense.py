@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BELL_AMPS, H_MAT, INV_SQRT2, bell_circuit, circuits, dump_amplitudes, format_then_filter, gates_on, ghz_circuit,
-    monomial_prefixed_circuits, peak_until_raises, random_circuit, random_gate, traced_peak,
+    monomial_prefixed_circuits, peak_until_raises, product_then_monomial_circuits, random_circuit, random_gate,
+    traced_peak,
 )
 from qcdesk.errors import MAX_BYTES, CapacityError
-from qcdesk import dense
+from qcdesk import cli, dense
 from qcdesk.ir import Circuit, Gate, GateKind, gate_arity, gate_matrix, index_bits, parse_circuit
 
 
@@ -225,7 +226,8 @@ class TestAmplitudeDump:
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(dense, "_SLICE", chunk)
-            got = dense.format_amplitude_dump(dense.StateVector(n, amps), keep)
+            s = dense.StateVector(n, amps) if keep is None else dense.StateVector(n, support=(keep, amps[keep]))
+            got = dense.format_amplitude_dump(n, dense.every_amplitude(s.amps) if keep is None else s.entries())
         assert got == "".join(lines if keep is None else [lines[i] for i in keep])
 
     def test_peak_is_a_small_multiple_of_the_text(self, monkeypatch):
@@ -237,7 +239,7 @@ class TestAmplitudeDump:
         s = dense.StateVector(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         monkeypatch.setattr(dense, "_SLICE", 1 << 12)
         text = []
-        peak = traced_peak(lambda: text.append(dense.format_amplitude_dump(s)))
+        peak = traced_peak(lambda: text.append(dense.format_amplitude_dump(n, dense.every_amplitude(s.amps))))
         assert peak <= 3 * len(text[0])
 
 
@@ -315,7 +317,7 @@ class TestInPlaceKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_SLICE", slice_amps)  # small values cross slice boundaries
             block = dense._gate_block(g)
-            dense._apply_block(buf, block.qubits, block.stack[0], n)
+            dense._apply_block(buf, block.qubits, block.matrix, n)
         np.testing.assert_allclose(buf, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
@@ -344,6 +346,11 @@ def per_gate_unitary(gates, n: int) -> np.ndarray:
     for g in gates:
         u = kron_embedding(g, n) @ u
     return u
+
+
+def pattern_array(b) -> np.ndarray:
+    """A block's pattern (a bit mask of columns per row) as a 0/1 matrix."""
+    return np.array([[row >> c & 1 for c in range(len(b.pattern))] for row in b.pattern])
 
 
 def count_kernel_passes(mp) -> list:
@@ -417,7 +424,7 @@ class TestFusedPasses:
     def test_blocks_are_no_denser_than_their_densest_gate(self, c):
         n = c.num_qubits
         for b, gates in planned_blocks(c):
-            matrix, pattern = b.stack
+            matrix, pattern = b.matrix, pattern_array(b)
             got = matrix_embedding(matrix, b.qubits, n)
             np.testing.assert_allclose(got, per_gate_unitary(gates, n), rtol=0, atol=1e-12)
             assert set(np.unique(pattern)) <= {0, 1}
@@ -574,9 +581,10 @@ class TestSupportPhase:
         """The block m over the qubits listed (the first one's bit most
         significant, as gate_matrix puts it), on the patched start: the support
         path equals the kernel-only path bit for bit, on a state and a unitary."""
-        if len(listed) == 2 and listed[0] < listed[1]:  # as _local_stack reorders it
+        if len(listed) == 2 and listed[0] < listed[1]:  # as _local_block reorders it
             m = m[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
-        block = dense._Block(tuple(sorted(listed, reverse=True)), np.stack([m, m != 0]), 1)
+        pattern = tuple(sum(1 << c for c in np.flatnonzero(row)) for row in m)
+        block = dense._Block(tuple(sorted(listed, reverse=True)), m, pattern, 1)
         c = Circuit(len(self.START))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_plan", lambda _: (list(self.START), [block]))
@@ -602,8 +610,9 @@ class TestSupportPhase:
 
     @pytest.mark.parametrize("blocks", [1, 10, 40])
     def test_a_permutation_reads_no_entry(self, monkeypatch, blocks):
-        # 2^15 entries: the start index and the final index are the only reads,
-        # and each block with a phase adds one, whatever the run's length
+        # 2^15 entries: the final index is the only read (the start's values are
+        # grown from the factors), and each block with a phase adds one,
+        # whatever the run's length
         n, superposed = 18, 15
         rng = random.Random(blocks)
         gates = [Gate(GateKind.H, (q,)) for q in range(superposed)]
@@ -616,13 +625,95 @@ class TestSupportPhase:
         permuted = Circuit(n, tuple(gates))
         assert dense._plan(permuted)[1] and 2**superposed <= 2**n * dense._SUPPORT_SHARE
         dense.simulate(permuted)
-        assert (len(reads), passes) == (2, [])
+        assert (len(reads), passes) == (1, [])
 
         phased = Circuit(n, tuple(gates) + tuple(Gate(GateKind.T, (q,)) for q in range(0, n, 3)))
-        blocks_with_phase = sum(np.any(b.stack[0][b.stack[1].astype(bool)] != 1) for b in dense._plan(phased)[1])
+        blocks_with_phase = sum(np.any(b.matrix[pattern_array(b) == 1] != 1) for b in dense._plan(phased)[1])
         reads.clear()
         dense.simulate(phased)
         assert blocks_with_phase > 0
-        assert (len(reads), passes) == (2 + blocks_with_phase, [])
+        assert (len(reads), passes) == (1 + blocks_with_phase, [])
         # a phase block reads the bits of its own qubits only: one form each
-        assert all(len(forms) <= 2 for forms in reads[1:-1])
+        assert all(len(forms) <= 2 for forms in reads[:-1])
+
+
+class TestSupportForm:
+    """A state whose blocks are all monomial and whose start's support is at
+    most _SUPPORT_SHARE of the buffer is held as its support; the buffer path
+    (_SUPPORT_SHARE 0: the product start and the kernel) is the oracle."""
+
+    @staticmethod
+    def outputs(c: Circuit, basis: int, share: float, shots: int, seed: int, piece: int, asked: list) -> tuple:
+        """The state's form and what every verb reads of it, in pieces of at
+        most piece entries: the buffer, the compact and --full dumps, the
+        sample counts, every amplitude as entries lists it (amplitude's one
+        read) and dense.amplitude at the indices asked. Amplitudes are
+        compared as bits, with zeros unsigned: the kernel may leave -0.0 where
+        the support path leaves 0.0 (both print as 0)."""
+        n = c.num_qubits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_SUPPORT_SHARE", share)
+            s = dense.simulate(c, basis)
+            mp.setattr(dense, "simulate", lambda _: s)
+            mp.setattr(dense, "_SLICE", piece)  # after simulate: the kernel's slices stay as they are
+            listed = np.zeros(2**n, dtype=complex)
+            for idx, vals in s.entries():
+                listed[idx] = vals
+            return s._support is not None, (
+                (s.amps + 0.0).view(np.uint64).tolist(),
+                dense.format_amplitude_dump(n, cli._printed(s.entries())),
+                dense.format_amplitude_dump(n, dense.every_amplitude(s.amps)),
+                dense.sample(s, shots, seed),
+                (listed + 0.0).view(np.uint64).tolist(),
+                (np.array([dense.amplitude(c, index_bits(i, n)) for i in asked]) + 0.0).view(np.uint64).tolist(),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=product_then_monomial_circuits(), data=st.data(), shots=st.sampled_from([1, 1000, 2**63 - 1]),
+           seed=st.integers(0, 2**32 - 1), piece=st.sampled_from([4, 32, dense._SLICE]))
+    def test_every_output_equals_the_buffer_paths(self, c, data, shots, seed, piece):
+        n = c.num_qubits
+        basis = data.draw(st.integers(0, 2**n - 1))
+        factors, blocks = dense._plan(c)
+        support = math.prod(np.count_nonzero(f[:, (basis >> q) & 1]) for q, f in enumerate(factors))
+        assert all(b.density == 1 for b in blocks)
+        # every index up to 2^8 of them, else 256 drawn ones
+        asked = range(2**n) if n <= 8 else data.draw(st.lists(st.integers(0, 2**n - 1), min_size=256, max_size=256))
+        held, got = self.outputs(c, basis, dense._SUPPORT_SHARE, shots, seed, piece, asked)
+        buffered, want = self.outputs(c, basis, 0, shots, seed, piece, asked)
+        assert held == (support <= 2**n * dense._SUPPORT_SHARE) and not buffered
+        names = ["amps", "compact dump", "full dump", "sample", "listed amplitudes", "amplitude"]
+        for name, g, w in zip(names, got, want):
+            assert g == w, name
+
+    def test_the_normalizer_is_the_full_arrays_sum(self, monkeypatch):
+        # on the seed-8 bench circuit, the sum over the support alone differs
+        # from numpy's pairwise sum over all 2^20 probabilities in the last
+        # bits, and dividing by it changes the counts that sample prints
+        s = dense.simulate(bench_statevector_circuit(monkeypatch, 8))
+        assert s._support is not None
+        probs = dense.measure_probabilities(s)
+        support = np.flatnonzero(probs)
+        assert probs[support].sum() != probs.sum()
+        shots, seed = 10_000, 8
+        got = dense.sample(s, shots, seed)
+        assert got == reference_sample(s, shots, seed)
+        on_support = np.random.default_rng(seed).multinomial(shots, probs[support] / probs[support].sum())
+        assert got != {index_bits(int(i), s.n): int(k) for i, k in zip(support, on_support) if k}
+
+    def test_indices_are_ascending_and_the_buffer_is_built_once(self, monkeypatch):
+        s = dense.simulate(bench_statevector_circuit(monkeypatch, 1))
+        idx, vals = s._support
+        assert len(idx) == 2**15 and np.all(np.diff(idx) > 0)
+        assert s._amps is None
+        assert s.amps is s.amps and np.array_equal(np.flatnonzero(s.amps), idx)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (5, 6), (0, 2**20), (2**19, 2**19 + 77), (2**20 - 3, 2**20)])
+    def test_entries_of_a_range_are_the_buffers(self, monkeypatch, lo, hi):
+        s = dense.simulate(bench_statevector_circuit(monkeypatch, 1))
+        for state in (s, dense.StateVector(s.n, s.amps)):
+            pieces = list(state.entries(lo, hi))
+            idx = np.concatenate([i for i, _ in pieces] or [np.empty(0, dtype=np.intp)])
+            want = lo + np.flatnonzero(s.amps[lo:hi])
+            assert np.array_equal(idx, want)
+            assert all(np.array_equal(v, s.amps[i]) and len(i) <= dense._SLICE for i, v in pieces)

@@ -16,6 +16,7 @@ hash), stderr and the exit code are compared per job. Sections, per seed:
   simulate     simulate --backend dense|dd|tn, compact and --full, on 64
                gen.random_circuit circuits (n = 2..12, 0-60 gates, half of them
                without branching gates)
+  sample       sample --shots 10000 --seed <seed> on the same 64 circuits
   statevector  every job of gen.statevector (simulate --backend dense, sample,
                amplitude --backend dense): n = 20 with 2^15 nonzeros, all of
                whose blocks run on the support; the amplitude's basis is a
@@ -75,6 +76,7 @@ def corpus(seed: int, d: Path) -> list[tuple[str, list[str]]]:
         for backend in ("dense", "dd", "tn"):
             for full in ([], ["--full"]):
                 jobs.append(("simulate", ["simulate", "--backend", backend, *full, str(path)]))
+        jobs.append(("sample", ["sample", "--shots", str(gen.SAMPLE_SHOTS), "--seed", str(seed), str(path)]))
 
     w = gen.statevector(seed)
     w.write(d)

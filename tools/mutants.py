@@ -62,6 +62,11 @@ MUTANTS = [
     ("dense.py", "interleaved = shape[-1] == 1", "interleaved = False"),
     ("dense.py", "f[:, (basis >> q) & 1, None]", "f[:, basis & 1, None]"),
     ("dense.py", "            old *= f[0, 0]", "            old += 0"),
+    # the support state: its start, its sorted index, the normalizer and lookups
+    ("dense.py", "np.multiply(vals[:size], first, out=spare[:size])", "np.copyto(spare[:size], vals[:size])"),
+    ("dense.py", "    idx.sort()\n", ""),
+    ("dense.py", "pvals /= probs.sum()", "pvals /= pvals.sum()"),
+    ("dense.py", "np.searchsorted(idx, (lo, hi))", "np.searchsorted(idx, (lo, hi + 1))"),
     # the GF(2) forms of the support phase
     ("dense.py", "forms = [2 << q for q in range(n)]", "forms = [1 << q for q in range(n)]"),
     ("dense.py", "forms[q] = perm[0] >> t & 1", "forms[q] = 0"),
@@ -92,9 +97,9 @@ MUTANTS = [
     ("zx.py", "GateKind.CZ: (SpiderColor.Z, HADAMARD)", "GateKind.CZ: (SpiderColor.Z, PLAIN)"),
     ("zx.py", "GateKind.CX: (SpiderColor.X, PLAIN)", "GateKind.CX: (SpiderColor.Z, PLAIN)"),
     # the compact rule: candidates from np.abs, confirmed by np.hypot
-    ("cli.py", "keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]",
-     "keep[np.abs(s.amps[keep]) > _COMPACT_EPS]"),
-    ("cli.py", "        keep = keep[np.hypot(s.amps.real[keep], s.amps.imag[keep]) > _COMPACT_EPS]\n", ""),
+    ("cli.py", "keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]",
+     "keep[np.abs(vals[keep]) > _COMPACT_EPS]"),
+    ("cli.py", "        keep = keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]\n", ""),
 ]
 
 
