@@ -9,10 +9,15 @@ entries; an index it does not list is 0. The compact dump, sample and
 amplitude read states through it alone. amps builds a support's buffer once
 and keeps it, for --full (every_amplitude), cross_check and the DD import.
 
-simulate returns a support when every block of its plan is monomial (one
-nonzero per row: a permutation times phases) and the product start's support
-is at most _SUPPORT_SHARE of the buffer. No buffer is built then. Any other
-state, and circuit_unitary always, fills a buffer.
+simulate and circuit_unitary share one front end, _evolve, which picks the
+form from the shape and the plan alone. The run is the plan's leading
+monomial blocks (one nonzero per row: a permutation times phases). When the
+product start's support is at most _SUPPORT_SHARE of the buffer, and the run
+is not empty or the plan is a state's with no block, the start is grown on
+its support and the run applies there. A state whose every block is in the
+run ends there: simulate returns the support and builds no buffer. Any other
+run is scattered once into a zeroed buffer, and the kernel applies the rest.
+Otherwise the start grows in the buffer and the kernel applies every block.
 
 The plan. simulate and circuit_unitary start from the Kronecker product of one
 2x2 factor per qubit, the one-qubit gates before its first two-qubit gate (for
@@ -36,18 +41,17 @@ bits. Each qubit's bit is kept as such a form, an int, and a block's
 permutation rewrites the forms of its qubits: O(n) bookkeeping, with no pass
 over the support. A block with a phase other than 1 reads its qubits' current
 bits from their forms, one pass, and scales the values as the kernel would, to
-the bit. The final indices are built once. A support state's start values are
-grown from the factors with the multiplications of the buffer's level-by-level
-growth, in the same order, and its indices are then sorted once. A buffer
-state whose leading blocks are monomial runs them the same way on values read
-from its buffer, and scatters them back for the kernel.
+the bit. The final indices are built once: a support state's are sorted, a
+buffer's are where the values scatter to. The start values are grown from the
+factors (2x1 columns or 2x2 matrices) with the multiplications of the
+buffer's level-by-level growth, in the same order.
 
 Reservations (errors.reserve), each before its allocation:
-- simulate and circuit_unitary, 16 bytes per amplitude of the buffer plus the
-  larger of the kernel's scratch (at most 2^k + 1 blocks of _SLICE >> k
-  amplitudes, so 24 * _SLICE bytes) and 64 bytes per support entry (the
-  support arrays take at most 56). A support state reserves the same as the
-  buffer would, so a state has one width limit in either form;
+- _evolve, for simulate and circuit_unitary, 16 bytes per amplitude of the
+  buffer plus the larger of the kernel's scratch (at most 2^k + 1 blocks of
+  _SLICE >> k amplitudes, so 24 * _SLICE bytes) and 64 bytes per support
+  entry (the support arrays take at most 56). A support state reserves the
+  same as the buffer would, so a state has one width limit in either form;
 - amps of a support, its buffer beside the support's arrays;
 - sample, the state and 2^n probabilities with their nonzero mask, then 24
   bytes per nonzero probability (index, probability, count) and 200 per
@@ -307,39 +311,50 @@ def _apply_block(buf: np.ndarray, qubits: tuple[int, ...], m: np.ndarray, n: int
                 dst += tmp
 
 
-def _fill(factors: list[np.ndarray], blocks: list[_Block], shape: tuple[int, ...], what: str) -> np.ndarray:
+def _evolve(factors: list[np.ndarray], blocks: list[_Block], shape: tuple[int, ...], what: str):
     """The product start of factors (2x1 columns for a state, 2x2 for a unitary)
-    with blocks applied, in a new buffer of shape. The start grows level by
-    level: the new blocks are written from the block built so far, which is
-    scaled last."""
-    n = len(factors)
+    with blocks applied: (None, (ascending index, values)) for a state held as
+    its support, else (a new buffer of shape, None), as the module doc says."""
+    n, size = len(factors), math.prod(shape)
     run = list(itertools.takewhile(lambda b: b.density == 1, blocks))
+    held = len(shape) == 1 and len(run) == len(blocks)  # a state that ends on its support
     support = math.prod(map(np.count_nonzero, factors))
-    if not run or support > math.prod(shape) * _SUPPORT_SHARE:
-        run, support = [], 0
-    reserve(16 * math.prod(shape) + max(24 * _SLICE, 64 * support), what)
-    buf = np.zeros(shape, dtype=complex)
-    grid = buf.reshape(len(buf), -1)
-    grid[0, 0] = rows = cols = 1
-    for f in factors:  # factor q on bit q
-        old = grid[:rows, :cols]
-        for i, j in itertools.product(*map(range, f.shape)):
-            if (i, j) != (0, 0) and f[i, j] != 0:
-                np.multiply(old, f[i, j], out=grid[i * rows : (i + 1) * rows, j * cols : (j + 1) * cols])
-        if f[0, 0] != 1:
-            old *= f[0, 0]
-        rows, cols = rows * f.shape[0], cols * f.shape[1]
-    if run:
-        flat = buf.reshape(-1)
-        shift = flat.size.bit_length() - 1 - n  # qubit q is row bit q, flat bit q + shift
+    on_support = bool(run or held) and support <= size * _SUPPORT_SHARE
+    if not on_support:
+        run, support = [], 0  # the start grows in the buffer, and the kernel runs every block
+    reserve(16 * size + max(24 * _SLICE, 64 * support), what)
+    if on_support:
         starts = _starts(factors)
-        idx = _read(starts, [2 << q for q in range(n)], np.empty(support, dtype=np.intp), shift)
-        vals, flat[idx] = flat[idx], 0
-        forms, vals = _run(starts, n, run, idx, vals, np.empty_like(vals))
-        flat[_read(starts, forms, idx, shift)] = vals
+        idx = np.empty(support, dtype=np.intp)
+        forms, vals = _run(starts, n, run, idx, *_start_values(factors))
+        _read(starts, forms, idx, size.bit_length() - 1 - n)  # qubit q is row bit q, flat bit q + shift
+        if held:
+            # each index sorted with its position in its low bits: cheaper than an argsort
+            width = len(idx).bit_length()
+            idx <<= width
+            idx |= np.arange(len(idx))
+            idx.sort()
+            order = idx & ((1 << width) - 1)
+            idx >>= width
+            return None, (idx, vals[order])
+        buf = np.zeros(shape, dtype=complex)
+        buf.reshape(-1)[idx] = vals
+        del idx, vals  # before the kernel's scratch
+    else:
+        buf = np.zeros(shape, dtype=complex)
+        grid = buf.reshape(len(buf), -1)
+        grid[0, 0] = rows = cols = 1
+        for f in factors:  # factor q on bit q, grown level by level; the block so far is scaled last
+            old = grid[:rows, :cols]
+            for i, j in itertools.product(*map(range, f.shape)):
+                if (i, j) != (0, 0) and f[i, j] != 0:
+                    np.multiply(old, f[i, j], out=grid[i * rows : (i + 1) * rows, j * cols : (j + 1) * cols])
+            if f[0, 0] != 1:
+                old *= f[0, 0]
+            rows, cols = rows * f.shape[0], cols * f.shape[1]
     for b in blocks[len(run):]:
         _apply_block(buf, b.qubits, b.matrix, n)
-    return buf
+    return buf, None
 
 
 def _starts(factors: list[np.ndarray]) -> list[list[tuple[int, int]]]:
@@ -349,44 +364,25 @@ def _starts(factors: list[np.ndarray]) -> list[list[tuple[int, int]]]:
 
 
 def _start_values(factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The product start of column factors on its support, in _read's order
-    (factor 0's nonzeros vary fastest), and a spare array of the same size.
-    Each value is multiplied as _fill grows it: a factor's second entry times
-    the start so far, and its first entry too unless it is 1."""
+    """The product start of factors on its support, in _read's order (factor
+    0's nonzeros vary fastest, each factor's in row-major order), and a spare
+    array of the same size. Each value is multiplied as _evolve's grid grows it:
+    each nonzero times the start so far, but a 1 at (0, 0) copies it."""
     vals, spare = (np.empty(math.prod(map(np.count_nonzero, factors)), dtype=complex) for _ in range(2))
     vals[0], size = 1, 1
     for f in factors:
-        first, second = f[0, 0], f[1, 0]
-        if first == 1 and second == 0:
+        entries = f.ravel().tolist()  # row-major
+        nonzeros, lead = [x for x in entries if x], entries[0] == 1
+        if lead and len(nonzeros) == 1:
             continue
-        at = 0
-        if first != 0:
-            if first != 1:
-                np.multiply(vals[:size], first, out=spare[:size])
+        for k, x in enumerate(nonzeros):
+            out = spare[k * size : (k + 1) * size]
+            if k or not lead:
+                np.multiply(vals[:size], x, out=out)
             else:
-                np.copyto(spare[:size], vals[:size])
-            at = size
-        if second != 0:
-            np.multiply(vals[:size], second, out=spare[at : at + size])
-            at += size
-        vals, spare, size = spare, vals, at
+                np.copyto(out, vals[:size])
+        vals, spare, size = spare, vals, size * len(nonzeros)
     return vals, spare
-
-
-def _support_state(factors: list[np.ndarray], blocks: list[_Block], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The state of column factors and monomial blocks as (ascending index, values)."""
-    starts = _starts(factors)
-    idx = np.empty(math.prod(map(len, starts)), dtype=np.intp)
-    forms, vals = _run(starts, n, blocks, idx, *_start_values(factors))
-    _read(starts, forms, idx, 0)
-    # each index sorted with its position in its low bits: cheaper than an argsort
-    width = len(idx).bit_length()
-    idx <<= width
-    idx |= np.arange(len(idx))
-    idx.sort()
-    order = idx & ((1 << width) - 1)
-    idx >>= width
-    return idx, vals[order]
 
 
 def _run(starts, n: int, run: list[_Block], idx: np.ndarray, vals: np.ndarray, spare: np.ndarray):
@@ -471,14 +467,9 @@ def simulate(c: Circuit, basis: int = 0) -> StateVector:
     n = c.num_qubits
     if not 0 <= basis < 2**n:
         raise ValueError(f"basis {basis} outside [0, 2^{n})")
-    what = f"{n}-qubit dense state"
     factors, blocks = _plan(c)
     factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
-    support = math.prod(map(np.count_nonzero, factors))
-    if support > 2**n * _SUPPORT_SHARE or any(b.density > 1 for b in blocks):
-        return StateVector(n, _fill(factors, blocks, (2**n,), what))
-    reserve(16 * 2**n + max(24 * _SLICE, 64 * support), what)  # as _fill would: one width limit
-    return StateVector(n, support=_support_state(factors, blocks, n))
+    return StateVector(n, *_evolve(factors, blocks, (2**n,), f"{n}-qubit dense state"))
 
 
 def amplitude(c: Circuit, bits: str) -> complex:
@@ -519,7 +510,7 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """2^n x 2^n unitary of the whole circuit, later gates on the left."""
     n = c.num_qubits
-    return _fill(*_plan(c), (2**n, 2**n), f"{n}-qubit dense unitary")
+    return _evolve(*_plan(c), (2**n, 2**n), f"{n}-qubit dense unitary")[0]
 
 
 def _bit_labels(n: int):

@@ -608,11 +608,15 @@ class TestSupportPhase:
         for perm in ([0, 1], [1, 0]):
             self.check_block((qubit,), self.block_matrix(perm, pattern), f"perm {perm}, {pattern}")
 
-    @pytest.mark.parametrize("blocks", [1, 10, 40])
-    def test_a_permutation_reads_no_entry(self, monkeypatch, blocks):
+    @pytest.mark.parametrize("blocks, ending", [
+        (1, "support"), (10, "support"), (40, "support"), (10, "buffer"), (40, "buffer"),
+    ], ids=["1", "10", "40", "10-buffer", "40-buffer"])
+    def test_a_permutation_reads_no_entry(self, monkeypatch, blocks, ending):
         # 2^15 entries: the final index is the only read (the start's values are
         # grown from the factors), and each block with a phase adds one,
-        # whatever the run's length
+        # whatever the run's length. A trailing h on a qubit of the last block
+        # ends the run in the buffer: the final index is then the scatter's,
+        # and the kernel makes one pass, for the block the h joins
         n, superposed = 18, 15
         rng = random.Random(blocks)
         gates = [Gate(GateKind.H, (q,)) for q in range(superposed)]
@@ -622,17 +626,29 @@ class TestSupportPhase:
         read = dense._read
         monkeypatch.setattr(dense, "_read", lambda *args: reads.append(args[1]) or read(*args))
         passes = count_kernel_passes(monkeypatch)
-        permuted = Circuit(n, tuple(gates))
-        assert dense._plan(permuted)[1] and 2**superposed <= 2**n * dense._SUPPORT_SHARE
-        dense.simulate(permuted)
-        assert (len(reads), passes) == (1, [])
+        buffered = ending == "buffer"
+        assert 2**superposed <= 2**n * dense._SUPPORT_SHARE
 
-        phased = Circuit(n, tuple(gates) + tuple(Gate(GateKind.T, (q,)) for q in range(0, n, 3)))
-        blocks_with_phase = sum(np.any(b.matrix[pattern_array(b) == 1] != 1) for b in dense._plan(phased)[1])
-        reads.clear()
-        dense.simulate(phased)
+        def run_of(gates: list[Gate]) -> list[dense._Block]:
+            """Simulate gates, with the trailing h if buffered; the run's blocks."""
+            c = Circuit(n, tuple(gates))
+            if buffered:
+                c = Circuit(n, c.gates + (Gate(GateKind.H, (dense._plan(c)[1][-1].qubits[0],)),))
+            plan = dense._plan(c)[1]
+            run = plan[: leading_monomial_blocks(c)]
+            assert run and len(plan) - len(run) == buffered
+            reads.clear()
+            passes.clear()
+            assert (dense.simulate(c)._support is None) == buffered
+            return run
+
+        run_of(gates)
+        assert len(reads) == 1 and len(passes) == buffered
+
+        phased = gates + [Gate(GateKind.T, (q,)) for q in range(0, n, 3)]
+        blocks_with_phase = sum(np.any(b.matrix[pattern_array(b) == 1] != 1) for b in run_of(phased))
         assert blocks_with_phase > 0
-        assert (len(reads), passes) == (1 + blocks_with_phase, [])
+        assert len(reads) == 1 + blocks_with_phase and len(passes) == buffered
         # a phase block reads the bits of its own qubits only: one form each
         assert all(len(forms) <= 2 for forms in reads[:-1])
 

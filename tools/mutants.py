@@ -62,8 +62,12 @@ MUTANTS = [
     ("dense.py", "interleaved = shape[-1] == 1", "interleaved = False"),
     ("dense.py", "f[:, (basis >> q) & 1, None]", "f[:, basis & 1, None]"),
     ("dense.py", "            old *= f[0, 0]", "            old += 0"),
+    # the front end's one decision: a state ends on its support only if every block is monomial
+    ("dense.py", "held = len(shape) == 1 and len(run) == len(blocks)", "held = len(shape) == 1"),
+    # the scatter into the buffer: a unitary's row bits sit above its column bits
+    ("dense.py", "_read(starts, forms, idx, size.bit_length() - 1 - n)", "_read(starts, forms, idx, 0)"),
     # the support state: its start, its sorted index, the normalizer and lookups
-    ("dense.py", "np.multiply(vals[:size], first, out=spare[:size])", "np.copyto(spare[:size], vals[:size])"),
+    ("dense.py", "if k or not lead:", "if k:"),
     ("dense.py", "    idx.sort()\n", ""),
     ("dense.py", "pvals /= probs.sum()", "pvals /= pvals.sum()"),
     ("dense.py", "np.searchsorted(idx, (lo, hi))", "np.searchsorted(idx, (lo, hi + 1))"),
