@@ -2,11 +2,12 @@
 
 A matrix DD quarters its matrix level by level (q_{n-1} at the top) into 2 x 2
 sub-blocks, row-major; a vector DD is a one-column matrix DD, halving the
-amplitude vector into 2 x 1 sub-blocks. One multiply, one adder and one
-expander serve both, reading the column count off the node. Equal sub-blocks
-are shared through a unique table and common factors live on edge weights.
-Diagrams here are quasi-reduced: every nonzero edge below level v points to a
-node at exactly level v-1, zero edges jump straight to the terminal (0-stubs).
+amplitude vector into 2 x 1 sub-blocks. One multiply and one adder serve
+both, reading the column count off the node; the expander expands vectors
+only. Equal sub-blocks are shared through a unique table and common factors
+live on edge weights. Diagrams here are quasi-reduced: every nonzero edge
+below level v points to a node at exactly level v-1, zero edges jump straight
+to the terminal (0-stubs).
 
 Simulation applies each gate to the state DD directly (`DDBackend.apply_gate`):
 one walk rebuilds the nodes above the gate's qubits and splits the gate matrix
@@ -195,19 +196,6 @@ class DDBackend:
 
     # ---- vector DDs --------------------------------------------------------
 
-    def vector_to_dd(self, s: dense.StateVector) -> VectorDD:
-        amps = np.asarray(s.amps, dtype=complex)
-        return VectorDD(s.n, self._vector_edge(amps, 0, len(amps), s.n - 1))
-
-    def _vector_edge(self, amps: np.ndarray, lo: int, hi: int, level: int) -> DDEdge:
-        if level < 0:
-            w = amps[lo]
-            return ZERO_EDGE if _is_zero(w) else DDEdge(complex(w), None)
-        mid = (lo + hi) // 2
-        e0 = self._vector_edge(amps, lo, mid, level - 1)
-        e1 = self._vector_edge(amps, mid, hi, level - 1)
-        return self._make_node(level, [e0, e1])
-
     def zero_state_dd(self, n: int) -> VectorDD:
         """|0...0> built structurally: one node per level, one-successor 0-stub."""
         edge = DDEdge(1.0 + 0j, None)
@@ -216,7 +204,7 @@ class DDBackend:
         return VectorDD(n, edge)
 
     def dd_to_vector(self, d: VectorDD) -> dense.StateVector:
-        return dense.StateVector(d.n, _expand(d.root, d.n, 1).reshape(-1))
+        return dense.StateVector(d.n, _expand(d.root, d.n))
 
     def get_amplitude(self, d: VectorDD, bits: str) -> complex:
         check_basis(bits, d.n)
@@ -273,9 +261,6 @@ class DDBackend:
 
     def identity_mdd(self, n: int) -> MatrixDD:
         return MatrixDD(n, self._identity_edge(n))
-
-    def mdd_to_matrix(self, m: MatrixDD) -> np.ndarray:
-        return _expand(m.root, m.n, 2)
 
     # ---- arithmetic --------------------------------------------------------
 
@@ -452,9 +437,6 @@ class DDBackend:
                 j += 1
         return u
 
-    def circuit_mdd(self, c: Circuit) -> MatrixDD:
-        return self.composed_mdd(Miter(c, len(c.gates)))
-
     def trace(self, m: MatrixDD) -> complex:
         def diagonal_sum(node: _Node, t: dict) -> complex:
             e0, e3 = node.edges[0], node.edges[3]
@@ -523,8 +505,8 @@ def node_count(d: Union[VectorDD, MatrixDD]) -> int:
     return sum(map(len, _levels(d.root.node)))
 
 
-def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
-    """Dense 2^n x cols^n array of a DD whose nodes have 2 x cols successors.
+def _expand(root: DDEdge, n: int) -> np.ndarray:
+    """The 2^n amplitudes of a vector DD.
 
     Only the blocks of shared nodes are kept, each until its last use. So it
     holds at most twice the result (the blocks on one path, and a child scaled
@@ -537,26 +519,21 @@ def _expand(root: DDEdge, n: int, cols: int) -> np.ndarray:
         adjacent.update(child for node in above for child, run in itertools.groupby(
             e.node for e in node.edges if e.node is not None) if level[child] == len(list(run)) > 1)
         above = level
-    kept = sum(2 * cols * (2 * cols) ** node.var for node in shared.keys() - adjacent)
-    reserve(16 * (2 * 2**n * cols**n + kept), f"{n}-qubit DD expansion")
+    kept = sum(2 * 2**node.var for node in shared.keys() - adjacent)
+    reserve(16 * (2 * 2**n + kept), f"{n}-qubit DD expansion")
     if root.node is None:  # the zero DD, or a scalar when n == 0
-        return np.full((2**n, cols**n), root.w if n == 0 else 0j)
-    return root.w * _expand_node(root.node, cols, {}, shared)
+        return np.full(2**n, root.w if n == 0 else 0j)
+    return root.w * _expand_node(root.node, {}, shared)
 
 
-def _expand_node(
-    node: _Node, cols: int, memo: dict[_Node, np.ndarray], uses_left: dict[_Node, int]
-) -> np.ndarray:
+def _expand_node(node: _Node, memo: dict[_Node, np.ndarray], uses_left: dict[_Node, int]) -> np.ndarray:
     out = memo.get(node)
     if out is None:
-        h, w = 2**node.var, cols**node.var
-        out = np.empty((2 * h, cols * w), dtype=complex)
+        h = 2**node.var
+        out = np.empty(2 * h, dtype=complex)
         for k, e in enumerate(node.edges):
-            r, c = divmod(k, cols)
-            # a terminal edge is a 0-stub (its 0 fills the block) or a level-0 entry
-            out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
-                e.w if e.node is None else e.w * _expand_node(e.node, cols, memo, uses_left)
-            )
+            # a terminal edge is a 0-stub (its 0 fills the half) or a level-0 entry
+            out[k * h : (k + 1) * h] = e.w if e.node is None else e.w * _expand_node(e.node, memo, uses_left)
     if node in uses_left:
         uses_left[node] -= 1
         if uses_left[node]:

@@ -5,9 +5,9 @@ of all 2^n of them, or a support, its indices (ascending) and their values,
 every other amplitude 0. entries(lo, hi) reads both forms alike: it yields
 (ascending index, values) pieces of at most _SLICE entries that list every
 nonzero amplitude with index in [lo, hi), a buffer's nonzeros or a support's
-entries; an index it does not list is 0. The compact dump, sample and
-amplitude read states through it alone. amps builds a support's buffer once
-and keeps it, for --full (every_amplitude), cross_check and the DD import.
+entries; an index it does not list is 0. The compact dump, amplitude and
+measure_probabilities, which sample reads, read states through it alone. amps
+builds a support's buffer once and keeps it, for --full and cross_check.
 
 simulate and circuit_unitary share one front end, _evolve, which picks the
 form from the shape and the plan alone. The run is the plan's leading
@@ -53,6 +53,7 @@ Reservations (errors.reserve), each before its allocation:
   entry (the support arrays take at most 56). A support state reserves the
   same as the buffer would, so a state has one width limit in either form;
 - amps of a support, its buffer beside the support's arrays;
+- measure_probabilities, its 2^n probabilities and a piece with its |values|^2;
 - sample, the state and 2^n probabilities with their nonzero mask, then 24
   bytes per nonzero probability (index, probability, count) and 200 per
   outcome it can return (at most shots of them: a label, a count, a dict
@@ -131,9 +132,6 @@ class StateVector:
         a, b = np.searchsorted(idx, (lo, hi)).tolist()
         for k in range(a, b, _SLICE):
             yield idx[k : min(k + _SLICE, b)], vals[k : min(k + _SLICE, b)]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 @dataclass
@@ -480,8 +478,13 @@ def amplitude(c: Circuit, bits: str) -> complex:
 
 
 def measure_probabilities(s: StateVector) -> np.ndarray:
-    probs = np.abs(s.amps)
-    return np.square(probs, out=probs)  # as ** 2, without a second array
+    """|a|^2 of all 2^n amplitudes, read from entries a piece at a time."""
+    reserve(8 * 2**s.n + 41 * _SLICE, f"probabilities of a {s.n}-qubit dense state")
+    probs = np.zeros(2**s.n)
+    for idx, vals in s.entries():
+        p = np.abs(vals)
+        probs[idx] = np.square(p, out=p)  # as ** 2, without a second array
+    return probs
 
 
 def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
@@ -490,10 +493,7 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
         raise ValueError("shots must be positive")
     what = f"sampling a {s.n}-qubit dense state"
     reserve(s.nbytes + 9 * 2**s.n + 41 * _SLICE, what)  # and a piece with its mask and |values|^2
-    probs = np.zeros(2**s.n)  # all of them: the full draw divides by their sum
-    for idx, vals in s.entries():
-        p = np.abs(vals)
-        probs[idx] = np.square(p, out=p)
+    probs = measure_probabilities(s)  # all of them: the full draw divides by their sum
     nonzero = probs != 0  # a bool mask scans faster than floats
     count = np.count_nonzero(nonzero)
     reserve(s.nbytes + 9 * 2**s.n + 24 * count + 200 * min(shots, count), what)

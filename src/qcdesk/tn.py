@@ -32,10 +32,6 @@ class Tensor:
         # ValueError when the data does not hold 2^rank entries
         self.data = np.asarray(self.data, dtype=complex).reshape((2,) * len(self.indices))
 
-    @property
-    def rank(self) -> int:
-        return len(self.indices)
-
 
 @dataclass
 class TensorNetwork:

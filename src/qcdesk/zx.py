@@ -124,9 +124,6 @@ class ZXDiagram:
         """Each edge once, as (u, v, kind) with u < v."""
         return [(u, v, k) for u, ns in self.nbrs.items() for v, k in ns.items() if u < v]
 
-    def hadamard_edge_count(self) -> int:
-        return sum(1 for (_, _, k) in self.edges() if k == HADAMARD)
-
     def copy(self) -> "ZXDiagram":
         d = ZXDiagram()
         d._next_vertex = itertools.count(max(self.nbrs, default=-1) + 1)

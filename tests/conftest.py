@@ -1,7 +1,8 @@
 """Shared test oracles, one definition each: seeded random circuits and
 hypothesis circuit strategies, reference circuits, the reference amplitude
-dump, the DD node-count oracle, every contraction plan, traced memory peaks,
-and the seeded differential corpus that every backend is checked against."""
+dump, the DD node-count oracle, a vector DD builder, a ZX Hadamard-edge count,
+every contraction plan, traced memory peaks, and the seeded differential
+corpus that every backend is checked against."""
 import functools
 import itertools
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qcdesk import cli, verify
+from qcdesk import cli, dd, verify, zx
 from qcdesk.errors import CapacityError
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, Miter, adjoint_circuit, gate_arity
 
@@ -194,6 +195,20 @@ def reference_node_count(amps) -> int:
 
     build(amps, int(math.log2(len(amps))) - 1)
     return len(nodes)
+
+
+def vector_dd(backend: dd.DDBackend, amps) -> dd.VectorDD:
+    """The vector DD of 2^n amplitudes, built bottom-up through the backend's
+    _make_node: each level pairs adjacent edges of the level below."""
+    edges = [dd.ZERO_EDGE if dd._is_zero(w) else dd.DDEdge(w, None) for w in np.asarray(amps, dtype=complex).tolist()]
+    n = len(edges).bit_length() - 1
+    for level in range(n):
+        edges = [backend._make_node(level, edges[k : k + 2]) for k in range(0, len(edges), 2)]
+    return dd.VectorDD(n, edges[0])
+
+
+def hadamard_edges(d: zx.ZXDiagram) -> int:
+    return sum(kind == zx.HADAMARD for _, _, kind in d.edges())
 
 
 def all_plans(num_tensors: int):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    BELL_AMPS, H_MAT, INV_SQRT2, all_plans, bell_circuit, ghz_circuit, mutate_one_gate, random_circuit,
-    reference_node_count,
+    BELL_AMPS, H_MAT, INV_SQRT2, all_plans, bell_circuit, ghz_circuit, hadamard_edges, mutate_one_gate,
+    random_circuit, reference_node_count,
 )
 from qcdesk import dd, dense, tn, verify, zx
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, adjoint_gate, miter
@@ -118,7 +118,7 @@ def test_criterion_5_zx_fixtures():
     g = zx.to_graph_like(zx.circuit_to_zx(bell_circuit()))
     assert g.spider_count() == 2
     assert all(g.color[s] == zx.SpiderColor.Z for s in g.spiders())
-    assert g.hadamard_edge_count() == 4
+    assert hadamard_edges(g) == 4
     # Z(pi/2) X(pi/2) Z(pi/2) has H as its tensor, up to global phase
     c = Circuit(
         1,

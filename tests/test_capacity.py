@@ -104,9 +104,20 @@ class TestReservationsCoverThePeak:
         s = dense.simulate(c)
         reserved.clear()
         peak = traced_peak(lambda: dense.sample(s, shots, 1))
-        # each reservation counts the state, which exists before tracing starts
-        assert len(reserved) == 2
+        # sample's two reservations count the state, which exists before tracing
+        # starts; between them measure_probabilities reserves its own
+        assert len(reserved) == 3 and reserved[1] == 8 * 2**s.n + 41 * dense._SLICE
         assert peak <= max(reserved) - s.nbytes + MIB
+
+    @pytest.mark.parametrize("name", ["ghz20", "plus20"])
+    def test_dense_measure_probabilities(self, reserved, name):
+        # ghz20 is held on its support, which is read a piece at a time without
+        # building its buffer; plus20 is a buffer
+        s = dense.simulate(STATES[name])
+        reserved.clear()
+        peak = traced_peak(lambda: dense.measure_probabilities(s))
+        assert len(reserved) == 1
+        assert peak <= reserved[0] + MIB
 
     @pytest.mark.parametrize("backend", ["dd", "dense"])
     def test_compact_filter_works_a_piece_at_a_time(self, backend):
@@ -134,13 +145,6 @@ class TestReservationsCoverThePeak:
         v = backend.simulate(c)
         peak = traced_peak(lambda: backend.dd_to_vector(v))
         assert reserved == [16 * (2 * 2**20 + kept)]
-        assert peak <= reserved[0] + MIB
-
-    @pytest.mark.parametrize("c", [ghz_circuit(10), random_circuit(random.Random(4), 8, 60)])
-    def test_dd_unitary(self, reserved, c):
-        backend = dd.DDBackend()
-        m = backend.circuit_mdd(c)
-        peak = traced_peak(lambda: backend.mdd_to_matrix(m))
         assert peak <= reserved[0] + MIB
 
     @pytest.mark.parametrize("name", ["ghz20", "random14"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BELL_AMPS, DD_POWER, H_MAT, INV_SQRT2, bell_circuit, circuits_on, draw_gate, ghz_circuit, random_circuit,
-    random_gate, reference_node_count, traced_peak, uncancelled,
+    random_gate, reference_node_count, traced_peak, uncancelled, vector_dd,
 )
 from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
@@ -20,6 +20,7 @@ from qcdesk.ir import (
     Circuit,
     Gate,
     GateKind,
+    Miter,
     gate_arity,
     index_bits,
     miter,
@@ -29,7 +30,7 @@ from qcdesk.ir import (
 class TestVectorDD:
     def test_bell_structure(self):
         backend = dd.DDBackend()
-        v = backend.vector_to_dd(dense.simulate(bell_circuit()))
+        v = vector_dd(backend, dense.simulate(bell_circuit()).amps)
         assert dd.node_count(v) == 3
         assert v.root.w == pytest.approx(INV_SQRT2)
         # the top node has two distinct successors, each over the lower qubit
@@ -42,7 +43,7 @@ class TestVectorDD:
     def test_zero_state_one_node_per_level(self):
         backend = dd.DDBackend()
         for n in (1, 4, 8):
-            v = backend.vector_to_dd(dense.simulate(Circuit(n)))
+            v = vector_dd(backend, dense.simulate(Circuit(n)).amps)
             assert dd.node_count(v) == n
             node = v.root.node
             while node is not None:
@@ -51,22 +52,22 @@ class TestVectorDD:
 
     def test_ghz3_node_count_matches_oracle(self):
         s = dense.simulate(ghz_circuit(3))
-        v = dd.DDBackend().vector_to_dd(s)
+        v = vector_dd(dd.DDBackend(), s.amps)
         assert dd.node_count(v) == reference_node_count(s.amps) == 5
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ghz_counts(self, n):
         s = dense.simulate(ghz_circuit(n))
-        assert dd.node_count(dd.DDBackend().vector_to_dd(s)) == reference_node_count(s.amps)
-        assert dd.node_count(dd.DDBackend().vector_to_dd(s)) == 2 * n - 1
+        assert dd.node_count(vector_dd(dd.DDBackend(), s.amps)) == reference_node_count(s.amps)
+        assert dd.node_count(vector_dd(dd.DDBackend(), s.amps)) == 2 * n - 1
 
     def test_round_trip_bell(self):
-        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
+        v = vector_dd(dd.DDBackend(), dense.simulate(bell_circuit()).amps)
         out = dd.DDBackend().dd_to_vector(v)
         np.testing.assert_allclose(out.amps, BELL_AMPS, atol=1e-12)
 
     def test_round_trip_single_qubit(self):
-        v = dd.DDBackend().vector_to_dd(dense.StateVector(1, np.array([1, 0], dtype=complex)))
+        v = vector_dd(dd.DDBackend(), np.array([1, 0], dtype=complex))
         np.testing.assert_array_equal(dd.DDBackend().dd_to_vector(v).amps, [1, 0])
 
     def test_round_trip_random(self):
@@ -74,7 +75,7 @@ class TestVectorDD:
         for _ in range(10):
             amps = rng.normal(size=16) + 1j * rng.normal(size=16)
             amps /= np.linalg.norm(amps)
-            v = dd.DDBackend().vector_to_dd(dense.StateVector(4, amps))
+            v = vector_dd(dd.DDBackend(), amps)
             np.testing.assert_allclose(dd.DDBackend().dd_to_vector(v).amps, amps, atol=1e-12)
 
 
@@ -96,6 +97,10 @@ def plain_expand(edge: dd.DDEdge, n: int, cols: int) -> np.ndarray:
     return edge.w * rec(edge.node)
 
 
+def matrix_of(m: dd.MatrixDD) -> np.ndarray:
+    return plain_expand(m.root, m.n, 2)
+
+
 class TestExpand:
     def test_unshared_state_peaks_near_its_result(self):
         # random amplitudes share no sub-vector: a full tree of 2^n - 1 nodes,
@@ -104,7 +109,7 @@ class TestExpand:
         rng = np.random.default_rng(23)
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         backend = dd.DDBackend()
-        v = backend.vector_to_dd(dense.StateVector(n, amps))
+        v = vector_dd(backend, amps)
         assert dd.node_count(v) == 2**n - 1
         result = []
         peak = traced_peak(lambda: result.append(backend.dd_to_vector(v).amps))
@@ -113,14 +118,18 @@ class TestExpand:
         assert peak < 4 * out.nbytes
         assert np.array_equal(out, plain_expand(v.root, n, 1).reshape(-1))
 
-    def test_shared_nodes_in_a_matrix(self):
-        # the GHZ unitary reuses its lower nodes along several edges
+    def test_shared_nodes_in_a_vector(self):
+        # a Bell pair on the top two qubits, |+> below: the node below both
+        # top branches has two parents, and |+>'s nodes two adjacent edges each
+        n = 6
+        c = Circuit(n, (Gate(GateKind.H, (n - 1,)), Gate(GateKind.CX, (n - 1, n - 2)))
+                    + tuple(Gate(GateKind.H, (q,)) for q in range(n - 2)))
         backend = dd.DDBackend()
-        m = backend.circuit_mdd(ghz_circuit(5))
-        assert any(k > 1 for level in dd._levels(m.root.node) for k in level.values())
-        got = backend.mdd_to_matrix(m)
-        assert np.array_equal(got, plain_expand(m.root, 5, 2))
-        np.testing.assert_allclose(got, dense.circuit_unitary(ghz_circuit(5)), atol=1e-12)
+        v = backend.simulate(c)
+        assert any(k > 1 for level in dd._levels(v.root.node) for k in level.values())
+        got = backend.dd_to_vector(v).amps
+        assert np.array_equal(got, plain_expand(v.root, n, 1).reshape(-1))
+        np.testing.assert_allclose(got, dense.simulate(c).amps, atol=1e-12)
 
 
 class TestZeroTest:
@@ -218,7 +227,7 @@ class TestNodeKeys:
 
 class TestAmplitude:
     def test_bell_paths(self):
-        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
+        v = vector_dd(dd.DDBackend(), dense.simulate(bell_circuit()).amps)
         assert dd.DDBackend().get_amplitude(v, "00") == pytest.approx(INV_SQRT2)
         assert dd.DDBackend().get_amplitude(v, "01") == 0
         assert dd.DDBackend().get_amplitude(v, "10") == 0
@@ -226,12 +235,12 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("bits", ["22", "0a", "1 ", "0"])
     def test_rejects_bad_basis(self, bits):
-        v = dd.DDBackend().vector_to_dd(dense.simulate(bell_circuit()))
+        v = vector_dd(dd.DDBackend(), dense.simulate(bell_circuit()).amps)
         with pytest.raises(ValueError):
             dd.DDBackend().get_amplitude(v, bits)
 
     def test_zero_stub_exact_zero(self):
-        v = dd.DDBackend().vector_to_dd(dense.simulate(ghz_circuit(4)))
+        v = vector_dd(dd.DDBackend(), dense.simulate(ghz_circuit(4)).amps)
         for bits in ("0001", "0110", "1110"):
             assert dd.DDBackend().get_amplitude(v, bits) == 0
 
@@ -242,14 +251,14 @@ class TestMatrixDD:
         m = backend.gate_to_mdd(Gate(GateKind.X, (0,)), 1)
         assert dd.node_count(m) == 1
         np.testing.assert_array_equal(
-            backend.mdd_to_matrix(m), [[0, 1], [1, 0]]
+            matrix_of(m), [[0, 1], [1, 0]]
         )
 
     def test_cnot_matrix(self):
         backend = dd.DDBackend()
         m = backend.gate_to_mdd(Gate(GateKind.CX, (1, 0)), 2)
         np.testing.assert_array_equal(
-            backend.mdd_to_matrix(m),
+            matrix_of(m),
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
         )
 
@@ -257,7 +266,7 @@ class TestMatrixDD:
         backend = dd.DDBackend()
         m = backend.gate_to_mdd(Gate(GateKind.H, (1,)), 3)
         expected = np.kron(np.kron(np.eye(2), H_MAT), np.eye(2))
-        np.testing.assert_allclose(backend.mdd_to_matrix(m), expected, atol=1e-12)
+        np.testing.assert_allclose(matrix_of(m), expected, atol=1e-12)
 
     def test_random_embeddings_match_dense(self):
         rng = random.Random(41)
@@ -265,7 +274,7 @@ class TestMatrixDD:
         for _ in range(30):
             n = rng.randrange(1, 5)
             g = random_gate(rng, n)
-            got = backend.mdd_to_matrix(backend.gate_to_mdd(g, n))
+            got = matrix_of(backend.gate_to_mdd(g, n))
             np.testing.assert_allclose(
                 got, dense.circuit_unitary(Circuit(n, (g,))), atol=1e-12
             )
@@ -276,18 +285,16 @@ class TestMatrixDD:
         for _ in range(20):
             c = random_circuit(rng, rng.randrange(1, 6), 20)
             backend = dd.DDBackend()
-            assert abs(backend.trace(backend.circuit_mdd(c)) - np.trace(dense.circuit_unitary(c))) <= 1e-9
+            assert abs(backend.trace(backend.composed_mdd(Miter(c, len(c.gates)))) - np.trace(dense.circuit_unitary(c))) <= 1e-9
 
 
 class TestArithmetic:
     def test_cnot_times_plus_state_is_bell(self):
         backend = dd.DDBackend()
-        plus = dense.StateVector(
-            2, np.array([1, 0, 1, 0], dtype=complex) * INV_SQRT2
-        )
+        plus = np.array([1, 0, 1, 0], dtype=complex) * INV_SQRT2
         m = backend.gate_to_mdd(Gate(GateKind.CX, (1, 0)), 2)
-        v = backend.mult_mv(m, backend.vector_to_dd(plus))
-        expected = backend.vector_to_dd(dense.simulate(bell_circuit()))
+        v = backend.mult_mv(m, vector_dd(backend, plus))
+        expected = vector_dd(backend, dense.simulate(bell_circuit()).amps)
         assert v.root.node is expected.root.node  # same canonical node
         assert v.root.w == pytest.approx(expected.root.w)
 
@@ -296,7 +303,7 @@ class TestArithmetic:
         rng = np.random.default_rng(2)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        v = backend.vector_to_dd(dense.StateVector(3, amps))
+        v = vector_dd(backend, amps)
         out = backend.mult_mv(backend.identity_mdd(3), v)
         assert out.root.node is v.root.node
 
@@ -311,7 +318,7 @@ class TestArithmetic:
             amps /= np.linalg.norm(amps)
             s = dense.StateVector(n, amps.copy())
             out = backend.mult_mv(
-                backend.gate_to_mdd(g, n), backend.vector_to_dd(s)
+                backend.gate_to_mdd(g, n), vector_dd(backend, s.amps)
             )
             np.testing.assert_allclose(
                 backend.dd_to_vector(out).amps,
@@ -343,17 +350,17 @@ class TestArithmetic:
                 Circuit(n, (g2,))
             )
             np.testing.assert_allclose(
-                backend.mdd_to_matrix(got), expected, atol=1e-10
+                matrix_of(got), expected, atol=1e-10
             )
 
     def test_circuit_mdd_random_vs_dense(self):
-        # multi-gate products through mult_mm, expanded by mdd_to_matrix
+        # multi-gate products through mult_mm
         rng = random.Random(53)
         for _ in range(12):
             c = random_circuit(rng, rng.randrange(1, 6), rng.randrange(0, 31))
             backend = dd.DDBackend()
             np.testing.assert_allclose(
-                backend.mdd_to_matrix(backend.circuit_mdd(c)),
+                matrix_of(backend.composed_mdd(Miter(c, len(c.gates)))),
                 dense.circuit_unitary(c),
                 atol=1e-10,
             )
@@ -369,7 +376,7 @@ class TestArithmetic:
             backend = dd.DDBackend()
             expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
             u = backend.composed_mdd(uncancelled(c1, c2))
-            np.testing.assert_allclose(backend.mdd_to_matrix(u), expected, atol=1e-9)
+            np.testing.assert_allclose(matrix_of(u), expected, atol=1e-9)
 
     def test_gate_dds_are_cached_per_width(self):
         backend = dd.DDBackend()
@@ -397,18 +404,16 @@ class TestArithmetic:
 
     def test_add_zero_is_identity(self):
         backend = dd.DDBackend()
-        v = backend.vector_to_dd(dense.simulate(bell_circuit()))
+        v = vector_dd(backend, dense.simulate(bell_circuit()).amps)
         out = backend.add(v.root, dd.ZERO_EDGE, 1)
         assert out.node is v.root.node
 
     def test_add_basis_terms_gives_bell(self):
         backend = dd.DDBackend()
-        e00 = dense.StateVector(2, np.array([1, 0, 0, 0], dtype=complex) * INV_SQRT2)
-        e11 = dense.StateVector(2, np.array([0, 0, 0, 1], dtype=complex) * INV_SQRT2)
-        a = backend.vector_to_dd(e00)
-        b = backend.vector_to_dd(e11)
+        a = vector_dd(backend, np.array([1, 0, 0, 0]) * INV_SQRT2)
+        b = vector_dd(backend, np.array([0, 0, 0, 1]) * INV_SQRT2)
         out = backend.add(a.root, b.root, 1)
-        expected = backend.vector_to_dd(dense.simulate(bell_circuit()))
+        expected = vector_dd(backend, dense.simulate(bell_circuit()).amps)
         assert out.node is expected.root.node
 
     def test_add_random_vs_dense(self):
@@ -417,8 +422,8 @@ class TestArithmetic:
         for _ in range(10):
             x = rng.normal(size=8) + 1j * rng.normal(size=8)
             y = rng.normal(size=8) + 1j * rng.normal(size=8)
-            a = backend.vector_to_dd(dense.StateVector(3, x))
-            b = backend.vector_to_dd(dense.StateVector(3, y))
+            a = vector_dd(backend, x)
+            b = vector_dd(backend, y)
             out = dd.VectorDD(3, backend.add(a.root, b.root, 2))
             np.testing.assert_allclose(
                 backend.dd_to_vector(out).amps, x + y, atol=1e-10
@@ -433,7 +438,7 @@ class TestArithmetic:
         backend = dd.DDBackend()
         rng = np.random.default_rng(29)
         a, b = (
-            backend.vector_to_dd(dense.StateVector(2, rng.normal(size=4) + 1j * rng.normal(size=4))).root
+            vector_dd(backend, rng.normal(size=4) + 1j * rng.normal(size=4)).root
             for _ in range(2)
         )
         backend.add(dd.DDEdge(1 + 0j, a.node), b, 1)
@@ -471,7 +476,8 @@ class TestFastPaths:
         for _ in range(150):
             n = rng.randrange(1, 7)
             backend = dd.DDBackend()
-            m = backend.circuit_mdd(random_circuit(rng, n, 30))
+            c = random_circuit(rng, n, 30)
+            m = backend.composed_mdd(Miter(c, len(c.gates)))
             v = backend.simulate(random_circuit(rng, n, 30))
             ident = backend.identity_mdd(n)
             products = [
@@ -503,7 +509,7 @@ class TestFastPaths:
         )
         expected = dense.circuit_unitary(c2).conj().T @ dense.circuit_unitary(c1)
         u = backend.composed_mdd(uncancelled(c1, c2))
-        np.testing.assert_allclose(backend.mdd_to_matrix(u), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(matrix_of(u), expected, rtol=0, atol=1e-9)
 
 
 class TestSimulateDD:
@@ -525,23 +531,23 @@ class TestSimulateDD:
             c = random_circuit(rng, 5, 25)
             backend = dd.DDBackend()
             s = backend.dd_to_vector(backend.simulate(c))
-            assert s.norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(s.amps) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCanonicity:
     def test_identical_roots_for_recomputed_state(self):
         backend = dd.DDBackend()
         s = dense.simulate(ghz_circuit(4))
-        v1 = backend.vector_to_dd(s)
+        v1 = vector_dd(backend, s.amps)
         # recompute the same amplitudes through a different arithmetic path
         amps = (s.amps * 3.0) / 3.0
-        v2 = backend.vector_to_dd(dense.StateVector(4, amps))
+        v2 = vector_dd(backend, amps)
         assert v1.root.node is v2.root.node
 
     def test_simulation_and_conversion_share_nodes(self):
         backend = dd.DDBackend()
         v1 = backend.simulate(bell_circuit())
-        v2 = backend.vector_to_dd(dense.simulate(bell_circuit()))
+        v2 = vector_dd(backend, dense.simulate(bell_circuit()).amps)
         assert v1.root.node is v2.root.node
 
     def test_no_duplicate_signatures(self):
@@ -609,8 +615,9 @@ class TestEquivalence:
         backend = dd.DDBackend()
         for _ in range(20):
             n = rng.randrange(1, 5)
-            m = backend.circuit_mdd(random_circuit(rng, n, rng.randrange(0, 16)))
-            diag = np.abs(np.diag(backend.mdd_to_matrix(m)))
+            c = random_circuit(rng, n, rng.randrange(0, 16))
+            m = backend.composed_mdd(Miter(c, len(c.gates)))
+            diag = np.abs(np.diag(matrix_of(m)))
             # dense's rule: the lowest j within the tolerance of the least
             j = int(np.argmax(diag <= diag.min() + EQUIVALENCE_TOLERANCE))
             assert backend.least_diagonal(m) == index_bits(j, m.n)
@@ -618,10 +625,10 @@ class TestEquivalence:
     def test_least_diagonal_pads_zero_stubs_and_prefers_zero(self):
         backend = dd.DDBackend()
         # x on the top qubit: both diagonal edges of the root are 0-stubs
-        flip = backend.circuit_mdd(Circuit(3, (Gate(GateKind.X, (2,)),)))
+        flip = backend.composed_mdd(Miter(Circuit(3, (Gate(GateKind.X, (2,)),)), 1))
         assert backend.least_diagonal(flip) == "000"
         # every diagonal entry of z on qubit 0 has magnitude 1: a tie
-        z = backend.circuit_mdd(Circuit(2, (Gate(GateKind.Z, (0,)),)))
+        z = backend.composed_mdd(Miter(Circuit(2, (Gate(GateKind.Z, (0,)),)), 1))
         assert backend.least_diagonal(z) == "00"
 
     def test_not_equivalent_carries_witness(self):
@@ -645,11 +652,10 @@ class TestLifetime:
             ref = weakref.ref(backend)
             v = backend.simulate(c1)
             backend.get_amplitude(v, "0101")
-            backend.dd_to_vector(backend.vector_to_dd(backend.dd_to_vector(v)))
+            backend.dd_to_vector(v)
             u = backend.composed_mdd(uncancelled(c1, c2))
             backend.trace(u)
             backend.least_diagonal(u)
-            backend.mdd_to_matrix(u)
             del backend, v, u
             assert ref() is None
         finally:

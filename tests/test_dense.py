@@ -266,7 +266,7 @@ class TestProperties:
         rng = random.Random(23)
         for _ in range(30):
             c = random_circuit(rng, rng.randrange(1, 7), rng.randrange(0, 51))
-            assert dense.simulate(c).norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(dense.simulate(c).amps) == pytest.approx(1.0, abs=1e-9)
 
     def test_kernel_matches_unitary_oracle(self):
         rng = random.Random(31)
@@ -661,25 +661,31 @@ class TestSupportForm:
     @staticmethod
     def outputs(c: Circuit, basis: int, share: float, shots: int, seed: int, piece: int, asked: list) -> tuple:
         """The state's form and what every verb reads of it, in pieces of at
-        most piece entries: the buffer, the compact and --full dumps, the
-        sample counts, every amplitude as entries lists it (amplitude's one
-        read) and dense.amplitude at the indices asked. Amplitudes are
-        compared as bits, with zeros unsigned: the kernel may leave -0.0 where
-        the support path leaves 0.0 (both print as 0)."""
+        most piece entries: the probabilities, the sample counts, the buffer,
+        the compact and --full dumps, every amplitude as entries lists it
+        (amplitude's one read) and dense.amplitude at the indices asked.
+        Amplitudes are compared as bits, with zeros unsigned: the kernel may
+        leave -0.0 where the support path leaves 0.0 (both print as 0). The
+        probabilities and the sample are read first: neither builds a
+        support's buffer."""
         n = c.num_qubits
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_SUPPORT_SHARE", share)
             s = dense.simulate(c, basis)
             mp.setattr(dense, "simulate", lambda _: s)
             mp.setattr(dense, "_SLICE", piece)  # after simulate: the kernel's slices stay as they are
+            probs = dense.measure_probabilities(s).view(np.uint64).tolist()
+            counts = dense.sample(s, shots, seed)
+            assert s._support is None or s._amps is None
             listed = np.zeros(2**n, dtype=complex)
             for idx, vals in s.entries():
                 listed[idx] = vals
             return s._support is not None, (
+                probs,
+                counts,
                 (s.amps + 0.0).view(np.uint64).tolist(),
                 dense.format_amplitude_dump(n, cli._printed(s.entries())),
                 dense.format_amplitude_dump(n, dense.every_amplitude(s.amps)),
-                dense.sample(s, shots, seed),
                 (listed + 0.0).view(np.uint64).tolist(),
                 (np.array([dense.amplitude(c, index_bits(i, n)) for i in asked]) + 0.0).view(np.uint64).tolist(),
             )
@@ -698,7 +704,7 @@ class TestSupportForm:
         held, got = self.outputs(c, basis, dense._SUPPORT_SHARE, shots, seed, piece, asked)
         buffered, want = self.outputs(c, basis, 0, shots, seed, piece, asked)
         assert held == (support <= 2**n * dense._SUPPORT_SHARE) and not buffered
-        names = ["amps", "compact dump", "full dump", "sample", "listed amplitudes", "amplitude"]
+        names = ["probabilities", "sample", "amps", "compact dump", "full dump", "listed amplitudes", "amplitude"]
         for name, g, w in zip(names, got, want):
             assert g == w, name
 

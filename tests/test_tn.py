@@ -107,14 +107,14 @@ class TestContractPair:
         u = tn.Tensor(["k"], np.array([1, 2], dtype=complex))
         v = tn.Tensor(["k"], np.array([3, 4], dtype=complex))
         out = tn.contract_pair(u, v)
-        assert out.rank == 0
+        assert len(out.indices) == 0
         assert complex(out.data) == 11
 
     def test_outer_product(self):
         u = tn.Tensor(["a"], np.array([1, 2], dtype=complex))
         v = tn.Tensor(["b"], np.array([3, 4], dtype=complex))
         out = tn.contract_pair(u, v)
-        assert out.rank == 2
+        assert len(out.indices) == 2
         np.testing.assert_array_equal(out.data, [[3, 4], [6, 8]])
 
     def test_wrong_size_data_raises(self):
@@ -145,13 +145,13 @@ class TestCircuitToNetwork:
     def test_bell_network_shape(self):
         net = tn.circuit_to_network(bell_circuit())
         assert len(net.tensors) == 4
-        assert sorted(t.rank for t in net.tensors) == [1, 1, 2, 4]
+        assert sorted(len(t.indices) for t in net.tensors) == [1, 1, 2, 4]
         assert len(net.open_indices) == 2
 
     def test_empty_circuit(self):
         net = tn.circuit_to_network(Circuit(3))
         assert len(net.tensors) == 3
-        assert all(t.rank == 1 for t in net.tensors)
+        assert all(len(t.indices) == 1 for t in net.tensors)
         assert len(net.open_indices) == 3
 
     def test_ghz3_counts(self):

@@ -70,6 +70,8 @@ MUTANTS = [
     ("dense.py", "if k or not lead:", "if k:"),
     ("dense.py", "    idx.sort()\n", ""),
     ("dense.py", "pvals /= probs.sum()", "pvals /= pvals.sum()"),
+    # the one probability path: |a|^2, not |a|
+    ("dense.py", "probs[idx] = np.square(p, out=p)", "probs[idx] = p"),
     ("dense.py", "np.searchsorted(idx, (lo, hi))", "np.searchsorted(idx, (lo, hi + 1))"),
     # the GF(2) forms of the support phase
     ("dense.py", "forms = [2 << q for q in range(n)]", "forms = [1 << q for q in range(n)]"),
@@ -82,7 +84,7 @@ MUTANTS = [
     ("tn.py", "if i == j or i not in self.live", "if i not in self.live"),
     ("tn.py", "if sorted(net.open_indices) != sorted(dangling):", "if len(net.open_indices) != len(dangling):"),
     ("tn.py", "self.flops += size << len(shared)", "self.flops += size"),
-    ("tn.py", "perm = [result.indices.index(l) for l in net.open_indices]", "perm = list(range(result.rank))"),
+    ("tn.py", "perm = [result.indices.index(l) for l in net.open_indices]", "perm = list(range(len(result.indices)))"),
     # the ZX rules and tensor semantics
     ("zx.py", "if d.phase[v].is_zero() and len(d.nbrs[v]) == 2:", "if len(d.nbrs[v]) == 2:"),
     ("zx.py", "d.add_edge(a, b, PLAIN if ka == kb else HADAMARD)", "d.add_edge(a, b, PLAIN)"),
