@@ -74,6 +74,13 @@ def ghz_circuit(n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def bell_times_plus(n: int) -> Circuit:
+    """A Bell pair on the top two qubits, |+> below: both top branches share
+    the node below them, which the expander keeps for its second parent."""
+    top = (Gate(GateKind.H, (n - 1,)), Gate(GateKind.CX, (n - 1, n - 2)))
+    return Circuit(n, top + tuple(Gate(GateKind.H, (q,)) for q in range(n - 2)))
+
+
 def format_then_filter(amps: np.ndarray, n: int, full: bool) -> str:
     """The dump as first formatted in full and then filtered on its own text."""
     lines = [f"{format(i, f'0{n}b')} {a.real:.17g} {a.imag:.17g}" for i, a in enumerate(amps)]

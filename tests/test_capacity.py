@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import ghz_circuit, peak_until_raises, random_circuit, traced_peak
+from conftest import bell_times_plus, ghz_circuit, peak_until_raises, random_circuit, traced_peak
 from qcdesk import cli, dd, dense, errors, tn, verify, zx
 from qcdesk.errors import MAX_BYTES
 from qcdesk.ir import Angle, Circuit, Gate, GateKind, render_circuit
@@ -45,13 +45,6 @@ def support_eighth(n: int, seed: int) -> Circuit:
 
 def plus_state(n: int) -> Circuit:
     return Circuit(n, tuple(Gate(H, (q,)) for q in range(n)))
-
-
-def bell_times_plus(n: int) -> Circuit:
-    """A Bell pair on the top two qubits, |+> below: both top branches share
-    the node below them, which the expander keeps for its second parent."""
-    top = (Gate(H, (n - 1,)), Gate(CX, (n - 1, n - 2)))
-    return Circuit(n, top + tuple(Gate(H, (q,)) for q in range(n - 2)))
 
 
 STATES = {

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    BELL_AMPS, DD_POWER, H_MAT, INV_SQRT2, bell_circuit, circuits_on, draw_gate, ghz_circuit, random_circuit,
-    random_gate, reference_node_count, traced_peak, uncancelled, vector_dd,
+    BELL_AMPS, DD_POWER, H_MAT, INV_SQRT2, bell_circuit, bell_times_plus, circuits_on, draw_gate, ghz_circuit,
+    random_circuit, random_gate, reference_node_count, traced_peak, uncancelled, vector_dd,
 )
 from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
@@ -119,11 +119,10 @@ class TestExpand:
         assert np.array_equal(out, plain_expand(v.root, n, 1).reshape(-1))
 
     def test_shared_nodes_in_a_vector(self):
-        # a Bell pair on the top two qubits, |+> below: the node below both
-        # top branches has two parents, and |+>'s nodes two adjacent edges each
+        # the node below both top branches has two parents, and |+>'s nodes
+        # two adjacent edges each
         n = 6
-        c = Circuit(n, (Gate(GateKind.H, (n - 1,)), Gate(GateKind.CX, (n - 1, n - 2)))
-                    + tuple(Gate(GateKind.H, (q,)) for q in range(n - 2)))
+        c = bell_times_plus(n)
         backend = dd.DDBackend()
         v = backend.simulate(c)
         assert any(k > 1 for level in dd._levels(v.root.node) for k in level.values())
