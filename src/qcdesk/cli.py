@@ -9,7 +9,7 @@ import numpy as np
 from .errors import CapacityError, ParseError, QcdeskError
 from . import dense, verify
 from .ir import Circuit, check_basis, parse_circuit
-from .verify import BackendId, EquivalenceStatus, backend_state, check_equivalence
+from .verify import BackendId, EquivalenceStatus, check_equivalence
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -101,7 +101,7 @@ def _printed(pieces):
 
 
 def _cmd_simulate(args) -> int:
-    s = backend_state(_load(args.file), BackendId(args.backend))
+    s = verify.STATE[BackendId(args.backend)](_load(args.file))
     # --full lists every basis state: a support state scatters into its buffer
     pieces = dense.every_amplitude(s.amps) if args.full else _printed(s.entries())
     sys.stdout.write(dense.format_amplitude_dump(s.n, pieces))

@@ -3,18 +3,17 @@
 A matrix DD quarters its matrix level by level (q_{n-1} at the top) into 2 x 2
 sub-blocks, row-major; a vector DD is a one-column matrix DD, halving the
 amplitude vector into 2 x 1 sub-blocks. One multiply and one adder serve
-both, reading the column count off the node; the expander expands vectors
-only. Equal sub-blocks are shared through a unique table and common factors
-live on edge weights. Diagrams here are quasi-reduced: every nonzero edge
-below level v points to a node at exactly level v-1, zero edges jump straight
-to the terminal (0-stubs).
+both, reading the column count off the node. Equal sub-blocks are shared
+through a unique table and common factors live on edge weights. Diagrams here
+are quasi-reduced: every nonzero edge below level v points to a node at
+exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 
 Simulation applies each gate to the state DD directly (`DDBackend.apply_gate`):
 one walk rebuilds the nodes above the gate's qubits and splits the gate matrix
 into 2 x 2 blocks at each gate qubit, so no gate DD is built. The multiply
 serves matrix products and equivalence checking. Reads of a whole diagram
-(node count, trace, magnitudes, the expander's sharing) walk it level by
-level (`_levels`), so no diagram is too deep for them.
+(node count, trace, magnitudes, a state's amplitudes into two 2^n buffers)
+walk it level by level (`_levels`), so no diagram is too deep for them.
 
 Equivalence checking composes U2^dagger U1 from the miter every method
 decides on (`ir.Miter`: c1 then c2's inverse, less the gates that cancel), from
@@ -25,7 +24,7 @@ keeps the product near the identity while it is built (Burgholzer & Wille,
 """
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -466,21 +465,16 @@ class DDBackend:
 
 
 def _levels(root: Optional[_Node]):
-    """Each level of the diagram below root, top first, as a dict from node to
-    its in-degree (the root's is 1).
+    """Each level of the diagram below root, top first, as a list of its nodes
+    in the order the level above first points to them.
 
     The quasi-reduced shape makes this the whole walk: the nodes one level
     points to make up the whole next level down.
     """
-    level = {} if root is None else {root: 1}
+    level = [] if root is None else [root]
     while level:
         yield level
-        uses: dict[_Node, int] = {}
-        for node in level:
-            for e in node.edges:
-                if e.node is not None:
-                    uses[e.node] = uses.get(e.node, 0) + 1
-        level = uses
+        level = list(dict.fromkeys(e.node for node in level for e in node.edges if e.node is not None))
 
 
 def _fold(root: Optional[_Node], leaf, value) -> dict:
@@ -506,41 +500,30 @@ def node_count(d: Union[VectorDD, MatrixDD]) -> int:
 
 
 def _expand(root: DDEdge, n: int) -> np.ndarray:
-    """The 2^n amplitudes of a vector DD.
-
-    Only the blocks of shared nodes are kept, each until its last use. So it
-    holds at most twice the result (the blocks on one path, and a child scaled
-    into its parent) plus the blocks kept while others are built, which it
-    reserves first: all but those whose uses are adjacent edges of one parent.
-    """
-    shared, adjacent, above = {}, set(), {}
-    for level in _levels(root.node):
-        shared.update((node, k) for node, k in level.items() if k > 1)
-        adjacent.update(child for node in above for child, run in itertools.groupby(
-            e.node for e in node.edges if e.node is not None) if level[child] == len(list(run)) > 1)
-        above = level
-    kept = sum(2 * 2**node.var for node in shared.keys() - adjacent)
-    reserve(16 * (2 * 2**n + kept), f"{n}-qubit DD expansion")
+    """The 2^n amplitudes of a vector DD, level by level from the bottom, in
+    two 2^n buffers that take turns. Node number `slot` of a level at var v
+    (at most 2^(n-1-v) of them) writes its 2 * 2^v entries at 2 * 2^v * slot
+    of one, each half its edge's weight times the child's block in the other.
+    A level is numbered in id order, so a child's slot is found by bisection."""
+    reserve(32 * 2**n, f"{n}-qubit DD expansion")
     if root.node is None:  # the zero DD, or a scalar when n == 0
         return np.full(2**n, root.w if n == 0 else 0j)
-    return root.w * _expand_node(root.node, {}, shared)
-
-
-def _expand_node(node: _Node, memo: dict[_Node, np.ndarray], uses_left: dict[_Node, int]) -> np.ndarray:
-    out = memo.get(node)
-    if out is None:
-        h = 2**node.var
-        out = np.empty(2 * h, dtype=complex)
-        for k, e in enumerate(node.edges):
-            # a terminal edge is a 0-stub (its 0 fills the half) or a level-0 entry
-            out[k * h : (k + 1) * h] = e.w if e.node is None else e.w * _expand_node(e.node, memo, uses_left)
-    if node in uses_left:
-        uses_left[node] -= 1
-        if uses_left[node]:
-            memo[node] = out
-        else:
-            del memo[node]
-    return out
+    levels = [sorted(level, key=id) for level in _levels(root.node)]
+    top, below = np.empty(2**n, dtype=complex), np.empty(2**n, dtype=complex)
+    lower: list[_Node] = []
+    for level in reversed(levels):
+        top, below = below, top
+        for slot, node in enumerate(level):
+            h = 2**node.var
+            for k, e in enumerate(node.edges):
+                half = top[(2 * slot + k) * h : (2 * slot + k + 1) * h]
+                if e.node is None:  # a 0-stub (its 0 fills the half) or a level-0 entry
+                    half.fill(e.w)
+                else:
+                    child = bisect.bisect_left(lower, id(e.node), key=id) * h
+                    np.multiply(e.w, below[child : child + h], out=half)
+        lower = level
+    return np.multiply(root.w, top, out=top)
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,6 @@ class CrossCheckReport:
     passed: bool
 
 
-def backend_state(c: Circuit, backend: BackendId) -> dense.StateVector:
-    if backend not in STATE:
-        raise ValueError(f"backend {backend} cannot produce a state vector")
-    return STATE[backend](c)
-
-
 def cross_check(c: Circuit, tolerance: float) -> CrossCheckReport:
     """Simulate with every STATE backend; pass iff all amplitudes pairwise agree.
     It holds one state per backend, and one pair's difference and magnitudes."""

@@ -76,7 +76,7 @@ def ghz_circuit(n: int) -> Circuit:
 
 def bell_times_plus(n: int) -> Circuit:
     """A Bell pair on the top two qubits, |+> below: both top branches share
-    the node below them, which the expander keeps for its second parent."""
+    the node below them, a node with two parents."""
     top = (Gate(GateKind.H, (n - 1,)), Gate(GateKind.CX, (n - 1, n - 2)))
     return Circuit(n, top + tuple(Gate(GateKind.H, (q,)) for q in range(n - 2)))
 

@@ -42,7 +42,7 @@ def _report(label):
 def test_criterion_1_bell_amplitudes():
     start = time.perf_counter()
     for backend in (BackendId.DENSE, BackendId.DD, BackendId.TN):
-        s = verify.backend_state(bell_circuit(), backend)
+        s = verify.STATE[backend](bell_circuit())
         np.testing.assert_allclose(s.amps, BELL_AMPS, atol=1e-10)
     assert time.perf_counter() - start < 1.0
 

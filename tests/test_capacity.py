@@ -130,15 +130,30 @@ class TestReservationsCoverThePeak:
         assert len(reserved) == 1
         assert peak <= reserved[0] + MIB
 
-    @pytest.mark.parametrize("c, kept", [(bell_times_plus(20), 2**18), (STATES["plus20"], 0)])
-    def test_dd_counts_blocks_kept_while_others_are_built(self, reserved, c, kept):
-        # a node with two parents is kept while the second parent's block is
-        # built; a node whose uses are adjacent edges of one parent is not
+    @pytest.mark.parametrize("c", [bell_times_plus(20), STATES["plus20"]], ids=["bell_times_plus20", "plus20"])
+    def test_dd_reserves_two_buffers(self, reserved, c):
+        # a node with two parents, and nodes whose uses are adjacent edges of
+        # one parent: the expansion holds its two 2^n buffers either way
         backend = dd.DDBackend()
         v = backend.simulate(c)
         peak = traced_peak(lambda: backend.dd_to_vector(v))
-        assert reserved == [16 * (2 * 2**20 + kept)]
+        assert reserved == [32 * 2**20]
         assert peak <= reserved[0] + MIB
+
+    def test_dd_shared_state_fits_the_budget_at_24_qubits(self, monkeypatch):
+        # the reservation is recorded, then raised on before anything is allocated
+        made = []
+
+        def record(nbytes, what):
+            made.append(nbytes)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(dd, "reserve", record)
+        backend = dd.DDBackend()
+        v = backend.simulate(bell_times_plus(24))
+        with pytest.raises(RuntimeError, match="recorded"):
+            backend.dd_to_vector(v)
+        assert made == [MAX_BYTES]
 
     @pytest.mark.parametrize("name", ["ghz20", "random14"])
     def test_tn_full_state(self, reserved, name):

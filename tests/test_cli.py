@@ -74,7 +74,7 @@ class TestAmplitudeDump:
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_format_then_filter(self, tmp_path, capsys, monkeypatch, full, seed):
         amps = self.amplitudes(seed)
-        monkeypatch.setattr(cli, "backend_state", lambda c, b: dense.StateVector(self.N, amps))
+        monkeypatch.setitem(verify.STATE, verify.BackendId.DENSE, lambda c: dense.StateVector(self.N, amps))
         path = write(tmp_path, "wide.qcf", f"qubits {self.N}\n")
         assert cli.run(["simulate", "--backend", "dense", path] + ["--full"] * full) == 0
         out = capsys.readouterr().out
@@ -90,7 +90,7 @@ class TestAmplitudeDump:
         # (abs(), np.hypot) they are 1.0000000000000002e-12
         a = complex(im, re) if swap else complex(re, im)
         assert abs(a) > cli._COMPACT_EPS
-        monkeypatch.setattr(cli, "backend_state", lambda c, b: dense.StateVector(1, np.array([0, a])))
+        monkeypatch.setitem(verify.STATE, verify.BackendId.DENSE, lambda c: dense.StateVector(1, np.array([0, a])))
         assert cli.run(["simulate", "--backend", "dense", write(tmp_path, "one.qcf", "qubits 1\n")]) == 0
         assert capsys.readouterr().out == f"1 {a.real:.17g} {a.imag:.17g}\n"
 
@@ -110,7 +110,7 @@ class TestAmplitudeDump:
         path = write(tmp_path_factory.mktemp("dump"), "any.qcf", "qubits 1\n")
         out = io.StringIO()
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-            mp.setattr(cli, "backend_state", lambda c, b: dense.StateVector(n, amps))
+            mp.setitem(verify.STATE, verify.BackendId.DENSE, lambda c: dense.StateVector(n, amps))
             if chunk is not None:
                 mp.setattr(dense, "_SLICE", chunk)
             assert cli.run(["simulate", "--backend", "dense", path] + ["--full"] * full) == 0

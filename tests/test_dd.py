@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -125,7 +126,9 @@ class TestExpand:
         c = bell_times_plus(n)
         backend = dd.DDBackend()
         v = backend.simulate(c)
-        assert any(k > 1 for level in dd._levels(v.root.node) for k in level.values())
+        parents = Counter(child for level in dd._levels(v.root.node) for node in level
+                          for child in {e.node for e in node.edges} - {None})
+        assert max(parents.values()) == 2
         got = backend.dd_to_vector(v).amps
         assert np.array_equal(got, plain_expand(v.root, n, 1).reshape(-1))
         np.testing.assert_allclose(got, dense.simulate(c).amps, atol=1e-12)

@@ -1,10 +1,15 @@
 """Every def and class in src/qcdesk has a caller outside the tests.
 
 A name counts as used when src/ (outside the name's own definition), bench/
-or tools/ refers to it: as a name, an attribute, an imported name, or a
-string of dotted names (a span target, an __all__ entry). Dunder methods are
-called by Python itself. An oracle that only tests call stays when its test
-is the point of keeping it; ORACLES names that test."""
+or tools/ refers to it. A method, or a def nested in another, is referred to
+by its name: as a name, an attribute, an imported name, or a part of a string
+of dotted names (a span target, an __all__ entry). A module-level def or
+class is matched by its module too, so that another module's def of the same
+name is no caller: it is referred to by a name in its own module, an import
+from its module, `<module>.<name>`, or a dotted string naming both, such as
+the span "dense.apply_gate". Dunder methods are called by Python itself. An
+oracle that only tests call stays when its test is the point of keeping it;
+ORACLES names that test."""
 import ast
 from pathlib import Path
 
@@ -18,20 +23,29 @@ ORACLES = {
 }
 
 
-def references(tree: ast.AST) -> list[tuple[str, int]]:
-    """(name, line) of every reference in tree."""
+def references(tree: ast.AST) -> list[tuple[str | None, str, int]]:
+    """(qualifier, name, line) of every reference in tree. The qualifier is
+    None for a plain name, the module of an import, the name left of an
+    attribute's dot or of a dotted string's part ("" if there is none)."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.append((node.id, node.lineno))
+            found.append((None, node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, node.lineno))
-        elif isinstance(node, ast.alias):
-            found.append((node.name.split(".")[-1], node.lineno))
+            left = node.value
+            qualifier = left.id if isinstance(left, ast.Name) else getattr(left, "attr", "")
+            found.append((qualifier, node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            found.extend((module, alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                found.extend(zip([""] + parts, parts, [node.lineno] * len(parts)))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                found.extend((part, node.lineno) for part in parts)
+                found.extend(zip([""] + parts, parts, [node.lineno] * len(parts)))
     return found
 
 
@@ -40,15 +54,19 @@ def unused() -> list[str]:
     refs = {path: references(ast.parse(path.read_text())) for path in files}
     out = []
     for path in sorted((ROOT / "src/qcdesk").glob("*.py")):
-        for d in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for d in ast.walk(tree):
             if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if d.name.startswith("__") and d.name.endswith("__"):
                 continue
+            top = d in tree.body
             if not any(
-                name == d.name and (other != path or not d.lineno <= line <= d.end_lineno)
+                name == d.name
+                and (other != path or not d.lineno <= line <= d.end_lineno)
+                and (not top or qualifier == path.stem or (qualifier is None and other == path))
                 for other, found in refs.items()
-                for name, line in found
+                for qualifier, name, line in found
             ):
                 out.append(f"{path.name}: {d.name}")
     return out
@@ -66,4 +84,4 @@ def test_each_oracle_is_unused_and_its_test_calls_it():
         node = ast.parse((ROOT / file).read_text())
         for part in path:
             (node,) = [d for d in node.body if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == part]
-        assert name in {n for n, _ in references(node)}, test
+        assert name in {n for _, n, _ in references(node)}, test

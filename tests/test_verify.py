@@ -72,12 +72,15 @@ def _rewritten(c: Circuit) -> Circuit:
 class TestBackendState:
     @pytest.mark.parametrize("backend", [BackendId.DENSE, BackendId.DD, BackendId.TN])
     def test_bell_agrees(self, backend):
-        s = verify.backend_state(bell_circuit(), backend)
+        s = verify.STATE[backend](bell_circuit())
         np.testing.assert_allclose(s.amps, BELL_AMPS, atol=1e-10)
 
-    def test_zx_rejected(self):
-        with pytest.raises(ValueError):
-            verify.backend_state(bell_circuit(), BackendId.ZX)
+    def test_zx_rejected(self, tmp_path, capsys):
+        # zx holds no state: simulate offers it as no choice
+        assert BackendId.ZX not in verify.STATE
+        (tmp_path / "bell.qcf").write_text(render_circuit(bell_circuit()))
+        assert cli.run(["simulate", "--backend", "zx", str(tmp_path / "bell.qcf")]) == cli.EXIT_USAGE
+        assert "invalid choice: 'zx'" in capsys.readouterr().err
 
 
 # |amplitude of 1> = sin(pi / 2^37), about 2.3e-11: above simulate's compact

@@ -54,6 +54,10 @@ MUTANTS = [
     ("dd.py", "if a.node is ident:\n                return DDEdge(a.w * b.w, b.node)",
      "if a.node is ident:\n                return DDEdge(b.w, b.node)"),
     ("dd.py", "            if level > b.var:", "            if level >= b.var:"),
+    # the level-by-level expansion: a node's block offset and its edges' weights
+    ("dd.py", "half = top[(2 * slot + k) * h : (2 * slot + k + 1) * h]", "half = top[(slot + k) * h : (slot + k + 1) * h]"),
+    ("dd.py", "np.multiply(e.w, below[child : child + h], out=half)",
+     "np.multiply(node.edges[0].w, below[child : child + h], out=half)"),
     # the dense kernel's index arithmetic and the product start
     ("dense.py", "shape + (1 << (top - 1 - q), 2), q", "shape + (1 << (top - q), 2), q"),
     ("dense.py", "for r in range(c + 1, d)))", "for r in range(c + 2, d)))"),
