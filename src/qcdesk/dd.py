@@ -8,12 +8,13 @@ through a unique table and common factors live on edge weights. Diagrams here
 are quasi-reduced: every nonzero edge below level v points to a node at
 exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 
-Simulation applies each gate to the state DD directly (`DDBackend.apply_gate`):
-one walk rebuilds the nodes above the gate's qubits and splits the gate matrix
-into 2 x 2 blocks at each gate qubit, so no gate DD is built. The multiply
-serves matrix products and equivalence checking. Reads of a whole diagram
-(node count, trace, magnitudes, a state's amplitudes into two 2^n buffers)
-walk it level by level (`_levels`), so no diagram is too deep for them.
+Simulation runs dense's plan (`dense.plan`): the product start, one node per
+level, then each fused block applied to the state DD directly
+(`DDBackend.apply_gate`): one walk rebuilds the nodes above the block's qubits
+and splits its matrix into 2 x 2 blocks at each of them, so no gate DD is
+built. The multiply serves matrix products and equivalence checking. Reads of
+a whole diagram (node count, trace, magnitudes, a state's amplitudes into two
+2^n buffers) walk it level by level (`_levels`), so no diagram is too deep.
 
 Equivalence checking composes U2^dagger U1 from the miter every method
 decides on (`ir.Miter`: c1 then c2's inverse, less the gates that cancel), from
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import WidthMismatchError, reserve
 from . import dense
-from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, Miter, check_basis, gate_matrix
+from .ir import EQUIVALENCE_TOLERANCE, Circuit, Gate, Miter, check_basis
 
 # Weights are rounded to this many decimals for unique-table keys, so
 # floating-point drift cannot break node sharing.
@@ -126,15 +127,22 @@ def _split_block(rows: list, qubits: tuple, order: list[int], r0: int, c0: int) 
     return _Block(qubits[order[0]], 0j, q)
 
 
+def _block_tree(b: dense._Block) -> Optional[_Block]:
+    """The block tree of a planned block (or `dense._gate_block(g)`), split from its highest qubit down."""
+    return _split_block(b.matrix.tolist(), b.qubits, [0, 1][: len(b.qubits)], 0, 0)
+
+
 class DDBackend:
     """One unique table plus compute tables and a gate cache; confine to one thread.
 
+    `simulate` applies each block of dense's plan with one walk of the state
+    DD (`apply_gate`); gate DDs and their products serve `composed_mdd`.
     Every operation that fills the compute tables (`apply_gate`, `mult_mv`,
     `mult_mm`) starts from empty ones, so a table holds only what the current
     operation computed, keyed by the ids of nodes that live at least as long
-    as the operation. Gate DDs are cached per (gate, width), their block trees
-    per gate and `_make_node`'s grid keys per scaled weight, all for the
-    backend's lifetime (equal weights have equal keys, so no key changes).
+    as the operation. Gate DDs are cached per (gate, width) and `_make_node`'s
+    grid keys per scaled weight, both for the backend's lifetime (equal
+    weights have equal keys, so no key changes).
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -148,7 +156,6 @@ class DDBackend:
         self._memo_add: dict = {}
         self._memo_apply: dict = {}
         self._gates: dict[tuple[Gate, int], MatrixDD] = {}
-        self._blocks: dict[Gate, _Block] = {}
         self._identity: list[DDEdge] = [DDEdge(1.0 + 0j, None)]  # by qubit count
 
     # ---- node construction -------------------------------------------------
@@ -195,13 +202,6 @@ class DDBackend:
 
     # ---- vector DDs --------------------------------------------------------
 
-    def zero_state_dd(self, n: int) -> VectorDD:
-        """|0...0> built structurally: one node per level, one-successor 0-stub."""
-        edge = DDEdge(1.0 + 0j, None)
-        for level in range(n):
-            edge = self._make_node(level, [edge, ZERO_EDGE])
-        return VectorDD(n, edge)
-
     def dd_to_vector(self, d: VectorDD) -> dense.StateVector:
         return dense.StateVector(d.n, _expand(d.root, d.n))
 
@@ -226,17 +226,8 @@ class DDBackend:
             return cached
         if any(q >= n for q in g.qubits):
             raise ValueError("gate qubit outside register")
-        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(self._gate_blocks(g), n - 1))
+        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(_block_tree(dense._gate_block(g)), n - 1))
         return out
-
-    def _gate_blocks(self, g: Gate) -> _Block:
-        """g's block tree, split at its qubits from the highest down."""
-        blocks = self._blocks.get(g)
-        if blocks is None:
-            # positions in g.qubits, highest qubit first; the first listed is the top bit of a row
-            order = sorted(range(len(g.qubits)), key=lambda p: -g.qubits[p])
-            blocks = self._blocks[g] = _split_block(gate_matrix(g).tolist(), g.qubits, order, 0, 0)
-        return blocks
 
     def _gate_edge(self, b: Optional[_Block], level: int) -> DDEdge:
         """Edge to the matrix DD of block b, times the identity on the other
@@ -336,18 +327,18 @@ class DDBackend:
             return ZERO_EDGE
         return DDEdge(a.w * b.w * cached.w, cached.node)
 
-    def apply_gate(self, g: Gate, v: VectorDD) -> VectorDD:
-        """g applied to v by one walk over v's nodes, without a gate DD.
+    def apply_gate(self, b: dense._Block, v: VectorDD) -> VectorDD:
+        """The planned block b (`dense.plan`) applied to v by one walk over v's
+        nodes, without a gate DD.
 
-        Equals `mult_mv(gate_to_mdd(g, v.n), v)` up to rounding, with the same
-        nodes. The walk's table is cleared per gate, as `mult_mv`'s are.
+        For a block of one gate g this equals `mult_mv(gate_to_mdd(g, v.n), v)`
+        up to rounding, with the same nodes. The walk's table is cleared per
+        block, as `mult_mv`'s are.
         """
-        if any(q >= v.n for q in g.qubits):
+        if b.qubits[0] >= v.n:  # the highest of them
             raise ValueError("gate qubit outside register")
-        if _is_zero(v.root.w):
-            return VectorDD(v.n, ZERO_EDGE)
         self.clear_memo()
-        return VectorDD(v.n, self._apply(self._gate_blocks(g), v.root, v.n - 1))
+        return VectorDD(v.n, self._apply(_block_tree(b), v.root, v.n - 1))
 
     def _apply(self, b: _Block, e: DDEdge, level: int) -> DDEdge:
         """Block b, times the identity on the other qubits, applied to the
@@ -407,9 +398,15 @@ class DDBackend:
     # ---- circuit-level operations -----------------------------------------
 
     def simulate(self, c: Circuit) -> VectorDD:
-        v = self.zero_state_dd(c.num_qubits)
-        for g in c.gates:
-            v = self.apply_gate(g, v)
+        """c on |0...0>: the plan's start from each factor's column 0, then its blocks."""
+        factors, blocks = dense.plan(c)
+        w, node = 1 + 0j, None  # kept off the nodes, which zero a weight below the grid (|+>^80's 2^-40)
+        for level, f in enumerate(factors):
+            e = self._make_node(level, [DDEdge(x, node) for x in f[:, 0].tolist()])
+            w, node = w * e.w, e.node
+        v = VectorDD(c.num_qubits, DDEdge(w, node))
+        for b in blocks:
+            v = self.apply_gate(b, v)
         return v
 
     def composed_mdd(self, m: Miter) -> MatrixDD:

@@ -25,7 +25,8 @@ a state, the column at the input's bit). A later gate joins the latest block
 on its qubits (no later block touches them) if the two span at most two qubits
 and their structural product has at most the denser one's nonzeros per row.
 That product is worked out on the blocks' 0/1 patterns (_fused_pattern), and
-the matrices are multiplied only when the rule allows it.
+the matrices are multiplied only when the rule allows it. dd simulates the
+same plan (plan), one walk of its state DD per block.
 
 The kernel applies one block to a buffer in place. A block on k qubits views
 the buffer as 2^k strided blocks, one per basis value of its qubits, and
@@ -203,7 +204,7 @@ def _fuse(b: _Block, g: _Block) -> bool:
     return True
 
 
-def _plan(c: Circuit) -> tuple[list[np.ndarray], list[_Block]]:
+def plan(c: Circuit) -> tuple[list[np.ndarray], list[_Block]]:
     """c's product-start factors (2x2, one per qubit) and fused blocks in order."""
     factors = [_I2] * c.num_qubits
     blocks: list[_Block] = []
@@ -465,7 +466,7 @@ def simulate(c: Circuit, basis: int = 0) -> StateVector:
     n = c.num_qubits
     if not 0 <= basis < 2**n:
         raise ValueError(f"basis {basis} outside [0, 2^{n})")
-    factors, blocks = _plan(c)
+    factors, blocks = plan(c)
     factors = [f[:, (basis >> q) & 1, None] for q, f in enumerate(factors)]
     return StateVector(n, *_evolve(factors, blocks, (2**n,), f"{n}-qubit dense state"))
 
@@ -510,7 +511,7 @@ def sample(s: StateVector, shots: int, seed: int) -> dict[str, int]:
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """2^n x 2^n unitary of the whole circuit, later gates on the left."""
     n = c.num_qubits
-    return _evolve(*_plan(c), (2**n, 2**n), f"{n}-qubit dense unitary")[0]
+    return _evolve(*plan(c), (2**n, 2**n), f"{n}-qubit dense unitary")[0]
 
 
 def _bit_labels(n: int):

@@ -8,6 +8,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +35,8 @@ class GateKind(Enum):
     CX = "cx"
     CZ = "cz"
     SWAP = "swap"
+
+    __hash__ = object.__hash__  # members are singletons equal only to themselves: hash by id, in C
 
 
 def _phase(p: complex) -> np.ndarray:
@@ -66,6 +69,7 @@ _GATES: dict[GateKind, tuple[GateKind, np.ndarray | Callable[[complex], np.ndarr
 
 PARAMETRIC_KINDS = frozenset(k for k, (_, m) in _GATES.items() if callable(m))
 TWO_QUBIT_KINDS = frozenset(k for k, (_, m) in _GATES.items() if not callable(m) and len(m) == 4)
+_MNEMONICS = {k.value: k for k in GateKind}
 
 
 def gate_arity(kind: GateKind) -> int:
@@ -123,9 +127,9 @@ class Gate:
         arity = gate_arity(self.kind)
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind.value} expects {arity} qubit(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+        if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError("gate qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise ValueError("negative qubit index")
         if (self.angle is not None) != (self.kind in PARAMETRIC_KINDS):
             raise ValueError(f"{self.kind.value}: angle present iff gate is rx/rz")
@@ -141,10 +145,8 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits):
-                raise ValueError(
-                    f"gate {g.kind.value} references qubit outside width {self.num_qubits}"
-                )
+            if max(g.qubits) >= self.num_qubits:
+                raise ValueError(f"gate {g.kind.value} references qubit outside width {self.num_qubits}")
 
 
 def check_basis(bits: str, n: int) -> None:
@@ -166,14 +168,12 @@ def parse_circuit(text: str) -> Circuit:
     significant line must be 'qubits <n>', gate lines are
     '<mnemonic> [<angle>] <q0> [<q1>]' with angles written p/q or p (units of pi).
     """
-    mnemonics = {k.value: k for k in GateKind}
     num_qubits = None
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()  # split strips the same whitespace that strip does
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if num_qubits is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
                 raise ParseError(lineno, "expected 'qubits <n>' header")
@@ -186,7 +186,7 @@ def parse_circuit(text: str) -> Circuit:
             if num_qubits < 1:
                 raise ParseError(lineno, "qubit count must be >= 1")
             continue
-        kind = mnemonics.get(tokens[0])
+        kind = _MNEMONICS.get(tokens[0])
         if kind is None:
             raise ParseError(lineno, f"unknown gate {tokens[0]!r}")
         rest = tokens[1:]
@@ -194,12 +194,12 @@ def parse_circuit(text: str) -> Circuit:
         if kind in PARAMETRIC_KINDS:
             if not rest:
                 raise ParseError(lineno, f"{kind.value} needs an angle")
-            angle = _parse_angle(rest[0], lineno)
+            angle = _parse_angle(rest[0])
+            if angle is None:
+                raise ParseError(lineno, f"malformed angle {rest[0]!r}")
             rest = rest[1:]
         if len(rest) != gate_arity(kind):
-            raise ParseError(
-                lineno, f"{kind.value} expects {gate_arity(kind)} qubit index(es)"
-            )
+            raise ParseError(lineno, f"{kind.value} expects {gate_arity(kind)} qubit index(es)")
         digits = "".join(rest)  # every token is nonempty, so all are digits iff this is
         try:
             if not (digits.isascii() and digits.isdigit()):
@@ -207,7 +207,7 @@ def parse_circuit(text: str) -> Circuit:
             qubits = tuple(map(int, rest))  # also ValueError past Python's 4,300-digit limit
         except ValueError:
             raise ParseError(lineno, "bad qubit index") from None
-        if any(q >= num_qubits for q in qubits):
+        if max(qubits) >= num_qubits:
             raise ParseError(lineno, f"qubit index out of range for width {num_qubits}")
         try:
             gates.append(Gate(kind, qubits, angle))
@@ -218,7 +218,9 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def _parse_angle(token: str, lineno: int) -> Angle:
+@functools.lru_cache(maxsize=1024)
+def _parse_angle(token: str) -> Angle | None:
+    """The angle a token writes, or None if it is malformed."""
     num, slash, den = token.partition("/")
     try:
         # each part ASCII digits after at most one '-': int() also takes '+', '_' and other digits
@@ -227,7 +229,7 @@ def _parse_angle(token: str, lineno: int) -> Angle:
             raise ValueError
         return Angle(int(num), int(den) if slash else 1)
     except ValueError:  # also a zero denominator, or past int()'s digit limit
-        raise ParseError(lineno, f"malformed angle {token!r}") from None
+        return None
 
 
 def render_circuit(c: Circuit) -> str:

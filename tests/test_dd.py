@@ -18,6 +18,7 @@ from qcdesk.errors import WidthMismatchError
 from qcdesk import dd, dense
 from qcdesk.ir import (
     EQUIVALENCE_TOLERANCE,
+    Angle,
     Circuit,
     Gate,
     GateKind,
@@ -91,11 +92,13 @@ def plain_expand(edge: dd.DDEdge, n: int, cols: int) -> np.ndarray:
         for k, e in enumerate(node.edges):
             r, c = divmod(k, cols)
             out[r * h : (r + 1) * h, c * w : (c + 1) * w] = (
-                e.w if e.node is None else e.w * rec(e.node)
+                e.w if e.node is None else np.multiply(e.w, rec(e.node))
             )
         return out
 
-    return edge.w * rec(edge.node)
+    # scalar first, as dd._expand multiplies: numpy computes `w * temporary`
+    # in place, array first, once the temporary reaches 256 KiB
+    return np.multiply(edge.w, rec(edge.node))
 
 
 def matrix_of(m: dd.MatrixDD) -> np.ndarray:
@@ -132,6 +135,16 @@ class TestExpand:
         got = backend.dd_to_vector(v).amps
         assert np.array_equal(got, plain_expand(v.root, n, 1).reshape(-1))
         np.testing.assert_allclose(got, dense.simulate(c).amps, atol=1e-12)
+
+    def test_wide_random_states_bit_for_bit(self):
+        # from n = 14 the oracle's blocks are temporaries numpy would multiply
+        # array first; both sides must stay scalar first
+        n = 16
+        rng = random.Random(29)
+        for _ in range(10):
+            backend = dd.DDBackend()
+            v = backend.simulate(random_circuit(rng, n, 40))
+            assert np.array_equal(backend.dd_to_vector(v).amps, plain_expand(v.root, n, 1).reshape(-1))
 
 
 class TestZeroTest:
@@ -463,7 +476,7 @@ class TestFastPaths:
         # the product stops one level down instead of walking 24 levels
         n = 24
         backend = dd.DDBackend()
-        v = backend.zero_state_dd(n)
+        v = backend.simulate(Circuit(n))
         m = backend.gate_to_mdd(Gate(GateKind.X, (n - 1,)), n)
         with mock.patch.object(backend, "_mult", wraps=backend._mult) as spy:
             out = backend.mult_mv(m, v)
@@ -523,9 +536,77 @@ class TestSimulateDD:
         np.testing.assert_allclose(backend.dd_to_vector(v).amps, BELL_AMPS, atol=1e-12)
 
     def test_empty_circuit(self):
+        # |0000>: one node per level, its edge 1 a 0-stub, every weight 1
         backend = dd.DDBackend()
         v = backend.simulate(Circuit(4))
-        assert v.root.node is backend.zero_state_dd(4).root.node
+        edge, levels = v.root, []
+        while edge.node is not None:
+            assert edge.w == 1
+            assert edge.node.edges[1] is dd.ZERO_EDGE
+            levels.append(edge.node.var)
+            edge = edge.node.edges[0]
+        assert edge.w == 1
+        assert levels == [3, 2, 1, 0]
+        assert len(backend._unique) == 4
+
+    @staticmethod
+    def top_walks(backend: dd.DDBackend, c: Circuit) -> tuple[dd.VectorDD, int]:
+        """The state of c and the number of `_apply` walks its simulation began."""
+        walks = 0
+        apply = backend._apply
+
+        def spy(b, e, level):
+            nonlocal walks
+            walks += level == c.num_qubits - 1  # only a walk's first call is at the top level
+            return apply(b, e, level)
+
+        with mock.patch.object(backend, "_apply", spy):
+            return backend.simulate(c), walks
+
+    def test_one_walk_per_planned_block(self):
+        # a controlled phase as the banded QFT writes it, rz c; rz q; cx c q;
+        # rz q; cx c q, is one block: one walk, not five
+        def phase(c: int, q: int, d: int) -> tuple:
+            rz = lambda k, q: Gate(GateKind.RZ, (q,), Angle(k, 2 ** (d + 1)))
+            return (rz(1, c), rz(1, q), Gate(GateKind.CX, (c, q)), rz(-1, q), Gate(GateKind.CX, (c, q)))
+
+        one = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.H, (1,))) + phase(0, 1, 2))
+        n = 5
+        ladder = Circuit(n, tuple(
+            g for q in range(n - 1, -1, -1)
+            for g in (Gate(GateKind.H, (q,)),) + sum((phase(q - d, q, d) for d in (1, 2) if q - d >= 0), ())
+        ))
+        assert len(dense.plan(one)[1]) == 1
+        assert len(dense.plan(ladder)[1]) < len(ladder.gates) // 4
+        for c in (one, ladder):
+            backend = dd.DDBackend()
+            v, walks = self.top_walks(backend, c)
+            assert walks == len(dense.plan(c)[1])
+            np.testing.assert_allclose(backend.dd_to_vector(v).amps, dense.simulate(c).amps, rtol=0, atol=1e-12)
+
+    def test_one_qubit_gates_build_one_node_per_level(self):
+        # every gate folds into its qubit's factor: the product start is the state
+        rng = random.Random(31)
+        n = 7
+        gates = (random_gate(rng, 1) for _ in range(60))  # one qubit: no two-qubit kinds
+        c = Circuit(n, tuple(Gate(g.kind, (rng.randrange(n),), g.angle) for g in gates))
+        backend = dd.DDBackend()
+        v, walks = self.top_walks(backend, c)
+        assert walks == 0
+        assert len(backend._unique) == dd.node_count(v) == n
+        np.testing.assert_allclose(backend.dd_to_vector(v).amps, dense.simulate(c).amps, rtol=0, atol=1e-12)
+
+    def test_wide_uniform_state_keeps_its_weight(self):
+        # |+> on 80 qubits: every amplitude is 2^-40, far below the weight grid,
+        # and a block applied to it (cx leaves it as it is) must not zero it
+        n = 80
+        plus = tuple(Gate(GateKind.H, (q,)) for q in range(n))
+        for c in (Circuit(n, plus), Circuit(n, plus + (Gate(GateKind.CX, (0, 1)),))):
+            backend = dd.DDBackend()
+            v = backend.simulate(c)
+            assert dd.node_count(v) == n
+            for bits in ("0" * n, "1" * n, "01" * (n // 2)):
+                assert backend.get_amplitude(v, bits) == pytest.approx(2.0**-40, rel=1e-12)
 
     def test_unitarity_preserved(self):
         rng = random.Random(59)
@@ -704,14 +785,14 @@ class TestStats:
 
 
 PINNED_STATS = [
-    "nodes=27 root_weight=-0.12500000000000017,-0.30177669529663681",
-    "nodes=3 root_weight=-0.45043249495181925,-0.11892573582431866",
-    "nodes=5 root_weight=-0.30618621784789679,0.53033008588991026",
-    "nodes=25 root_weight=0.036611652351681512,-0.088388347648318391",
-    "nodes=19 root_weight=-0.078018930083296523,-0.015518930083296453",
-    "nodes=17 root_weight=-0.042358142349216692,0.078324885330925784",
-    "nodes=19 root_weight=-6.9388939039072284e-17,-0.15088834764831838",
-    "nodes=12 root_weight=-0.021225004786385684,-0.073450078293249357",
+    "nodes=27 root_weight=-0.12500000000000006,-0.3017766952966367",
+    "nodes=3 root_weight=-0.45043249495181958,-0.11892573582431885",
+    "nodes=5 root_weight=-0.30618621784789707,0.5303300858899106",
+    "nodes=25 root_weight=0.036611652351681533,-0.088388347648318349",
+    "nodes=19 root_weight=-0.078018930083296509,-0.015518930083296458",
+    "nodes=17 root_weight=-0.042358142349216685,0.078324885330925825",
+    "nodes=19 root_weight=-1.1102230246251565e-16,-0.1508883476483184",
+    "nodes=12 root_weight=-0.021225004786385653,-0.073450078293249343",
 ]
 
 
@@ -752,13 +833,14 @@ class TestComputeTables:
 
 
 class TestApplyGate:
-    """`apply_gate` walks the state DD; the gate DD product is its reference."""
+    """`apply_gate` walks the state DD with a planned block; on a block of one
+    gate, the gate DD product is its reference."""
 
     @staticmethod
     def assert_matches_product(n: int, g: Gate, prefix: Circuit):
         backend = dd.DDBackend()
         v = backend.simulate(prefix)
-        got = backend.apply_gate(g, v)
+        got = backend.apply_gate(dense._gate_block(g), v)
         want = backend.mult_mv(backend.gate_to_mdd(g, n), v)
         assert dd.node_count(got) == dd.node_count(want)
         np.testing.assert_allclose(
@@ -788,7 +870,7 @@ class TestApplyGate:
     def test_rejects_a_qubit_outside_the_register(self):
         backend = dd.DDBackend()
         with pytest.raises(ValueError):
-            backend.apply_gate(Gate(GateKind.CX, (0, 3)), backend.zero_state_dd(3))
+            backend.apply_gate(dense._gate_block(Gate(GateKind.CX, (0, 3))), backend.simulate(Circuit(3)))
 
     def test_simulate_builds_no_gate_dds(self):
         backend = dd.DDBackend()

@@ -367,7 +367,7 @@ def count_kernel_passes(mp) -> list:
 
 
 def leading_monomial_blocks(c: Circuit) -> int:
-    blocks = dense._plan(c)[1]
+    blocks = dense.plan(c)[1]
     return next((i for i, b in enumerate(blocks) if b.density > 1), len(blocks))
 
 
@@ -379,7 +379,7 @@ def bench_statevector_circuit(mp, seed: int) -> Circuit:
 
 
 def planned_blocks(c: Circuit) -> list:
-    """(block, the gates fused into it) for each block of dense._plan(c),
+    """(block, the gates fused into it) for each block of dense.plan(c),
     recorded from its calls to _gate_block and _fuse."""
     gates = {}  # id(block) -> its gates; a live block's id names no other
     gate_block, fuse = dense._gate_block, dense._fuse
@@ -398,7 +398,7 @@ def planned_blocks(c: Circuit) -> list:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense, "_gate_block", recorded_block)
         mp.setattr(dense, "_fuse", recorded_fuse)
-        blocks = dense._plan(c)[1]
+        blocks = dense.plan(c)[1]
     return [(b, gates[id(b)]) for b in blocks]
 
 
@@ -439,7 +439,7 @@ class TestFusedPasses:
         passes = count_kernel_passes(monkeypatch)
         dense.simulate(c)
         assert len(c.gates) == 200
-        assert leading_monomial_blocks(c) == len(dense._plan(c)[1]) == 68
+        assert leading_monomial_blocks(c) == len(dense.plan(c)[1]) == 68
         assert passes == []
 
     @pytest.mark.parametrize("case", ["hand", "bench"])
@@ -450,7 +450,7 @@ class TestFusedPasses:
         else:  # h joins the last block on qubit 0 of the bench circuit
             c = bench_statevector_circuit(monkeypatch, 1)
             c = Circuit(c.num_qubits, c.gates + (Gate(h, (0,)),))
-        blocks = dense._plan(c)[1]
+        blocks = dense.plan(c)[1]
         lead = leading_monomial_blocks(c)
         assert 0 < lead < len(blocks)
         with pytest.MonkeyPatch.context() as mp:
@@ -478,7 +478,7 @@ class TestSupportPhase:
     def test_matches_the_kernel_only_path(self, c, data):
         n = c.num_qubits
         basis = data.draw(st.integers(0, 2**n - 1))
-        factors, blocks = dense._plan(c)
+        factors, blocks = dense.plan(c)
         lead = leading_monomial_blocks(c)
 
         def run(share):
@@ -541,11 +541,11 @@ class TestSupportPhase:
         c = Circuit(n, tuple(gates))
         passes = count_kernel_passes(monkeypatch)
         peak = traced_peak(lambda: dense.simulate(c))
-        assert len(passes) == len(dense._plan(c)[1]) == n - 1
+        assert len(passes) == len(dense.plan(c)[1]) == n - 1
         # the kernel's scratch is O(_SLICE); the support phase would add 40 bytes an amplitude
         assert peak <= 16 * 2**n + 16 * 4 * dense._SLICE + (1 << 18)
 
-    # Exhaustive blocks on a start that _plan is patched to return. The kernel
+    # Exhaustive blocks on a start that plan is patched to return. The kernel
     # also multiplies the entries outside the support, which the support path
     # never writes, so neither path may make a zero of negative sign: 0 * (-1)
     # is -0.0. The factors' phases add up to less than pi/2, so no product in
@@ -587,7 +587,7 @@ class TestSupportPhase:
         block = dense._Block(tuple(sorted(listed, reverse=True)), m, pattern, 1)
         c = Circuit(len(self.START))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dense, "_plan", lambda _: (list(self.START), [block]))
+            mp.setattr(dense, "plan", lambda _: (list(self.START), [block]))
             passes = count_kernel_passes(mp)
             got = dense.simulate(c, self.BASIS).amps, dense.circuit_unitary(c)
             assert passes == [], label  # both starts are at most an eighth of their buffer
@@ -633,8 +633,8 @@ class TestSupportPhase:
             """Simulate gates, with the trailing h if buffered; the run's blocks."""
             c = Circuit(n, tuple(gates))
             if buffered:
-                c = Circuit(n, c.gates + (Gate(GateKind.H, (dense._plan(c)[1][-1].qubits[0],)),))
-            plan = dense._plan(c)[1]
+                c = Circuit(n, c.gates + (Gate(GateKind.H, (dense.plan(c)[1][-1].qubits[0],)),))
+            plan = dense.plan(c)[1]
             run = plan[: leading_monomial_blocks(c)]
             assert run and len(plan) - len(run) == buffered
             reads.clear()
@@ -696,7 +696,7 @@ class TestSupportForm:
     def test_every_output_equals_the_buffer_paths(self, c, data, shots, seed, piece):
         n = c.num_qubits
         basis = data.draw(st.integers(0, 2**n - 1))
-        factors, blocks = dense._plan(c)
+        factors, blocks = dense.plan(c)
         support = math.prod(np.count_nonzero(f[:, (basis >> q) & 1]) for q, f in enumerate(factors))
         assert all(b.density == 1 for b in blocks)
         # every index up to 2^8 of them, else 256 drawn ones

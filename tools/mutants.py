@@ -58,6 +58,9 @@ MUTANTS = [
     ("dd.py", "half = top[(2 * slot + k) * h : (2 * slot + k + 1) * h]", "half = top[(slot + k) * h : (slot + k + 1) * h]"),
     ("dd.py", "np.multiply(e.w, below[child : child + h], out=half)",
      "np.multiply(node.edges[0].w, below[child : child + h], out=half)"),
+    # DD simulation of the plan: the start's column and the block tree's split order
+    ("dd.py", "DDEdge(x, node) for x in f[:, 0]", "DDEdge(x, node) for x in f[:, 1]"),
+    ("dd.py", "[0, 1][: len(b.qubits)]", "[0, 1][: len(b.qubits)][::-1]"),
     # the dense kernel's index arithmetic and the product start
     ("dense.py", "shape + (1 << (top - 1 - q), 2), q", "shape + (1 << (top - q), 2), q"),
     ("dense.py", "for r in range(c + 1, d)))", "for r in range(c + 2, d)))"),
