@@ -17,11 +17,9 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_CAPACITY = 70
 
-# without --full, a line is printed when its correctly rounded magnitude exceeds
-# this. np.abs can read a few ulps low, so it only picks the candidates, from a
-# threshold about 9 ulps lower, and np.hypot (correctly rounded) decides on them.
+# without --full, a line is printed when its correctly rounded magnitude
+# (np.hypot; np.abs can read a few ulps low) exceeds this
 _COMPACT_EPS = 1e-12
-_CANDIDATE_EPS = _COMPACT_EPS * (1 - 2**-49)
 # numpy's multinomial counts shots in an int64
 _MAX_SHOTS = 2**63 - 1
 
@@ -95,8 +93,7 @@ def _load(path: str) -> Circuit:
 def _printed(pieces):
     """The entries of pieces that the compact dump prints, a piece at a time."""
     for idx, vals in pieces:
-        keep = np.flatnonzero(np.abs(vals) > _CANDIDATE_EPS)
-        keep = keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]
+        keep = np.flatnonzero(np.hypot(vals.real, vals.imag) > _COMPACT_EPS)
         yield idx[keep], vals[keep]
 
 

@@ -2,19 +2,20 @@
 
 A matrix DD quarters its matrix level by level (q_{n-1} at the top) into 2 x 2
 sub-blocks, row-major; a vector DD is a one-column matrix DD, halving the
-amplitude vector into 2 x 1 sub-blocks. One multiply and one adder serve
-both, reading the column count off the node. Equal sub-blocks are shared
+amplitude vector into 2 x 1 sub-blocks. One multiply (`_mult`) and one adder
+serve both, reading the column count off the node. Equal sub-blocks are shared
 through a unique table and common factors live on edge weights. Diagrams here
 are quasi-reduced: every nonzero edge below level v points to a node at
 exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 
 Simulation runs dense's plan (`dense.plan`): the product start, one node per
-level, then each fused block applied to the state DD directly
-(`DDBackend.apply_gate`): one walk rebuilds the nodes above the block's qubits
-and splits its matrix into 2 x 2 blocks at each of them, so no gate DD is
-built. The multiply serves matrix products and equivalence checking. Reads of
-a whole diagram (node count, trace, magnitudes, a state's amplitudes into two
-2^n buffers) walk it level by level (`_levels`), so no diagram is too deep.
+level, then each fused block applied to the state DD (`DDBackend.apply_gate`).
+A block becomes a small matrix DD over its own qubits (`_split_block`), and
+the same multiply applies it: a block node below the walk's level is the
+identity there, so no n-level gate DD is built. One walk thus serves vectors,
+matrices and planned blocks. Reads of a whole diagram (node count, trace,
+magnitudes, a state's amplitudes into two 2^n buffers) walk it level by level
+(`_levels`), so no diagram is too deep.
 
 Equivalence checking composes U2^dagger U1 from the miter every method
 decides on (`ir.Miter`: c1 then c2's inverse, less the gates that cancel), from
@@ -87,62 +88,46 @@ def _is_zero(w: complex) -> bool:
     return abs(w.real) < _ZERO_BELOW and abs(w.imag) < _ZERO_BELOW
 
 
-class _Block(NamedTuple):
-    """A block of a gate matrix over the gate qubits at or below `var`.
-
-    var >= 0: the four quarters over qubit var, row-major, each a `_Block`
-    over the next lower gate qubit or None for a zero block. var == -1: the
-    1 x 1 block w.
-    """
-
-    var: int
-    w: complex
-    quarters: tuple
+_IDENTITY_EDGE = DDEdge(1 + 0j, None)  # the identity block of any size
 
 
-_IDENTITY_BLOCK = _Block(-1, 1 + 0j, ())  # the identity block of any size
-
-
-def _split_block(rows: list, qubits: tuple, order: list[int], r0: int, c0: int) -> Optional[_Block]:
-    """The block tree of the gate matrix `rows` over the positions in `order`,
-    at row and column bits r0 and c0 for the positions already split; None
-    if the block is zero."""
-    if not order:
+def _split_block(rows: list, qubits: tuple, r0: int = 0, c0: int = 0) -> DDEdge:
+    """The block DD of the gate matrix `rows` over `qubits` (descending), at
+    row and column bits r0 and c0 of the qubits already split: a node per
+    split qubit, each entered through an edge of weight exactly 1, and leaves
+    (edges with no node) for a weight times the identity below. The nodes are
+    not hash-consed; only `_mult` and `_gate_edge` read them."""
+    if not qubits:
         w = rows[r0][c0]
         if _is_zero(w):
-            return None
-        return _IDENTITY_BLOCK if w == 1 else _Block(-1, w, ())
-    bit = 1 << (len(qubits) - 1 - order[0])
-    rest = order[1:]
+            return ZERO_EDGE
+        return _IDENTITY_EDGE if w == 1 else DDEdge(w, None)
+    bit = 1 << (len(qubits) - 1)
+    rest = qubits[1:]
     q = (
-        _split_block(rows, qubits, rest, r0, c0),
-        _split_block(rows, qubits, rest, r0, c0 | bit),
-        _split_block(rows, qubits, rest, r0 | bit, c0),
-        _split_block(rows, qubits, rest, r0 | bit, c0 | bit),
+        _split_block(rows, rest, r0, c0),
+        _split_block(rows, rest, r0, c0 | bit),
+        _split_block(rows, rest, r0 | bit, c0),
+        _split_block(rows, rest, r0 | bit, c0 | bit),
     )
-    if q[0] is _IDENTITY_BLOCK and q[3] is _IDENTITY_BLOCK and q[1] is None and q[2] is None:
-        return _IDENTITY_BLOCK
-    if q == (None,) * 4:
-        return None
-    return _Block(qubits[order[0]], 0j, q)
-
-
-def _block_tree(b: dense._Block) -> Optional[_Block]:
-    """The block tree of a planned block (or `dense._gate_block(g)`), split from its highest qubit down."""
-    return _split_block(b.matrix.tolist(), b.qubits, [0, 1][: len(b.qubits)], 0, 0)
+    if q[0] is _IDENTITY_EDGE and q[3] is _IDENTITY_EDGE and q[1] is ZERO_EDGE and q[2] is ZERO_EDGE:
+        return _IDENTITY_EDGE
+    if q == (ZERO_EDGE,) * 4:
+        return ZERO_EDGE
+    return DDEdge(1 + 0j, _Node(qubits[0], q))
 
 
 class DDBackend:
     """One unique table plus compute tables and a gate cache; confine to one thread.
 
-    `simulate` applies each block of dense's plan with one walk of the state
-    DD (`apply_gate`); gate DDs and their products serve `composed_mdd`.
-    Every operation that fills the compute tables (`apply_gate`, `mult_mv`,
-    `mult_mm`) starts from empty ones, so a table holds only what the current
-    operation computed, keyed by the ids of nodes that live at least as long
-    as the operation. Gate DDs are cached per (gate, width) and `_make_node`'s
-    grid keys per scaled weight, both for the backend's lifetime (equal
-    weights have equal keys, so no key changes).
+    `simulate` applies each block of dense's plan as a block DD (`apply_gate`),
+    and `composed_mdd` multiplies gate DDs, both through the one product walk
+    `_mult`. Every operation that fills the compute tables (`apply_gate`,
+    `mult_mv`, `mult_mm`) starts from empty ones, so a table holds only what
+    the current operation computed, keyed by the ids of nodes that live at
+    least as long as the operation. Gate DDs are cached per (gate, width) and
+    `_make_node`'s grid keys per scaled weight, both for the backend's
+    lifetime (equal weights have equal keys, so no key changes).
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -154,9 +139,8 @@ class DDBackend:
         self._keys: dict[complex, tuple[float, float]] = {}  # weight -> _key_weight(weight)
         self._memo_mult: dict = {}
         self._memo_add: dict = {}
-        self._memo_apply: dict = {}
         self._gates: dict[tuple[Gate, int], MatrixDD] = {}
-        self._identity: list[DDEdge] = [DDEdge(1.0 + 0j, None)]  # by qubit count
+        self._identity: list[DDEdge] = [_IDENTITY_EDGE]  # by qubit count
 
     # ---- node construction -------------------------------------------------
 
@@ -198,7 +182,6 @@ class DDBackend:
     def clear_memo(self):
         self._memo_mult.clear()
         self._memo_add.clear()
-        self._memo_apply.clear()
 
     # ---- vector DDs --------------------------------------------------------
 
@@ -226,18 +209,19 @@ class DDBackend:
             return cached
         if any(q >= n for q in g.qubits):
             raise ValueError("gate qubit outside register")
-        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(_block_tree(dense._gate_block(g)), n - 1))
+        b = dense._gate_block(g)
+        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(_split_block(b.matrix.tolist(), b.qubits), n - 1))
         return out
 
-    def _gate_edge(self, b: Optional[_Block], level: int) -> DDEdge:
-        """Edge to the matrix DD of block b, times the identity on the other
-        qubits, at `level`."""
-        if b is None:
-            return ZERO_EDGE
-        if b.var < 0:
-            return DDEdge(b.w, self._identity_edge(level + 1).node)
-        if level == b.var:
-            return self._make_node(level, [self._gate_edge(q, level - 1) for q in b.quarters])
+    def _gate_edge(self, b: DDEdge, level: int) -> DDEdge:
+        """The canonical edge, at `level`, of the block DD b (`_split_block`)
+        times the identity on the other qubits: a leaf becomes its weight on
+        the identity chain there."""
+        node = b.node
+        if node is None:
+            return b if b is ZERO_EDGE else DDEdge(b.w, self._identity_edge(level + 1).node)
+        if level == node.var:
+            return self._make_node(level, [self._gate_edge(q, level - 1) for q in node.edges])
         sub = self._gate_edge(b, level - 1)
         return self._make_node(level, [sub, ZERO_EDGE, ZERO_EDGE, sub])
 
@@ -282,118 +266,94 @@ class DDBackend:
         return out
 
     def _mult(self, a: DDEdge, b: DDEdge, level: int) -> DDEdge:
-        """Product of a square matrix DD and a 2^n x cols^n DD (cols 1 or 2).
+        """Product of a square matrix DD a and a 2^n x cols^n DD b (cols 1 or
+        2), both nonzero, at `level`: the one product walk, for gate DDs,
+        composed matrices and planned blocks alike.
 
-        A factor whose node is the identity chain's node at this level is the
-        identity below it (hash-consing makes that node the only one of its
-        shape), so the product is the other factor's node without a walk. A
+        b is canonical. a is canonical too, or, when b is a vector, a block DD
+        (`_split_block`): a block node whose var is below `level` is the
+        identity there, so the walk maps its edge, as it is, over b's two. A
+        raw block node is therefore always entered through an edge of weight
+        exactly 1, which the compute table needs, as it keys on node ids only.
+        An edge with no node is its weight times the identity below (the
+        terminal too): it scales b, and the shared identity edge returns b
+        itself. A factor whose node is the identity chain's node at this level
+        (hash-consing makes it the only node of its shape) is likewise the
+        identity, so the product is the other factor's node without a walk. A
         0-stub factor or partial product is skipped rather than multiplied or
         added, and a zero product is returned as `ZERO_EDGE` itself, so the
-        callers' skips see it: `_make_node` zeroes whatever `_is_zero` accepts
-        either way.
+        callers' skips see it. Every node of the result comes from `_make_node`.
         """
-        if _is_zero(a.w) or _is_zero(b.w):
-            return ZERO_EDGE
-        if level < 0:
-            return DDEdge(a.w * b.w, None)
-        if level + 1 < len(self._identity):
-            ident = self._identity[level + 1].node
-            if a.node is ident:
-                return DDEdge(a.w * b.w, b.node)
-            if b.node is ident:
-                return DDEdge(a.w * b.w, a.node)
-        key = (id(a.node), id(b.node))
+        an = a.node
+        if an is None:
+            return b if a is _IDENTITY_EDGE else DDEdge(a.w * b.w, b.node)
+        bn = b.node
+        key = (id(an), id(bn))
         cached = self._memo_mult.get(key)
         if cached is None:
-            ae, be = a.node.edges, b.node.edges
-            cols = len(be) // 2
-            blocks = []
-            for r in (0, 1):
-                a0, a1 = ae[2 * r], ae[2 * r + 1]
-                for c in range(cols):
-                    b0, b1 = be[c], be[cols + c]
-                    p0 = p1 = ZERO_EDGE
-                    if a0 is not ZERO_EDGE and b0 is not ZERO_EDGE:
-                        p0 = self._mult(a0, b0, level - 1)
-                    if a1 is not ZERO_EDGE and b1 is not ZERO_EDGE:
-                        p1 = self._mult(a1, b1, level - 1)
-                    if p0 is ZERO_EDGE or p1 is ZERO_EDGE:
-                        blocks.append(p1 if p0 is ZERO_EDGE else p0)
-                    else:
-                        blocks.append(self.add(p0, p1, level - 1))
+            be = bn.edges
+            if an.var < level:
+                e0, e1 = be
+                blocks = [
+                    e0 if e0 is ZERO_EDGE else self._mult(a, e0, level - 1),
+                    e1 if e1 is ZERO_EDGE else self._mult(a, e1, level - 1),
+                ]
+            else:
+                if level + 1 < len(self._identity):
+                    ident = self._identity[level + 1].node
+                    if an is ident:
+                        return DDEdge(a.w * b.w, bn)
+                    if bn is ident:  # so a is canonical: a block DD multiplies vectors only
+                        return DDEdge(a.w * b.w, an)
+                ae = an.edges
+                cols = len(be) // 2
+                blocks = []
+                for r in (0, 2):
+                    a0, a1 = ae[r], ae[r + 1]
+                    for c in range(cols):
+                        b0, b1 = be[c], be[cols + c]
+                        p0 = p1 = ZERO_EDGE
+                        if a0 is not ZERO_EDGE and b0 is not ZERO_EDGE:
+                            p0 = self._mult(a0, b0, level - 1)
+                        if a1 is not ZERO_EDGE and b1 is not ZERO_EDGE:
+                            p1 = self._mult(a1, b1, level - 1)
+                        if p0 is ZERO_EDGE or p1 is ZERO_EDGE:
+                            blocks.append(p1 if p0 is ZERO_EDGE else p0)
+                        else:
+                            blocks.append(self.add(p0, p1, level - 1))
             cached = self._make_node(level, blocks)
             self._memo_mult[key] = cached
-        if cached is ZERO_EDGE:
+        if cached is ZERO_EDGE:  # e.g. |0><0| on a control qubit, where b's control is 1
             return ZERO_EDGE
         return DDEdge(a.w * b.w * cached.w, cached.node)
 
+    def _product(self, a: DDEdge, b: DDEdge, n: int) -> DDEdge:
+        """a @ b over n qubits, from empty compute tables; a zero factor gives `ZERO_EDGE`."""
+        self.clear_memo()
+        return ZERO_EDGE if a.w == 0 or b.w == 0 else self._mult(a, b, n - 1)
+
     def apply_gate(self, b: dense._Block, v: VectorDD) -> VectorDD:
-        """The planned block b (`dense.plan`) applied to v by one walk over v's
-        nodes, without a gate DD.
+        """The planned block b (`dense.plan`) applied to v: b's block DD over
+        its own qubits (`_split_block`) times v in one `_mult` walk, without
+        the n-level gate DD.
 
         For a block of one gate g this equals `mult_mv(gate_to_mdd(g, v.n), v)`
-        up to rounding, with the same nodes. The walk's table is cleared per
-        block, as `mult_mv`'s are.
+        up to rounding, with the same nodes.
         """
         if b.qubits[0] >= v.n:  # the highest of them
             raise ValueError("gate qubit outside register")
-        self.clear_memo()
-        return VectorDD(v.n, self._apply(_block_tree(b), v.root, v.n - 1))
-
-    def _apply(self, b: _Block, e: DDEdge, level: int) -> DDEdge:
-        """Block b, times the identity on the other qubits, applied to the
-        nonzero edge e of a vector DD at `level`.
-
-        Above b's qubit each node is rebuilt from its transformed successors;
-        at it, each half of the result sums the quarters' products with the
-        two successors. An identity block returns e as it is, a 1 x 1 block
-        scales its weight, and a zero block or 0-stub adds nothing.
-        """
-        if b is _IDENTITY_BLOCK:
-            return e
-        if b.var < 0:
-            return DDEdge(e.w * b.w, e.node)
-        node = e.node
-        key = (id(node), id(b))
-        cached = self._memo_apply.get(key)
-        if cached is None:
-            e0, e1 = node.edges
-            if level > b.var:
-                halves = [
-                    e0 if e0 is ZERO_EDGE else self._apply(b, e0, level - 1),
-                    e1 if e1 is ZERO_EDGE else self._apply(b, e1, level - 1),
-                ]
-            else:
-                halves = []
-                q = b.quarters
-                for r in (0, 2):
-                    p0 = p1 = ZERO_EDGE
-                    if q[r] is not None and e0 is not ZERO_EDGE:
-                        p0 = self._apply(q[r], e0, level - 1)
-                    if q[r + 1] is not None and e1 is not ZERO_EDGE:
-                        p1 = self._apply(q[r + 1], e1, level - 1)
-                    if p0 is ZERO_EDGE or p1 is ZERO_EDGE:
-                        halves.append(p1 if p0 is ZERO_EDGE else p0)
-                    else:
-                        halves.append(self.add(p0, p1, level - 1))
-            cached = self._make_node(level, halves)
-            self._memo_apply[key] = cached
-        if cached is ZERO_EDGE:  # e.g. |0><0| on a control qubit, where e's control is 1
-            return ZERO_EDGE
-        return DDEdge(e.w * cached.w, cached.node)
+        return VectorDD(v.n, self._product(_split_block(b.matrix.tolist(), b.qubits), v.root, v.n))
 
     def mult_mv(self, m: MatrixDD, v: VectorDD) -> VectorDD:
         if m.n != v.n:
             raise WidthMismatchError("matrix and vector widths differ")
-        self.clear_memo()
-        return VectorDD(v.n, self._mult(m.root, v.root, v.n - 1))
+        return VectorDD(v.n, self._product(m.root, v.root, v.n))
 
     def mult_mm(self, a: MatrixDD, b: MatrixDD) -> MatrixDD:
         """a @ b, with the compute tables cleared first, as `mult_mv` clears them."""
         if a.n != b.n:
             raise WidthMismatchError("matrix widths differ")
-        self.clear_memo()
-        return MatrixDD(a.n, self._mult(a.root, b.root, a.n - 1))
+        return MatrixDD(a.n, self._product(a.root, b.root, a.n))
 
     # ---- circuit-level operations -----------------------------------------
 

@@ -341,6 +341,15 @@ class TestArithmetic:
                 atol=1e-10,
             )
 
+    def test_a_zero_factor_gives_the_zero_edge(self):
+        backend = dd.DDBackend()
+        zero = dd.VectorDD(2, dd.ZERO_EDGE)
+        h = Gate(GateKind.H, (0,))
+        m = backend.gate_to_mdd(h, 2)
+        assert backend.mult_mv(m, zero).root is dd.ZERO_EDGE
+        assert backend.mult_mm(dd.MatrixDD(2, dd.ZERO_EDGE), m).root is dd.ZERO_EDGE
+        assert backend.apply_gate(dense._gate_block(h), zero).root is dd.ZERO_EDGE
+
     def test_mult_mm_involutions(self):
         backend = dd.DDBackend()
         x = backend.gate_to_mdd(Gate(GateKind.X, (0,)), 1)
@@ -551,16 +560,16 @@ class TestSimulateDD:
 
     @staticmethod
     def top_walks(backend: dd.DDBackend, c: Circuit) -> tuple[dd.VectorDD, int]:
-        """The state of c and the number of `_apply` walks its simulation began."""
+        """The state of c and the number of `_mult` walks its simulation began."""
         walks = 0
-        apply = backend._apply
+        mult = backend._mult
 
-        def spy(b, e, level):
+        def spy(a, b, level):
             nonlocal walks
             walks += level == c.num_qubits - 1  # only a walk's first call is at the top level
-            return apply(b, e, level)
+            return mult(a, b, level)
 
-        with mock.patch.object(backend, "_apply", spy):
+        with mock.patch.object(backend, "_mult", spy):
             return backend.simulate(c), walks
 
     def test_one_walk_per_planned_block(self):
@@ -598,15 +607,18 @@ class TestSimulateDD:
 
     def test_wide_uniform_state_keeps_its_weight(self):
         # |+> on 80 qubits: every amplitude is 2^-40, far below the weight grid,
-        # and a block applied to it (cx leaves it as it is) must not zero it
+        # and neither a block applied to it (cx leaves it as it is) nor a gate
+        # DD's product with it (x on one qubit, likewise) may zero it
         n = 80
         plus = tuple(Gate(GateKind.H, (q,)) for q in range(n))
         for c in (Circuit(n, plus), Circuit(n, plus + (Gate(GateKind.CX, (0, 1)),))):
             backend = dd.DDBackend()
             v = backend.simulate(c)
-            assert dd.node_count(v) == n
-            for bits in ("0" * n, "1" * n, "01" * (n // 2)):
-                assert backend.get_amplitude(v, bits) == pytest.approx(2.0**-40, rel=1e-12)
+            for d in (v, backend.mult_mv(backend.gate_to_mdd(Gate(GateKind.X, (0,)), n), v)):
+                assert d.root.w == pytest.approx(2.0**-40, rel=1e-12)
+                assert dd.node_count(d) == n
+                for bits in ("0" * n, "1" * n, "01" * (n // 2)):
+                    assert backend.get_amplitude(d, bits) == pytest.approx(2.0**-40, rel=1e-12)
 
     def test_unitarity_preserved(self):
         rng = random.Random(59)
@@ -651,6 +663,24 @@ class TestCanonicity:
             assert sig not in seen, "two distinct nodes share a signature"
             seen[sig] = id(node)
             stack.extend(e.node for e in node.edges)
+
+    @staticmethod
+    def assert_in_unique_table(backend: dd.DDBackend, d: dd.VectorDD):
+        unique = {id(node) for node in backend._unique.values()}
+        assert all(id(node) in unique for level in dd._levels(d.root.node) for node in level)
+
+    def test_block_nodes_never_reach_a_state(self):
+        # a block DD's nodes are not hash-consed, so a walk that returned one
+        # would leave a node outside the unique table in the state
+        rng = random.Random(89)
+        for _ in range(30):
+            n = rng.randrange(1, 7)
+            backend = dd.DDBackend()
+            v = backend.simulate(random_circuit(rng, n, 30))
+            self.assert_in_unique_table(backend, v)
+            for _ in range(5):
+                v = backend.apply_gate(dense._gate_block(random_gate(rng, n)), v)
+                self.assert_in_unique_table(backend, v)
 
 
 class TestEquivalence:
@@ -823,13 +853,13 @@ class TestComputeTables:
 
         def spy(a, b, level):
             if level == n - 1:  # only a product's first call is at the top level
-                sizes.append((len(backend._memo_mult), len(backend._memo_add), len(backend._memo_apply)))
+                sizes.append((len(backend._memo_mult), len(backend._memo_add)))
             return mult(a, b, level)
 
         with mock.patch.object(backend, "_mult", spy):
             backend.composed_mdd(uncancelled(c1, c2))
         assert len(sizes) == len(c1.gates) + len(c2.gates)
-        assert set(sizes) == {(0, 0, 0)}
+        assert set(sizes) == {(0, 0)}
 
 
 class TestApplyGate:

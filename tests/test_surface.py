@@ -9,8 +9,13 @@ name is no caller: it is referred to by a name in its own module, an import
 from its module, `<module>.<name>`, or a dotted string naming both, such as
 the span "dense.apply_gate". Dunder methods are called by Python itself. An
 oracle that only tests call stays when its test is the point of keeping it;
-ORACLES names that test."""
+ORACLES names that test.
+
+Each source mutant of tools/mutants.py names a string that occurs exactly
+once in its file, so a change to the source that orphans a mutant fails here,
+not only in the mutant run."""
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +90,10 @@ def test_each_oracle_is_unused_and_its_test_calls_it():
         for part in path:
             (node,) = [d for d in node.body if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name == part]
         assert name in {n for _, n, _ in references(node)}, test
+
+
+def test_each_mutant_string_occurs_once():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools/mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.orphans(ROOT) == []

@@ -51,16 +51,19 @@ MUTANTS = [
     ("dd.py", "                w = e.w / norm", "                w = e.w * norm"),
     ("dd.py", "_GRID_DECIMALS = 10", "_GRID_DECIMALS = 6"),
     ("dd.py", "            w = a.w + b.w", "            w = a.w - b.w"),
-    ("dd.py", "if a.node is ident:\n                return DDEdge(a.w * b.w, b.node)",
-     "if a.node is ident:\n                return DDEdge(b.w, b.node)"),
-    ("dd.py", "            if level > b.var:", "            if level >= b.var:"),
+    # the one product walk: the identity cut-off, a block node above its
+    # qubit, and a leaf of a block DD
+    ("dd.py", "if an is ident:\n                        return DDEdge(a.w * b.w, bn)",
+     "if an is ident:\n                        return DDEdge(b.w, bn)"),
+    ("dd.py", "            if an.var < level:", "            if an.var <= level:"),
+    ("dd.py", "else DDEdge(a.w * b.w, b.node)", "else DDEdge(b.w, b.node)"),
     # the level-by-level expansion: a node's block offset and its edges' weights
     ("dd.py", "half = top[(2 * slot + k) * h : (2 * slot + k + 1) * h]", "half = top[(slot + k) * h : (slot + k + 1) * h]"),
     ("dd.py", "np.multiply(e.w, below[child : child + h], out=half)",
      "np.multiply(node.edges[0].w, below[child : child + h], out=half)"),
-    # DD simulation of the plan: the start's column and the block tree's split order
+    # DD simulation of the plan: the start's column and the block DD's split order
     ("dd.py", "DDEdge(x, node) for x in f[:, 0]", "DDEdge(x, node) for x in f[:, 1]"),
-    ("dd.py", "[0, 1][: len(b.qubits)]", "[0, 1][: len(b.qubits)][::-1]"),
+    ("dd.py", "bit = 1 << (len(qubits) - 1)", "bit = 1"),
     # the dense kernel's index arithmetic and the product start
     ("dense.py", "shape + (1 << (top - 1 - q), 2), q", "shape + (1 << (top - q), 2), q"),
     ("dense.py", "for r in range(c + 1, d)))", "for r in range(c + 2, d)))"),
@@ -109,11 +112,19 @@ MUTANTS = [
     ("zx.py", "GateKind.RX: ((SpiderColor.X, None),)", "GateKind.RX: ((SpiderColor.Z, None),)"),
     ("zx.py", "GateKind.CZ: (SpiderColor.Z, HADAMARD)", "GateKind.CZ: (SpiderColor.Z, PLAIN)"),
     ("zx.py", "GateKind.CX: (SpiderColor.X, PLAIN)", "GateKind.CX: (SpiderColor.Z, PLAIN)"),
-    # the compact rule: candidates from np.abs, confirmed by np.hypot
-    ("cli.py", "keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]",
-     "keep[np.abs(vals[keep]) > _COMPACT_EPS]"),
-    ("cli.py", "        keep = keep[np.hypot(vals.real[keep], vals.imag[keep]) > _COMPACT_EPS]\n", ""),
+    # the compact rule: correctly rounded magnitudes
+    ("cli.py", "np.hypot(vals.real, vals.imag) > _COMPACT_EPS", "np.abs(vals) > _COMPACT_EPS"),
 ]
+
+
+def orphans(root: Path) -> list[str]:
+    """A line for each mutant whose string does not occur exactly once in its file under root."""
+    found = []
+    for file, old, _ in MUTANTS:
+        count = (root / "src/qcdesk" / file).read_text().count(old)
+        if count != 1:
+            found.append(f"{file}: {old!r} occurs {count} times, not once")
+    return found
 
 
 def main() -> int:
@@ -121,11 +132,11 @@ def main() -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_run", ".bench_out"))
-        for file, old, _ in MUTANTS:
-            count = (tree / "src/qcdesk" / file).read_text().count(old)
-            if count != 1:
-                print(f"error: {file}: {old!r} occurs {count} times, not once", file=sys.stderr)
-                return 2
+        missing = orphans(tree)
+        for line in missing:
+            print(f"error: {line}", file=sys.stderr)
+        if missing:
+            return 2
         env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
         survived = 0
         for k, (file, old, new) in enumerate(MUTANTS, 1):
