@@ -10,16 +10,16 @@ exactly level v-1, zero edges jump straight to the terminal (0-stubs).
 
 Simulation runs dense's plan (`dense.plan`): the product start, one node per
 level, then each fused block applied to the state DD (`DDBackend.apply_gate`).
-A block becomes a small matrix DD over its own qubits (`_split_block`), and
-the same multiply applies it: a block node below the walk's level is the
-identity there, so no n-level gate DD is built. One walk thus serves vectors,
-matrices and planned blocks. Reads of a whole diagram (node count, trace,
-magnitudes, a state's amplitudes into two 2^n buffers) walk it level by level
-(`_levels`), so no diagram is too deep.
+A block, like a gate, is a small block DD over its own qubits (`_split_block`),
+and the one multiply applies it on either side of a canonical DD: a block node
+below the walk's level is the identity there, so no n-level gate DD is built.
+One walk thus serves vectors, matrices, gates and blocks. Reads of a whole
+diagram (node count, trace, magnitudes, a state's amplitudes into two 2^n
+buffers) walk it level by level (`_levels`), so no diagram is too deep.
 
 Equivalence checking composes U2^dagger U1 from the miter every method
 decides on (`ir.Miter`: c1 then c2's inverse, less the gates that cancel), from
-the middle outward: c1's kept gates multiply onto the right from its last,
+the middle outward: c1's kept gate DDs multiply onto the right from its last,
 c2's inverses onto the left from its first, alternately, so a pair that agrees
 keeps the product near the identity while it is built (Burgholzer & Wille,
 "Advanced Equivalence Checking for Quantum Circuits").
@@ -68,6 +68,8 @@ class VectorDD:
 
 @dataclass
 class MatrixDD:
+    """A canonical matrix DD, or a gate DD (`DDBackend.gate_to_mdd`), which only `mult_mm` and `mult_mv` read."""
+
     n: int
     root: DDEdge
 
@@ -96,7 +98,7 @@ def _split_block(rows: list, qubits: tuple, r0: int = 0, c0: int = 0) -> DDEdge:
     row and column bits r0 and c0 of the qubits already split: a node per
     split qubit, each entered through an edge of weight exactly 1, and leaves
     (edges with no node) for a weight times the identity below. The nodes are
-    not hash-consed; only `_mult` and `_gate_edge` read them."""
+    not hash-consed; only `_mult` reads them."""
     if not qubits:
         w = rows[r0][c0]
         if _is_zero(w):
@@ -118,16 +120,16 @@ def _split_block(rows: list, qubits: tuple, r0: int = 0, c0: int = 0) -> DDEdge:
 
 
 class DDBackend:
-    """One unique table plus compute tables and a gate cache; confine to one thread.
+    """One unique table plus compute tables; confine to one thread.
 
     `simulate` applies each block of dense's plan as a block DD (`apply_gate`),
-    and `composed_mdd` multiplies gate DDs, both through the one product walk
-    `_mult`. Every operation that fills the compute tables (`apply_gate`,
-    `mult_mv`, `mult_mm`) starts from empty ones, so a table holds only what
-    the current operation computed, keyed by the ids of nodes that live at
-    least as long as the operation. Gate DDs are cached per (gate, width) and
-    `_make_node`'s grid keys per scaled weight, both for the backend's
-    lifetime (equal weights have equal keys, so no key changes).
+    and `composed_mdd` multiplies gate DDs, block DDs too, onto either side of
+    its product, both through the one product walk `_mult`. Every operation
+    that fills the compute tables (`apply_gate`, `mult_mv`, `mult_mm`) starts
+    from empty ones, so a table holds only what the current operation
+    computed, keyed by the ids of nodes that live at least as long as the
+    operation. `_make_node`'s grid keys are cached per scaled weight for the
+    backend's lifetime (equal weights have equal keys, so no key changes).
     Recursions are methods or module functions, never closures: a closure
     that calls itself is a reference cycle, which would keep a finished
     backend and all its tables (or a walk's memo) alive until the cycle
@@ -139,7 +141,6 @@ class DDBackend:
         self._keys: dict[complex, tuple[float, float]] = {}  # weight -> _key_weight(weight)
         self._memo_mult: dict = {}
         self._memo_add: dict = {}
-        self._gates: dict[tuple[Gate, int], MatrixDD] = {}
         self._identity: list[DDEdge] = [_IDENTITY_EDGE]  # by qubit count
 
     # ---- node construction -------------------------------------------------
@@ -150,8 +151,7 @@ class DDBackend:
         One pass zeroes each edge `_is_zero` accepts, divides the rest by the
         first nonzero weight (which it stores as exactly 1, so a walk of
         identity @ m returns m's node with m's weight) and builds the grid
-        key. Equal keys give the same node, so the identity chain's node at a
-        level is the only node of identity shape there, which `_mult` relies on.
+        key. Equal keys give the same node.
         """
         norm = None
         scaled = []
@@ -204,26 +204,12 @@ class DDBackend:
     # ---- matrix DDs --------------------------------------------------------
 
     def gate_to_mdd(self, g: Gate, n: int) -> MatrixDD:
-        cached = self._gates.get((g, n))
-        if cached is not None:
-            return cached
+        """g's block DD (`_split_block`), with nodes on g's qubits only. Only `mult_mm` and
+        `mult_mv` read a gate DD; `node_count`, `trace` and `_expand` read canonical DDs."""
         if any(q >= n for q in g.qubits):
             raise ValueError("gate qubit outside register")
         b = dense._gate_block(g)
-        out = self._gates[g, n] = MatrixDD(n, self._gate_edge(_split_block(b.matrix.tolist(), b.qubits), n - 1))
-        return out
-
-    def _gate_edge(self, b: DDEdge, level: int) -> DDEdge:
-        """The canonical edge, at `level`, of the block DD b (`_split_block`)
-        times the identity on the other qubits: a leaf becomes its weight on
-        the identity chain there."""
-        node = b.node
-        if node is None:
-            return b if b is ZERO_EDGE else DDEdge(b.w, self._identity_edge(level + 1).node)
-        if level == node.var:
-            return self._make_node(level, [self._gate_edge(q, level - 1) for q in node.edges])
-        sub = self._gate_edge(b, level - 1)
-        return self._make_node(level, [sub, ZERO_EDGE, ZERO_EDGE, sub])
+        return MatrixDD(n, _split_block(b.matrix.tolist(), b.qubits))
 
     def _identity_edge(self, n: int) -> DDEdge:
         """The identity on n qubits; its chain of nodes is built once per backend."""
@@ -270,41 +256,41 @@ class DDBackend:
         2), both nonzero, at `level`: the one product walk, for gate DDs,
         composed matrices and planned blocks alike.
 
-        b is canonical. a is canonical too, or, when b is a vector, a block DD
-        (`_split_block`): a block node whose var is below `level` is the
-        identity there, so the walk maps its edge, as it is, over b's two. A
-        raw block node is therefore always entered through an edge of weight
-        exactly 1, which the compute table needs, as it keys on node ids only.
-        An edge with no node is its weight times the identity below (the
-        terminal too): it scales b, and the shared identity edge returns b
-        itself. A factor whose node is the identity chain's node at this level
-        (hash-consing makes it the only node of its shape) is likewise the
-        identity, so the product is the other factor's node without a walk. A
-        0-stub factor or partial product is skipped rather than multiplied or
-        added, and a zero product is returned as `ZERO_EDGE` itself, so the
-        callers' skips see it. Every node of the result comes from `_make_node`.
+        At most one operand is a block DD (`_split_block`); the other is
+        canonical. A block node whose var is below `level` is the identity
+        there, so the walk maps the other operand's edges over it, and a raw
+        block node is always entered through an edge of weight exactly 1, as
+        the compute table, keyed on node ids, needs. An edge with no node is
+        its weight times the identity below: it scales the other operand, and
+        the shared identity edge returns that operand itself, so a block's
+        leaves end the walk. A 0-stub factor or partial product is skipped, not
+        multiplied or added, and a zero product is `ZERO_EDGE` itself, for the
+        callers' skips. Every node of the result comes from `_make_node`.
         """
         an = a.node
         if an is None:
             return b if a is _IDENTITY_EDGE else DDEdge(a.w * b.w, b.node)
         bn = b.node
+        if bn is None:
+            return a if b is _IDENTITY_EDGE else DDEdge(a.w * b.w, an)
         key = (id(an), id(bn))
         cached = self._memo_mult.get(key)
         if cached is None:
             be = bn.edges
-            if an.var < level:
-                e0, e1 = be
-                blocks = [
-                    e0 if e0 is ZERO_EDGE else self._mult(a, e0, level - 1),
-                    e1 if e1 is ZERO_EDGE else self._mult(a, e1, level - 1),
-                ]
+            if an.var < level:  # a is the identity here: map it over b's edges
+                if len(be) == 2:  # a vector, the hot case in simulation: unpacked
+                    e0, e1 = be
+                    blocks = [e0 if e0 is ZERO_EDGE else self._mult(a, e0, level - 1),
+                              e1 if e1 is ZERO_EDGE else self._mult(a, e1, level - 1)]
+                else:
+                    blocks = []
+                    for e in be:
+                        blocks.append(e if e is ZERO_EDGE else self._mult(a, e, level - 1))
+            elif bn.var < level:  # likewise b: map a's edges over it
+                blocks = []
+                for e in an.edges:
+                    blocks.append(e if e is ZERO_EDGE else self._mult(e, b, level - 1))
             else:
-                if level + 1 < len(self._identity):
-                    ident = self._identity[level + 1].node
-                    if an is ident:
-                        return DDEdge(a.w * b.w, bn)
-                    if bn is ident:  # so a is canonical: a block DD multiplies vectors only
-                        return DDEdge(a.w * b.w, an)
                 ae = an.edges
                 cols = len(be) // 2
                 blocks = []
@@ -334,12 +320,8 @@ class DDBackend:
 
     def apply_gate(self, b: dense._Block, v: VectorDD) -> VectorDD:
         """The planned block b (`dense.plan`) applied to v: b's block DD over
-        its own qubits (`_split_block`) times v in one `_mult` walk, without
-        the n-level gate DD.
-
-        For a block of one gate g this equals `mult_mv(gate_to_mdd(g, v.n), v)`
-        up to rounding, with the same nodes.
-        """
+        its own qubits (`_split_block`) times v in one `_mult` walk. For a
+        block of one gate g this is the walk of `mult_mv(gate_to_mdd(g, v.n), v)`."""
         if b.qubits[0] >= v.n:  # the highest of them
             raise ValueError("gate qubit outside register")
         return VectorDD(v.n, self._product(_split_block(b.matrix.tolist(), b.qubits), v.root, v.n))

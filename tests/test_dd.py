@@ -105,6 +105,11 @@ def matrix_of(m: dd.MatrixDD) -> np.ndarray:
     return plain_expand(m.root, m.n, 2)
 
 
+def canonical_gate(backend: dd.DDBackend, g: Gate, n: int) -> dd.MatrixDD:
+    """g on n qubits as a canonical matrix DD: its gate DD times the identity."""
+    return backend.mult_mm(backend.gate_to_mdd(g, n), backend.identity_mdd(n))
+
+
 class TestExpand:
     def test_unshared_state_peaks_near_its_result(self):
         # random amplitudes share no sub-vector: a full tree of 2^n - 1 nodes,
@@ -263,7 +268,7 @@ class TestAmplitude:
 class TestMatrixDD:
     def test_not_single_node(self):
         backend = dd.DDBackend()
-        m = backend.gate_to_mdd(Gate(GateKind.X, (0,)), 1)
+        m = canonical_gate(backend, Gate(GateKind.X, (0,)), 1)
         assert dd.node_count(m) == 1
         np.testing.assert_array_equal(
             matrix_of(m), [[0, 1], [1, 0]]
@@ -271,7 +276,7 @@ class TestMatrixDD:
 
     def test_cnot_matrix(self):
         backend = dd.DDBackend()
-        m = backend.gate_to_mdd(Gate(GateKind.CX, (1, 0)), 2)
+        m = canonical_gate(backend, Gate(GateKind.CX, (1, 0)), 2)
         np.testing.assert_array_equal(
             matrix_of(m),
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -279,7 +284,7 @@ class TestMatrixDD:
 
     def test_embedded_hadamard_kron_oracle(self):
         backend = dd.DDBackend()
-        m = backend.gate_to_mdd(Gate(GateKind.H, (1,)), 3)
+        m = canonical_gate(backend, Gate(GateKind.H, (1,)), 3)
         expected = np.kron(np.kron(np.eye(2), H_MAT), np.eye(2))
         np.testing.assert_allclose(matrix_of(m), expected, atol=1e-12)
 
@@ -289,7 +294,7 @@ class TestMatrixDD:
         for _ in range(30):
             n = rng.randrange(1, 5)
             g = random_gate(rng, n)
-            got = matrix_of(backend.gate_to_mdd(g, n))
+            got = matrix_of(canonical_gate(backend, g, n))
             np.testing.assert_allclose(
                 got, dense.circuit_unitary(Circuit(n, (g,))), atol=1e-12
             )
@@ -352,12 +357,11 @@ class TestArithmetic:
 
     def test_mult_mm_involutions(self):
         backend = dd.DDBackend()
-        x = backend.gate_to_mdd(Gate(GateKind.X, (0,)), 1)
-        h = backend.gate_to_mdd(Gate(GateKind.H, (0,)), 1)
+        x, h = Gate(GateKind.X, (0,)), Gate(GateKind.H, (0,))
         ident = backend.identity_mdd(1)
-        xx = backend.mult_mm(x, x)
+        xx = backend.mult_mm(canonical_gate(backend, x, 1), backend.gate_to_mdd(x, 1))
         assert xx.root.node is ident.root.node
-        hh = backend.mult_mm(h, h)
+        hh = backend.mult_mm(canonical_gate(backend, h, 1), backend.gate_to_mdd(h, 1))
         assert hh.root.node is ident.root.node
         assert hh.root.w == pytest.approx(1.0, abs=1e-12)
 
@@ -367,9 +371,8 @@ class TestArithmetic:
         for _ in range(15):
             n = 4
             g1, g2 = random_gate(rng, n), random_gate(rng, n)
-            got = backend.mult_mm(
-                backend.gate_to_mdd(g1, n), backend.gate_to_mdd(g2, n)
-            )
+            # at most one factor may be a gate DD
+            got = backend.mult_mm(canonical_gate(backend, g1, n), backend.gate_to_mdd(g2, n))
             expected = dense.circuit_unitary(Circuit(n, (g1,))) @ dense.circuit_unitary(
                 Circuit(n, (g2,))
             )
@@ -402,11 +405,21 @@ class TestArithmetic:
             u = backend.composed_mdd(uncancelled(c1, c2))
             np.testing.assert_allclose(matrix_of(u), expected, atol=1e-9)
 
-    def test_gate_dds_are_cached_per_width(self):
+    def test_gate_dds_have_nodes_on_their_qubits_only(self):
+        rng = random.Random(37)
         backend = dd.DDBackend()
-        g = Gate(GateKind.CX, (2, 0))
-        assert backend.gate_to_mdd(g, 3) is backend.gate_to_mdd(g, 3)
-        assert backend.gate_to_mdd(g, 4).n == 4
+        for _ in range(60):
+            n = rng.randrange(1, 8)
+            g = random_gate(rng, n)
+            stack, levels = [backend.gate_to_mdd(g, n).root.node], set()
+            while stack:
+                node = stack.pop()
+                if node is not None:
+                    levels.add(node.var)
+                    stack.extend(e.node for e in node.edges)
+            assert levels <= set(g.qubits)
+        # the identity has no node at all
+        assert backend.gate_to_mdd(Gate(GateKind.RZ, (1,), Angle(0)), 3).root is dd._IDENTITY_EDGE
 
     def test_composed_mdd_adds_no_zero_operand(self):
         # a zero product comes back as ZERO_EDGE itself, so `_mult` skips it
@@ -478,11 +491,11 @@ def weight_bits(w: complex) -> bytes:
 
 
 class TestFastPaths:
-    """The identity cut-off and the 0-stub skip in `_mult` are exact."""
+    """A gate DD's leaves end the walk, and the identity laws and the 0-stub skip in `_mult` are exact."""
 
     def test_identity_cut_off_stops_the_walk(self):
-        # x on the top qubit: below it the gate DD is the identity chain, so
-        # the product stops one level down instead of walking 24 levels
+        # x on the top qubit: below it the gate DD is a leaf, the identity
+        # there, so the product stops one level down instead of walking 24 levels
         n = 24
         backend = dd.DDBackend()
         v = backend.simulate(Circuit(n))
@@ -494,8 +507,8 @@ class TestFastPaths:
         assert backend.get_amplitude(out, "0" * n) == 0
 
     def test_identity_laws_match_the_walk_bit_for_bit(self):
-        # I @ m is m's node with m's weight, which is what the full walk
-        # returns: every node stores its normalizing edge as exactly 1
+        # the walk returns I @ m as m's node with m's weight, bit for bit:
+        # every node stores its normalizing edge as exactly 1
         rng = random.Random(97)
         for _ in range(150):
             n = rng.randrange(1, 7)
@@ -504,20 +517,10 @@ class TestFastPaths:
             m = backend.composed_mdd(Miter(c, len(c.gates)))
             v = backend.simulate(random_circuit(rng, n, 30))
             ident = backend.identity_mdd(n)
-            products = [
-                lambda: backend.mult_mm(ident, m),
-                lambda: backend.mult_mm(m, ident),
-                lambda: backend.mult_mv(ident, v),
-            ]
-            fast = [product() for product in products]
-            backend.clear_memo()
-            with mock.patch.object(backend, "_identity", backend._identity[:1]):  # no cut-off
-                walked = [product() for product in products]
-            for want, got, slow in zip((m, m, v), fast, walked):
+            products = (backend.mult_mm(ident, m), backend.mult_mm(m, ident), backend.mult_mv(ident, v))
+            for want, got in zip((m, m, v), products):
                 assert got.root.node is want.root.node
-                assert slow.root.node is want.root.node
-                assert weight_bits(got.root.w) == weight_bits(slow.root.w)
-                assert got.root.w == want.root.w
+                assert weight_bits(got.root.w) == weight_bits(want.root.w)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -665,7 +668,7 @@ class TestCanonicity:
             stack.extend(e.node for e in node.edges)
 
     @staticmethod
-    def assert_in_unique_table(backend: dd.DDBackend, d: dd.VectorDD):
+    def assert_in_unique_table(backend: dd.DDBackend, d: dd.VectorDD | dd.MatrixDD):
         unique = {id(node) for node in backend._unique.values()}
         assert all(id(node) in unique for level in dd._levels(d.root.node) for node in level)
 
@@ -681,6 +684,18 @@ class TestCanonicity:
             for _ in range(5):
                 v = backend.apply_gate(dense._gate_block(random_gate(rng, n)), v)
                 self.assert_in_unique_table(backend, v)
+
+    def test_block_nodes_never_reach_a_composed_matrix(self):
+        # gate DDs multiply onto both sides of the product, from the identity
+        # on; rz 0 and rz 2 (2 pi) are the identity, a gate DD with no node
+        rng = random.Random(79)
+        for _ in range(30):
+            n = rng.randrange(1, 7)
+            idle = tuple(Gate(GateKind.RZ, (rng.randrange(n),), Angle(k)) for k in (0, 2))
+            c = Circuit(n, idle + random_circuit(rng, n, 20).gates + idle)
+            for split in (0, len(c.gates) // 2, len(c.gates)):
+                backend = dd.DDBackend()
+                self.assert_in_unique_table(backend, backend.composed_mdd(Miter(c, split)))
 
 
 class TestEquivalence:
@@ -864,18 +879,15 @@ class TestComputeTables:
 
 class TestApplyGate:
     """`apply_gate` walks the state DD with a planned block; on a block of one
-    gate, the gate DD product is its reference."""
+    gate, dense's product of the gate with the state is its reference."""
 
     @staticmethod
-    def assert_matches_product(n: int, g: Gate, prefix: Circuit):
+    def assert_matches_product(g: Gate, prefix: Circuit):
         backend = dd.DDBackend()
-        v = backend.simulate(prefix)
-        got = backend.apply_gate(dense._gate_block(g), v)
-        want = backend.mult_mv(backend.gate_to_mdd(g, n), v)
-        assert dd.node_count(got) == dd.node_count(want)
-        np.testing.assert_allclose(
-            backend.dd_to_vector(got).amps, backend.dd_to_vector(want).amps, rtol=0, atol=1e-12
-        )
+        got = backend.apply_gate(dense._gate_block(g), backend.simulate(prefix))
+        want = dense.apply_gate(dense.simulate(prefix), g).amps
+        np.testing.assert_allclose(backend.dd_to_vector(got).amps, want, rtol=0, atol=1e-12)
+        assert dd.node_count(got) == reference_node_count(want)
 
     @pytest.mark.parametrize("kind", [k for k in GateKind if gate_arity(k) == 1], ids=lambda k: k.value)
     @settings(max_examples=25, deadline=None)
@@ -883,7 +895,7 @@ class TestApplyGate:
     def test_one_qubit_gates_match_the_product(self, kind, data):
         n = data.draw(st.integers(1, 6))
         prefix = data.draw(circuits_on(n, max_gates=15, power=DD_POWER))
-        self.assert_matches_product(n, draw_gate(data.draw, kind, n, DD_POWER), prefix)
+        self.assert_matches_product(draw_gate(data.draw, kind, n, DD_POWER), prefix)
 
     @pytest.mark.parametrize("adjacent", [True, False], ids=["adjacent", "apart"])
     @pytest.mark.parametrize("first_above", [True, False], ids=["first_above", "first_below"])
@@ -895,7 +907,7 @@ class TestApplyGate:
         n = data.draw(st.integers(gap + 1, 6))
         low = data.draw(st.integers(0, n - 1 - gap))
         qubits = (low + gap, low) if first_above else (low, low + gap)
-        self.assert_matches_product(n, Gate(kind, qubits), data.draw(circuits_on(n, max_gates=15, power=DD_POWER)))
+        self.assert_matches_product(Gate(kind, qubits), data.draw(circuits_on(n, max_gates=15, power=DD_POWER)))
 
     def test_rejects_a_qubit_outside_the_register(self):
         backend = dd.DDBackend()
@@ -912,7 +924,6 @@ class TestApplyGate:
             v = backend.simulate(c)
         assert build.call_count == 0
         assert product.call_count == 0
-        assert backend._gates == {}
         np.testing.assert_allclose(backend.dd_to_vector(v).amps, dense.simulate(c).amps, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q", [0, 11, 23])

@@ -51,12 +51,12 @@ MUTANTS = [
     ("dd.py", "                w = e.w / norm", "                w = e.w * norm"),
     ("dd.py", "_GRID_DECIMALS = 10", "_GRID_DECIMALS = 6"),
     ("dd.py", "            w = a.w + b.w", "            w = a.w - b.w"),
-    # the one product walk: the identity cut-off, a block node above its
-    # qubit, and a leaf of a block DD
-    ("dd.py", "if an is ident:\n                        return DDEdge(a.w * b.w, bn)",
-     "if an is ident:\n                        return DDEdge(b.w, bn)"),
+    # the one product walk: a block node above its qubit, on either side,
+    # and a leaf of a block DD, on either side
     ("dd.py", "            if an.var < level:", "            if an.var <= level:"),
+    ("dd.py", "            elif bn.var < level:", "            elif bn.var <= level:"),
     ("dd.py", "else DDEdge(a.w * b.w, b.node)", "else DDEdge(b.w, b.node)"),
+    ("dd.py", "else DDEdge(a.w * b.w, an)", "else DDEdge(a.w, an)"),
     # the level-by-level expansion: a node's block offset and its edges' weights
     ("dd.py", "half = top[(2 * slot + k) * h : (2 * slot + k + 1) * h]", "half = top[(slot + k) * h : (slot + k + 1) * h]"),
     ("dd.py", "np.multiply(e.w, below[child : child + h], out=half)",
